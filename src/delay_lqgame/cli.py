@@ -73,18 +73,35 @@ def schedule_to_dict(schedule, dp):
     }
 
 
+def _gains_array(doc, key, axes):
+    try:
+        array = np.array(doc[key], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"<gains>.{key}",
+                          f"expected a numeric array: {exc}") from None
+    if array.ndim != axes:
+        raise SchemaError(f"<gains>.{key}",
+                          f"expected {axes} axes, got {array.ndim}")
+    return array
+
+
 def schedule_from_dict(doc, dp):
     if not isinstance(doc, dict) or doc.get("format") != GAINS_FORMAT:
         raise SchemaError("<gains>", f"not a {GAINS_FORMAT} document")
+    for key in ("scheme", "A_coef", "B_coef", "horizon", "p"):
+        if key not in doc:
+            raise SchemaError(f"<gains>.{key}", "missing field")
     if doc.get("plant_hash") != plant_hash(dp):
         raise ValidationError(
             "plant-hash mismatch: the gain schedule was synthesized for a "
             "different discretized plant")
-    schedule = GainSchedule(
-        Scheme(doc["scheme"]),
-        np.array(doc["A_coef"], dtype=float),
-        np.array(doc["B_coef"], dtype=float),
-    )
+    try:
+        scheme = Scheme(doc["scheme"])
+    except ValueError:
+        raise SchemaError("<gains>.scheme",
+                          f"unknown scheme {doc['scheme']!r}") from None
+    schedule = GainSchedule(scheme, _gains_array(doc, "A_coef", 4),
+                            _gains_array(doc, "B_coef", 5))
     if schedule.horizon != doc["horizon"] or schedule.p != doc["p"]:
         raise SchemaError("<gains>", "coefficient arrays disagree with metadata")
     return schedule
@@ -157,7 +174,10 @@ def _cmd_simulate(args):
     config = _load_config_file(args.config)
     dp = discretize(config.plant)
     if args.gains:
-        doc = json.loads(Path(args.gains).read_text())
+        try:
+            doc = json.loads(Path(args.gains).read_text())
+        except ValueError as exc:
+            raise SchemaError("<gains>", f"invalid JSON: {exc}") from None
         schedule = schedule_from_dict(doc, dp)
     else:
         schedule = synthesize_for_scheme(config, _pick_scheme(config, args))

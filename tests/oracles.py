@@ -3,7 +3,8 @@
 Nothing here may call into delay_lqgame's numerics: the exponential is a
 scaled truncated Taylor series, the integral is adaptive Simpson over that
 series, the regulator recursion is the textbook difference-equation form,
-and the game oracle iterates best responses to a fixed point.
+the game oracle iterates best responses to a fixed point, and the closed
+loop runs one trajectory at a time with plain per-step sums.
 """
 
 import numpy as np
@@ -138,3 +139,91 @@ def best_response_game(Phi, Gamma0, Q, QN, R, steps, tol=1e-12, max_iter=2000):
         for i in range(p):
             coeffs[k, i] = A[i]
     return coeffs
+
+
+def closed_loop(dp, schedule, x0, deviation=None):
+    """One closed-loop trajectory, step by step and player by player.
+
+    deviation is (player, step, delta): delta is added to that player's
+    input at that single step, every law stays in place afterwards.
+    Returns states (horizon + 1, M) and controls (horizon, p, N).
+    """
+    steps = schedule.horizon
+    states = np.zeros((steps + 1, dp.M))
+    controls = np.zeros((steps, dp.p, dp.N))
+    x = np.asarray(x0, dtype=float).reshape(-1)
+    states[0] = x
+    u_prev = np.zeros((dp.p, dp.N))
+    for k in range(steps):
+        u = np.zeros((dp.p, dp.N))
+        for i in range(dp.p):
+            ui = schedule.A_coef[k, i] @ x
+            for j in range(dp.p):
+                ui = ui + schedule.B_coef[k, i, j] @ u_prev[j]
+            u[i] = ui
+        if deviation is not None and deviation[1] == k:
+            u[deviation[0]] = u[deviation[0]] + deviation[2]
+        x_next = dp.Phi @ x
+        for i in range(dp.p):
+            x_next = x_next + dp.Gamma0[i] @ u[i] + dp.Gamma1[i] @ u_prev[i]
+        controls[k] = u
+        states[k + 1] = x_next
+        u_prev = u
+        x = x_next
+    return states, controls
+
+
+def quadratic_costs(states, controls, weights):
+    """(total, per-player) costs of one trajectory, summed step by step.
+
+    The total uses controller 1's state weights and every controller's
+    control effort.
+    """
+    p = weights.p
+    per_player = np.zeros(p)
+    x_final = states[-1]
+    for i in range(p):
+        J = x_final @ weights.QN[i] @ x_final
+        for k in range(controls.shape[0]):
+            J += states[k] @ weights.Q[i] @ states[k]
+            J += controls[k, i] @ weights.R[i] @ controls[k, i]
+        per_player[i] = J
+    total = float(x_final @ weights.QN[0] @ x_final)
+    for k in range(controls.shape[0]):
+        total += states[k] @ weights.Q[0] @ states[k]
+        for i in range(p):
+            total += controls[k, i] @ weights.R[i] @ controls[k, i]
+    return total, per_player
+
+
+def per_trial_deviation_check(dp, schedule, weights, x0, trials, magnitude,
+                              seed, tolerance):
+    """Unilateral-deviation trials re-rolled one trajectory at a time.
+
+    Trial t draws (player, step, delta) from default_rng((seed, t)), adds
+    delta, scaled to the given norm, to that player's input at that step
+    and records the deviator's cost change against the undeviated loop.
+    Returns (passed, min_delta, min_margin), the margin being the change
+    plus tolerance * (1 + J_i).
+    """
+    _, base = quadratic_costs(*closed_loop(dp, schedule, x0), weights)
+    min_delta = np.inf
+    min_margin = np.inf
+    for trial in range(trials):
+        rng = np.random.default_rng((seed, trial))
+        player = int(rng.integers(dp.p))
+        step = int(rng.integers(schedule.horizon))
+        delta = rng.normal(size=dp.N)
+        norm = np.linalg.norm(delta)
+        if norm == 0.0:
+            delta = np.zeros(dp.N)
+            delta[0] = 1.0
+            norm = 1.0
+        delta = delta * (magnitude / norm)
+        states, controls = closed_loop(dp, schedule, x0,
+                                       deviation=(player, step, delta))
+        _, per_player = quadratic_costs(states, controls, weights)
+        change = per_player[player] - base[player]
+        min_delta = min(min_delta, change)
+        min_margin = min(min_margin, change + tolerance * (1.0 + base[player]))
+    return bool(min_margin >= 0.0), float(min_delta), float(min_margin)

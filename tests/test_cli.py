@@ -144,6 +144,44 @@ class TestFailureModes:
         assert code == 1
         assert "plant-hash" in capsys.readouterr().err
 
+    @pytest.fixture()
+    def gains_doc(self, tmp_path, cfg_path):
+        gains = tmp_path / "gains.json"
+        main(["synthesize", "--config", str(cfg_path), "--out", str(gains)])
+        return json.loads(gains.read_text())
+
+    def _simulate_with_gains(self, tmp_path, cfg_path, text, capsys):
+        gains = tmp_path / "bad_gains.json"
+        gains.write_text(text)
+        code = main(["simulate", "--config", str(cfg_path),
+                     "--gains", str(gains), "--out", str(tmp_path / "t.csv")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "Traceback" not in err
+        return err
+
+    def test_non_json_gains_exits_1(self, tmp_path, cfg_path, capsys):
+        err = self._simulate_with_gains(tmp_path, cfg_path, "{not json",
+                                        capsys)
+        assert "<gains>: invalid JSON" in err
+
+    @pytest.mark.parametrize("key", ["scheme", "A_coef", "B_coef", "horizon",
+                                     "p"])
+    def test_gains_missing_key_exits_1(self, tmp_path, cfg_path, gains_doc,
+                                       capsys, key):
+        del gains_doc[key]
+        err = self._simulate_with_gains(tmp_path, cfg_path,
+                                        json.dumps(gains_doc), capsys)
+        assert f"<gains>.{key}: missing field" in err
+
+    @pytest.mark.parametrize("key", ["A_coef", "B_coef"])
+    def test_gains_wrong_rank_exits_1(self, tmp_path, cfg_path, gains_doc,
+                                      capsys, key):
+        gains_doc[key] = gains_doc[key][0]
+        err = self._simulate_with_gains(tmp_path, cfg_path,
+                                        json.dumps(gains_doc), capsys)
+        assert f"<gains>.{key}: expected" in err
+
     def test_missing_config_file_exits_1(self, tmp_path):
         assert main(["discretize", "--config",
                      str(tmp_path / "nope.json")]) == 1

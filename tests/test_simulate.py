@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -5,19 +7,26 @@ from delay_lqgame import (
     DimensionError,
     GainSchedule,
     GameWeights,
+    SchemaError,
     Scheme,
     Trajectory,
+    ValidationError,
     discretize,
     evaluate_costs,
     nash_deviation_check,
+    preset_generic,
+    preset_lfc,
     read_trajectory_csv,
     rollout,
+    simulate,
+    synthesize_multi,
     synthesize_single_delayed,
     synthesize_two,
     write_trajectory_csv,
 )
 
 from conftest import random_stable_plant, random_weights
+from oracles import closed_loop, per_trial_deviation_check, quadratic_costs
 
 
 @pytest.fixture(scope="module")
@@ -172,6 +181,88 @@ class TestSerialization:
         assert lines[-1].endswith(",,")
 
 
+def _delete_line(lines):
+    del lines[6]
+
+
+def _repeat_line(lines):
+    lines.insert(6, lines[5])
+
+
+def _step_out_of_range(lines):
+    lines[6] = "99" + lines[6][lines[6].index(","):]
+
+
+def _extra_row(lines):
+    lines.append(lines[-1])
+
+
+def _short_row(lines):
+    lines[6] = lines[6].rsplit(",", 1)[0]
+
+
+def _non_numeric_cell(lines):
+    cells = lines[6].split(",")
+    cells[2] = "abc"
+    lines[6] = ",".join(cells)
+
+
+def _filled_final_controls(lines):
+    lines[-1] = lines[-1] + "1.0"
+
+
+class TestTrajectoryFileDefects:
+    @pytest.fixture()
+    def written(self, tmp_path, generic_dp, generic_config, generic_schedule):
+        tr = rollout(generic_dp, generic_schedule, generic_config.x0,
+                     generic_config.weights)
+        path = tmp_path / "traj.csv"
+        write_trajectory_csv(tr, path)
+        return path
+
+    @pytest.mark.parametrize("mutate, where", [
+        (_delete_line, "line 7"),
+        (_repeat_line, "line 7"),
+        (_step_out_of_range, "line 7"),
+        (_extra_row, "line 53"),
+        (_short_row, "line 7"),
+        (_non_numeric_cell, "line 7 column x_2"),
+        (_filled_final_controls, "line 52"),
+    ])
+    def test_malformed_rows_name_file_and_line(self, written, mutate, where):
+        lines = written.read_text().splitlines()
+        mutate(lines)
+        written.write_text("\n".join(lines) + "\n")
+        with pytest.raises(SchemaError, match=f"traj.csv {where}"):
+            read_trajectory_csv(written)
+
+    def test_truncated_file_names_file(self, written):
+        lines = written.read_text().splitlines()
+        written.write_text("\n".join(lines[:-1]) + "\n")
+        with pytest.raises(SchemaError, match="traj.csv: 50 rows"):
+            read_trajectory_csv(written)
+
+    def test_missing_sidecar(self, written):
+        written.with_suffix(".json").unlink()
+        with pytest.raises(SchemaError, match="traj.json: missing"):
+            read_trajectory_csv(written)
+
+    def test_sidecar_not_json(self, written):
+        written.with_suffix(".json").write_text("{not json")
+        with pytest.raises(SchemaError, match="traj.json: invalid JSON"):
+            read_trajectory_csv(written)
+
+    @pytest.mark.parametrize("key", ["M", "N", "p", "horizon",
+                                     "per_player_cost", "total_cost"])
+    def test_sidecar_missing_field(self, written, key):
+        sidecar = written.with_suffix(".json")
+        doc = json.loads(sidecar.read_text())
+        del doc[key]
+        sidecar.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError, match=f"traj.json.{key}: missing"):
+            read_trajectory_csv(written)
+
+
 class TestNashDeviation:
     def test_zero_magnitude_changes_nothing(self, generic_dp, generic_config,
                                             generic_schedule):
@@ -211,6 +302,82 @@ class TestNashDeviation:
                                  generic_config.weights, generic_config.x0,
                                  **kwargs)
         assert a == b
+
+    def test_block_size_does_not_change_report(self, monkeypatch,
+                                                 generic_dp, generic_config,
+                                                 generic_schedule):
+        args = (generic_dp, generic_schedule, generic_config.weights,
+                generic_config.x0)
+        whole = nash_deviation_check(*args, trials=30, seed=2)
+        monkeypatch.setattr(simulate, "DEVIATION_BLOCK", 7)
+        assert nash_deviation_check(*args, trials=30, seed=2) == whole
+
+    def test_negative_trials_rejected(self, generic_dp, generic_config,
+                                      generic_schedule):
+        with pytest.raises(ValidationError, match="trials"):
+            nash_deviation_check(generic_dp, generic_schedule,
+                                 generic_config.weights, generic_config.x0,
+                                 trials=-1)
+
+
+def _seeded_p3_case():
+    rng = np.random.default_rng(2026)
+    plant = random_stable_plant(rng, M=5, p=3)
+    weights = random_weights(rng, 5, p=3, horizon=30)
+    dp = discretize(plant)
+    return dp, synthesize_multi(dp, weights), weights, rng.normal(size=5)
+
+
+def _preset_case(make):
+    config = make()
+    dp = discretize(config.plant)
+    return dp, synthesize_two(dp, config.weights), config.weights, config.x0
+
+
+def _perturbed_generic_case():
+    dp, sched, weights, x0 = _preset_case(preset_generic)
+    A = sched.A_coef.copy()
+    A[:, 0] *= 0.5
+    return dp, GainSchedule(sched.scheme, A, sched.B_coef), weights, x0
+
+
+ORACLE_CASES = {
+    "generic": lambda: _preset_case(preset_generic),
+    "lfc": lambda: _preset_case(preset_lfc),
+    "p3": _seeded_p3_case,
+    "perturbed": _perturbed_generic_case,
+}
+
+
+class TestAgainstPerTrialOracle:
+    """The batched loop against the one-trajectory-at-a-time oracle."""
+
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    def test_rollout_matches_oracle_loop(self, case):
+        dp, sched, weights, x0 = ORACLE_CASES[case]()
+        tr = rollout(dp, sched, x0, weights)
+        states, controls = closed_loop(dp, sched, x0)
+        np.testing.assert_array_equal(tr.states, states)
+        np.testing.assert_array_equal(tr.controls, controls)
+        total, per_player = quadratic_costs(states, controls, weights)
+        assert abs(tr.total_cost - total) <= 1e-12 * (1.0 + abs(total))
+        np.testing.assert_allclose(tr.per_player_cost, per_player,
+                                   rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    def test_report_matches_oracle(self, case):
+        dp, sched, weights, x0 = ORACLE_CASES[case]()
+        report = nash_deviation_check(dp, sched, weights, x0, trials=100,
+                                      magnitude=1e-2, seed=3)
+        passed, min_delta, min_margin = per_trial_deviation_check(
+            dp, sched, weights, x0, trials=100, magnitude=1e-2, seed=3,
+            tolerance=report.tolerance)
+        assert report.passed == passed == (case != "perturbed")
+        assert report.trials == 100
+        slack = 1e-12 * (1.0 + rollout(dp, sched, x0, weights)
+                         .per_player_cost.max())
+        assert abs(report.min_delta - min_delta) <= slack
+        assert abs(report.min_margin - min_margin) <= slack
 
 
 class TestRandomizedRollouts:
