@@ -119,7 +119,11 @@ def _write_json(doc, out):
 
 
 def _load_config_file(path):
-    return load_config(Path(path).read_text())
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise SchemaError("<config>", f"not UTF-8 text: {exc}") from None
+    return load_config(text)
 
 
 def _pick_scheme(config, args):

@@ -17,12 +17,15 @@ class SingularMatrixError(DelayGameError):
     """A linear solve hit a pivot too small to trust.
 
     The offending pivot magnitude is kept on the exception so callers can
-    report how close to singular the system was.
+    report how close to singular the system was, and its position on the
+    diagonal of the LU factor (when known) so they can say which unknowns
+    the near-dependency sits in.
     """
 
-    def __init__(self, message, pivot):
+    def __init__(self, message, pivot, index=None):
         super().__init__(message)
         self.pivot = float(pivot)
+        self.index = index
 
 
 class CouplingSingularityError(SingularMatrixError):

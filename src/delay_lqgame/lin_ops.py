@@ -1,9 +1,8 @@
-"""Dense real-matrix kernels: exponentials, exponential integrals, pivoted
-solves, and block addressing on the stacked-state layout [M | N | ... | N].
+"""Dense real-matrix kernels: exponentials, exponential integrals and
+pivoted solves.
 
 Everything here is a pure function of its inputs; matrices are plain
-float64 ndarrays and are never mutated except by :func:`block_set`, which
-exists precisely to assemble block matrices in place.
+float64 ndarrays and are never mutated.
 """
 
 import warnings
@@ -79,7 +78,8 @@ def solve(A, B):
     """Solve A @ X = B by LU with partial pivoting.
 
     Raises :class:`SingularMatrixError` when the smallest pivot falls below
-    PIVOT_RTOL times the largest entry of A, reporting that pivot.
+    PIVOT_RTOL times the largest entry of A, reporting that pivot and its
+    position on the diagonal of U (the column of A it belongs to).
     """
     A = as_matrix(A, "A")
     B = as_matrix(B, "B")
@@ -92,65 +92,11 @@ def solve(A, B):
         warnings.simplefilter("ignore")
         lu, piv = scipy.linalg.lu_factor(A, check_finite=False)
     pivots = np.abs(np.diag(lu))
-    smallest = pivots.min() if pivots.size else 0.0
+    index = int(pivots.argmin())
+    smallest = pivots[index]
     if smallest <= PIVOT_RTOL * np.abs(A).max():
         raise SingularMatrixError(
-            f"matrix is numerically singular (pivot {smallest:.3e})", smallest)
+            f"matrix is numerically singular (pivot {smallest:.3e} at "
+            f"position {index})", smallest, index)
     return scipy.linalg.lu_solve((lu, piv), B, check_finite=False)
 
-
-class BlockLayout:
-    """Partition of a square matrix into blocks of the given edge sizes.
-
-    Block indices are 1-based to match the usual (m, n) block-subscript
-    convention for the stacked state [x; u_1; ...; u_p].
-    """
-
-    def __init__(self, sizes):
-        sizes = tuple(int(s) for s in sizes)
-        if not sizes or any(s <= 0 for s in sizes):
-            raise DimensionError(f"block sizes must be positive, got {sizes}")
-        self.sizes = sizes
-        self.offsets = tuple(np.concatenate(([0], np.cumsum(sizes))).tolist())
-
-    @property
-    def total(self):
-        return self.offsets[-1]
-
-    @property
-    def count(self):
-        return len(self.sizes)
-
-    def span(self, m):
-        """Index slice of 1-based block m."""
-        if not 1 <= m <= self.count:
-            raise IndexError(f"block index {m} outside 1..{self.count}")
-        return slice(self.offsets[m - 1], self.offsets[m])
-
-    def __repr__(self):
-        return f"BlockLayout{self.sizes}"
-
-
-def augmented_layout(M, N, p):
-    """Layout [M | N | ... | N] with p control blocks."""
-    return BlockLayout((M,) + (N,) * p)
-
-
-def block_get(S, layout, m, n):
-    """Copy of the (m, n) block of S under the given layout."""
-    S = as_matrix(S, "S")
-    if S.shape != (layout.total, layout.total):
-        raise DimensionError(
-            f"S has shape {S.shape}, layout expects {(layout.total,) * 2}")
-    return S[layout.span(m), layout.span(n)].copy()
-
-
-def block_set(S, layout, m, n, value):
-    """Overwrite the (m, n) block of S in place."""
-    value = as_matrix(value, "value")
-    rows, cols = layout.span(m), layout.span(n)
-    expected = (rows.stop - rows.start, cols.stop - cols.start)
-    if value.shape != expected:
-        raise DimensionError(
-            f"block ({m}, {n}) expects shape {expected}, got {value.shape}")
-    S[rows, cols] = value

@@ -10,13 +10,11 @@ what their designs know:
 * ``single_delayed``  - controller 1 designed alone on its own delayed
                         discretization, every other controller held at
                         zero for the whole horizon;
-* ``delay_free_game`` - the two-controller game designed as if all delays
-                        were zero, then run against the delayed plant (the
+* ``delay_free_game`` - the game designed as if all delays were zero,
+                        then run against the delayed plant (the
                         design/plant mismatch is the point).
 """
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import product
 from pathlib import Path
@@ -26,15 +24,7 @@ import numpy as np
 from .errors import ValidationError
 from .model import Scheme, discretize
 from .simulate import Trajectory, _fmt, rollout
-from .synthesis import (
-    GainSchedule,
-    synthesize_delay_free_game,
-    synthesize_multi,
-    synthesize_single_delayed,
-    synthesize_two,
-)
-
-THREADS_ENV = "DELAY_LQGAME_THREADS"
+from .synthesis import GainSchedule, synthesize
 
 
 @dataclass(frozen=True)
@@ -67,34 +57,28 @@ def _embed_single(schedule, p):
     B_coef = np.zeros((steps, p, p, N, N))
     A_coef[:, 0] = schedule.A_coef[:, 0]
     B_coef[:, 0, 0] = schedule.B_coef[:, 0, 0]
-    return GainSchedule(Scheme.SINGLE_DELAYED, A_coef, B_coef)
+    return GainSchedule(schedule.scheme, A_coef, B_coef)
 
 
 def synthesize_for_scheme(config, scheme):
-    """Gain schedule for one scheme on the config's plant."""
+    """Gain schedule for one scheme on the config's plant, tagged with it.
+
+    Every scheme runs the one recursion; only the plant it is handed
+    differs: the true discretization (``proposed``), controller 1's part of
+    it (``single_delayed``), or the zero-delay one (``delay_free_game``).
+    """
     scheme = Scheme(scheme)
     plant = config.plant
     weights = config.weights
-    if scheme is Scheme.PROPOSED:
-        dp = discretize(plant)
-        if plant.p == 2:
-            return synthesize_two(dp, weights)
-        if plant.p == 1:
-            return synthesize_single_delayed(dp, weights)
-        return synthesize_multi(dp, weights)
-    if scheme is Scheme.SINGLE_DELAYED:
-        dp = discretize(plant)
-        single = synthesize_single_delayed(
-            dp.select_controller(0), weights.select_player(0))
-        return _embed_single(single, plant.p)
     if scheme is Scheme.DELAY_FREE_GAME:
-        dp0 = discretize(plant.with_delays((0.0,) * plant.p))
-        if plant.p == 2:
-            return synthesize_delay_free_game(dp0, weights)
-        if plant.p == 1:
-            return synthesize_single_delayed(dp0, weights)
-        return synthesize_multi(dp0, weights)
-    raise ValidationError(f"unknown scheme {scheme!r}")
+        plant = plant.with_delays((0.0,) * plant.p)
+    dp = discretize(plant)
+    if scheme is Scheme.SINGLE_DELAYED:
+        single = synthesize(dp.select_controller(0), weights.select_player(0))
+        schedule = _embed_single(single, plant.p)
+    else:
+        schedule = synthesize(dp, weights)
+    return replace(schedule, scheme=scheme)
 
 
 def run_scheme(config, scheme):
@@ -119,49 +103,25 @@ def _grid_points(config):
     return [tuple(point) for point in product(*config.sweep)]
 
 
-def _max_workers():
-    raw = os.environ.get(THREADS_ENV)
-    if raw is None or raw.strip() == "":
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValidationError(
-            f"{THREADS_ENV} must be an integer, got {raw!r}") from None
-    return max(1, value)
-
-
-def _map_points(fn, points):
-    workers = _max_workers()
-    if workers == 1 or len(points) <= 1:
-        return [fn(pt) for pt in points]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        # executor.map keeps submission order, so output order (and the
-        # bytes eventually written) never depends on scheduling.
-        return list(pool.map(fn, points))
-
-
 def sweep_delays(config):
     """Proposed-scheme costs over the config's delay grid.
 
-    Points are evaluated in deterministic row-major grid order; the
-    DELAY_LQGAME_THREADS environment variable caps parallel evaluation
-    (default 1).  Grid values outside [0, h) are rejected before any
-    computation by config validation.
+    Points are evaluated in deterministic row-major grid order.  Grid
+    values outside [0, h) are rejected before any computation by config
+    validation.
     """
     if config.sweep is None:
         raise ValidationError("sweep: config has no sweep grid")
-
-    def evaluate(point):
+    points = []
+    for point in _grid_points(config):
         result = run_scheme(
             _with_delays(config, point), Scheme.PROPOSED)
         j = result.j_players
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = float(np.divide(j[0], j[1])) if len(j) > 1 else float("nan")
-        return SweepPoint(delays=point, j_total=result.j_total,
-                          j_players=j, ratio=ratio)
-
-    return _map_points(evaluate, _grid_points(config))
+        points.append(SweepPoint(delays=point, j_total=result.j_total,
+                                 j_players=j, ratio=ratio))
+    return points
 
 
 def _with_delays(config, delays):

@@ -11,18 +11,18 @@ have been exchanged.  On the stacked vector z(k) = [x(k); u_1(k-1); ...;
 u_p(k-1)] the law reads u_i(k) = -L_i(k) z(k) with
 L_i = -[A_i | B1_i | ... | Bp_i].
 
-Gains are computed by a backward recursion over per-controller quadratic
+Gains are computed by one backward recursion over per-controller quadratic
 value matrices S_i(k) (cost-to-go of controller i from step k).  At each
 step, every controller's gain must be the exact minimizer of its one-step
 cost given the other controllers' same-step coefficients, which makes the
 coefficients the solution of a simultaneous system of linear equations: the
 stage-wise equilibrium condition of the underlying non-cooperative game.
-For two controllers the system has a small closed form; for general p it
-is assembled and solved in one shot.  Value matrices are symmetrized after
-every update to stop round-off drift from compounding across the horizon.
+The system is stacked over all p controllers and solved in one shot.
+Value matrices are symmetrized after every update to stop round-off drift
+from compounding across the horizon.
 
-Delay-free and single-controller special cases are provided separately;
-the general recursion degenerates to them exactly.
+Known controllers are this recursion on a prepared plant: one controller
+gives the stacked-state delayed regulator, zero delays the delay-free game.
 """
 
 from dataclasses import dataclass
@@ -93,23 +93,6 @@ class GainSchedule:
         return -self.coefficients(k, i)
 
 
-@dataclass(frozen=True)
-class StepCoefficients:
-    """One controller's linear-equation blocks for a single backward step.
-
-    a1 couples to the state, b1/c1 to the two previous-input channels, and
-    a2 to the peer's simultaneous coefficients (the same a2 serves all
-    three coefficient groups).  E is the control-quadratic term, positive
-    definite whenever R is.
-    """
-
-    a1: np.ndarray
-    b1: np.ndarray
-    c1: np.ndarray
-    a2: np.ndarray
-    E: np.ndarray
-
-
 def _check_pair(dp, weights):
     if weights.p != dp.p:
         raise DimensionError(
@@ -122,16 +105,6 @@ def _check_pair(dp, weights):
         raise DimensionError(
             f"control weights are {weights.R[0].shape[0]}-dimensional, "
             f"controls have {dp.N}")
-
-
-def _terminal_values(dp, weights):
-    dim = dp.M + dp.p * dp.N
-    out = []
-    for i in range(dp.p):
-        S = np.zeros((dim, dim))
-        S[:dp.M, :dp.M] = weights.QN[i]
-        out.append(S)
-    return out
 
 
 def _embedded_state_weight(Q, dim):
@@ -151,30 +124,6 @@ def _control_row(dp, S, i):
     return dp.Gamma0[i].T @ S[:M, :] + S[own, :]
 
 
-def _step_coefficients_two(dp, weights, S, i):
-    M, N = dp.M, dp.N
-    j = 1 - i
-    T = _control_row(dp, S[i], i)
-    T1 = T[:, :M]
-    T_own = T[:, M + i * N: M + (i + 1) * N]
-    T_peer = T[:, M + j * N: M + (j + 1) * N]
-    E = T1 @ dp.Gamma0[i] + T_own + weights.R[i]
-    rhs = np.hstack([
-        T1 @ dp.Phi,
-        T1 @ dp.Gamma1[0],
-        T1 @ dp.Gamma1[1],
-        T1 @ dp.Gamma0[j] + T_peer,
-    ])
-    sol = lin_ops.solve(E, rhs)
-    return StepCoefficients(
-        a1=sol[:, :M],
-        b1=sol[:, M:M + N],
-        c1=sol[:, M + N:M + 2 * N],
-        a2=sol[:, M + 2 * N:],
-        E=E,
-    )
-
-
 def _value_update(dp, weights, S_next, U, E, i):
     """Next value matrix for controller i given everyone's coefficients U."""
     M, N, p = dp.M, dp.N, dp.p
@@ -192,86 +141,31 @@ def _value_update(dp, weights, S_next, U, E, i):
     return lin_ops.symmetrize(P11 - U[i].T @ E[i] @ U[i])
 
 
-def synthesize_two(dp, weights, return_values=False):
-    """Gain schedule for the two-controller delayed game (closed form).
+def synthesize(dp, weights, return_values=False):
+    """Gain schedule for any number of controllers, tagged ``proposed``.
 
-    Walks k = horizon-1 .. 0.  Per step: build each controller's
-    :class:`StepCoefficients` from S_i(k+1); eliminate the simultaneous
-    coupling in closed form (the shared a2 factor serves the state and both
-    history groups); update both value matrices.  Raises
-    :class:`CouplingSingularityError` if E_i or the coupling factor
-    I - a2_i a2_j is numerically singular.
+    Walks k = horizon-1 .. 0.  Per step the simultaneous equations over all
+    coefficients {A_i, Bj_i} are stacked into one (p N) x (p N) system with
+    a column per column of [Phi | Gamma1_1 | ... | Gamma1_p] and solved
+    directly.  Raises :class:`CouplingSingularityError` with the step and
+    the controller whose block holds the smallest pivot if it is singular.
 
     With ``return_values`` the full value-matrix history is returned as a
     second output: values[k][i] is S_i(k), k = 0..horizon.
     """
-    if dp.p != 2:
-        raise DimensionError(f"two-controller synthesis needs p=2, got p={dp.p}")
-    _check_pair(dp, weights)
-    M, N, steps = dp.M, dp.N, weights.horizon
-    S = _terminal_values(dp, weights)
-    A_coef = np.zeros((steps, 2, N, M))
-    B_coef = np.zeros((steps, 2, 2, N, N))
-    values = [None] * (steps + 1)
-    values[steps] = [s.copy() for s in S]
-    eye = np.eye(N)
-    for k in range(steps - 1, -1, -1):
-        coeffs = []
-        for i in range(2):
-            try:
-                coeffs.append(_step_coefficients_two(dp, weights, S, i))
-            except SingularMatrixError as exc:
-                raise CouplingSingularityError(
-                    f"control-quadratic term E is singular at step {k} for "
-                    f"controller {i + 1} (pivot {exc.pivot:.3e})",
-                    exc.pivot, step=k, controller=i + 1) from None
-        U = []
-        for i in range(2):
-            ci, cj = coeffs[i], coeffs[1 - i]
-            rhs = np.hstack([
-                ci.a2 @ cj.a1 - ci.a1,
-                ci.a2 @ cj.b1 - ci.b1,
-                ci.a2 @ cj.c1 - ci.c1,
-            ])
-            try:
-                sol = lin_ops.solve(eye - ci.a2 @ cj.a2, rhs)
-            except SingularMatrixError as exc:
-                raise CouplingSingularityError(
-                    f"coupling factor I - a2_i a2_j is singular at step {k} "
-                    f"for controller {i + 1} (pivot {exc.pivot:.3e})",
-                    exc.pivot, step=k, controller=i + 1) from None
-            A_coef[k, i] = sol[:, :M]
-            B_coef[k, i, 0] = sol[:, M:M + N]
-            B_coef[k, i, 1] = sol[:, M + N:]
-            U.append(np.hstack([A_coef[k, i], B_coef[k, i, 0], B_coef[k, i, 1]]))
-        E = [c.E for c in coeffs]
-        S = [_value_update(dp, weights, S, U, E, i) for i in range(2)]
-        values[k] = [s.copy() for s in S]
-    schedule = GainSchedule(Scheme.PROPOSED, A_coef, B_coef)
-    return (schedule, values) if return_values else schedule
-
-
-def synthesize_multi(dp, weights, return_values=False):
-    """Gain schedule for any number of controllers.
-
-    The per-step simultaneous equations over all coefficients {A_i, Bj_i}
-    are stacked into a single (p N) x (p N) block system with M + p N
-    right-hand-side columns (one per column of [Phi | Gamma1_1 | ... |
-    Gamma1_p]) and solved in one shot, directly rather than iteratively.
-    """
     _check_pair(dp, weights)
     M, N, p, steps = dp.M, dp.N, dp.p, weights.horizon
     dim = M + p * N
-    S = _terminal_values(dp, weights)
+    target = np.hstack([dp.Phi] + list(dp.Gamma1))
+    S = [_embedded_state_weight(QN, dim) for QN in weights.QN]
     A_coef = np.zeros((steps, p, N, M))
     B_coef = np.zeros((steps, p, p, N, N))
-    values = [None] * (steps + 1)
-    values[steps] = [s.copy() for s in S]
+    # Each step builds fresh value matrices, so the history keeps references.
+    values = [S]
     for k in range(steps - 1, -1, -1):
         G = np.zeros((p * N, p * N))
         W = np.zeros((p * N, dim))
         E = []
-        target = np.hstack([dp.Phi] + list(dp.Gamma1))
         for i in range(p):
             T = _control_row(dp, S[i], i)
             T1 = T[:, :M]
@@ -284,126 +178,21 @@ def synthesize_multi(dp, weights, return_values=False):
             E.append(G[rows, i * N:(i + 1) * N])
             W[rows, :] = -(T1 @ target)
         try:
-            sol = lin_ops.solve(G, W)
+            # + 0.0 is exact but turns -0.0 into 0.0, so vanishing terms
+            # (the delay terms of a zero-delay plant) are written as 0.0.
+            sol = lin_ops.solve(G, W) + 0.0
         except SingularMatrixError as exc:
+            controller = exc.index // N + 1
             raise CouplingSingularityError(
-                f"stacked best-response system is singular at step {k} "
-                f"(pivot {exc.pivot:.3e})", exc.pivot, step=k) from None
+                f"stacked best-response system is singular at step {k} for "
+                f"controller {controller} (pivot {exc.pivot:.3e})",
+                exc.pivot, step=k, controller=controller) from None
         U = [sol[i * N:(i + 1) * N, :] for i in range(p)]
         for i in range(p):
             A_coef[k, i] = U[i][:, :M]
             for j in range(p):
                 B_coef[k, i, j] = U[i][:, M + j * N: M + (j + 1) * N]
         S = [_value_update(dp, weights, S, U, E, i) for i in range(p)]
-        values[k] = [s.copy() for s in S]
+        values.append(S)
     schedule = GainSchedule(Scheme.PROPOSED, A_coef, B_coef)
-    return (schedule, values) if return_values else schedule
-
-
-def synthesize_single_delayed(dp, weights, return_values=False):
-    """Optimal schedule for a single delayed controller.
-
-    Plain finite-horizon quadratic regulation on the stacked state
-    [x; u(k-1)]: stacked dynamics [[Phi, Gamma1], [0, 0]] driven through
-    [[Gamma0], [I]].  No simultaneous coupling to resolve.
-    """
-    if dp.p != 1:
-        raise DimensionError(f"single-controller synthesis needs p=1, got p={dp.p}")
-    _check_pair(dp, weights)
-    M, N, steps = dp.M, dp.N, weights.horizon
-    dim = M + N
-    C = np.zeros((dim, dim))
-    C[:M, :M] = dp.Phi
-    C[:M, M:] = dp.Gamma1[0]
-    D = np.vstack([dp.Gamma0[0], np.eye(N)])
-    Q_aug = _embedded_state_weight(weights.Q[0], dim)
-    S = np.zeros((dim, dim))
-    S[:M, :M] = weights.QN[0]
-    A_coef = np.zeros((steps, 1, N, M))
-    B_coef = np.zeros((steps, 1, 1, N, N))
-    values = [None] * (steps + 1)
-    values[steps] = [S.copy()]
-    for k in range(steps - 1, -1, -1):
-        P12 = D.T @ S @ C
-        P22 = D.T @ S @ D + weights.R[0]
-        try:
-            L = lin_ops.solve(P22, P12)
-        except SingularMatrixError as exc:
-            raise CouplingSingularityError(
-                f"control-quadratic term is singular at step {k} "
-                f"(pivot {exc.pivot:.3e})", exc.pivot, step=k, controller=1,
-            ) from None
-        P11 = C.T @ S @ C + Q_aug
-        S = lin_ops.symmetrize(P11 - L.T @ P22 @ L)
-        A_coef[k, 0] = -L[:, :M]
-        B_coef[k, 0, 0] = -L[:, M:]
-        values[k] = [S.copy()]
-    schedule = GainSchedule(Scheme.SINGLE_DELAYED, A_coef, B_coef)
-    return (schedule, values) if return_values else schedule
-
-
-def synthesize_delay_free_game(dp, weights, return_values=False):
-    """Two-controller feedback game on a plant discretized with zero delays.
-
-    Requires Gamma1 = 0 (discretize with zero delays first); the laws are
-    pure state feedback u_i(k) = A_i(k) x(k) and the value matrices live on
-    the plant state alone.
-    """
-    if dp.p != 2:
-        raise DimensionError(f"delay-free game synthesis needs p=2, got p={dp.p}")
-    _check_pair(dp, weights)
-    for i, g in enumerate(dp.Gamma1):
-        if np.any(g != 0.0):
-            raise ValidationError(
-                f"delay-free precondition: Gamma1[{i}] is nonzero; discretize "
-                f"the plant with zero delays")
-    M, N, steps = dp.M, dp.N, weights.horizon
-    S = [np.array(weights.QN[0]), np.array(weights.QN[1])]
-    A_coef = np.zeros((steps, 2, N, M))
-    B_coef = np.zeros((steps, 2, 2, N, N))
-    values = [None] * (steps + 1)
-    values[steps] = [s.copy() for s in S]
-    eye = np.eye(N)
-    for k in range(steps - 1, -1, -1):
-        a1 = []
-        a2 = []
-        E = []
-        for i in range(2):
-            j = 1 - i
-            Ei = weights.R[i] + dp.Gamma0[i].T @ S[i] @ dp.Gamma0[i]
-            try:
-                sol = lin_ops.solve(Ei, np.hstack([
-                    dp.Gamma0[i].T @ S[i] @ dp.Phi,
-                    dp.Gamma0[i].T @ S[i] @ dp.Gamma0[j],
-                ]))
-            except SingularMatrixError as exc:
-                raise CouplingSingularityError(
-                    f"control-quadratic term is singular at step {k} for "
-                    f"controller {i + 1} (pivot {exc.pivot:.3e})",
-                    exc.pivot, step=k, controller=i + 1) from None
-            a1.append(sol[:, :M])
-            a2.append(sol[:, M:])
-            E.append(Ei)
-        A = []
-        for i in range(2):
-            j = 1 - i
-            try:
-                A.append(lin_ops.solve(eye - a2[i] @ a2[j],
-                                       a2[i] @ a1[j] - a1[i]))
-            except SingularMatrixError as exc:
-                raise CouplingSingularityError(
-                    f"coupling factor I - a2_i a2_j is singular at step {k} "
-                    f"for controller {i + 1} (pivot {exc.pivot:.3e})",
-                    exc.pivot, step=k, controller=i + 1) from None
-        S_next = []
-        for i in range(2):
-            j = 1 - i
-            closed = dp.Phi + dp.Gamma0[j] @ A[j]
-            Si = weights.Q[i] + closed.T @ S[i] @ closed - A[i].T @ E[i] @ A[i]
-            S_next.append(lin_ops.symmetrize(Si))
-        S = S_next
-        A_coef[k, 0] = A[0]
-        A_coef[k, 1] = A[1]
-        values[k] = [s.copy() for s in S]
-    schedule = GainSchedule(Scheme.DELAY_FREE_GAME, A_coef, B_coef)
-    return (schedule, values) if return_values else schedule
+    return (schedule, values[::-1]) if return_values else schedule

@@ -3,8 +3,9 @@
 Nothing here may call into delay_lqgame's numerics: the exponential is a
 scaled truncated Taylor series, the integral is adaptive Simpson over that
 series, the regulator recursion is the textbook difference-equation form,
-the game oracle iterates best responses to a fixed point, and the closed
-loop runs one trajectory at a time with plain per-step sums.
+the game oracles iterate best responses to a fixed point or eliminate the
+two-controller coupling in closed form, and the closed loop runs one
+trajectory at a time with plain per-step sums.
 """
 
 import numpy as np
@@ -139,6 +140,91 @@ def best_response_game(Phi, Gamma0, Q, QN, R, steps, tol=1e-12, max_iter=2000):
         for i in range(p):
             coeffs[k, i] = A[i]
     return coeffs
+
+
+def two_controller_game(Phi, Gamma0, Gamma1, Q, QN, R, steps):
+    """Two-controller delayed game with the coupling eliminated in closed form.
+
+    Works on z = [x; u_1(k-1); u_2(k-1)], where D_i = [Gamma0_i; e_i] routes
+    u_i into z.  Per step controller i's first-order condition is
+    E_i U_i = -(D_i' S_i) [[F]; 0] - (D_i' S_i D_j) U_j, with
+    F = [Phi | Gamma1_1 | Gamma1_2] and E_i = D_i' S_i D_i + R_i,
+    i.e. U_i = -g_i - a2_i U_j; each U_i then follows from one solve with
+    I - a2_i a2_j.  Values are updated in the direct closed-loop form
+    Q_i + U_i'R_iU_i + Cl' S_i Cl.  Returns (A_coef, B_coef) shaped
+    (steps, 2, N, M) and (steps, 2, 2, N, N) for laws u_i = A_i x + sum_j
+    Bj_i u_j(k-1).
+    """
+    M = Phi.shape[0]
+    N = Gamma0[0].shape[1]
+    dim = M + 2 * N
+    F = np.hstack([Phi, Gamma1[0], Gamma1[1]])
+    D = []
+    for i in range(2):
+        Di = np.zeros((dim, N))
+        Di[:M] = Gamma0[i]
+        Di[M + i * N: M + (i + 1) * N] = np.eye(N)
+        D.append(Di)
+    S = []
+    for i in range(2):
+        Si = np.zeros((dim, dim))
+        Si[:M, :M] = QN[i]
+        S.append(Si)
+    A_coef = np.zeros((steps, 2, N, M))
+    B_coef = np.zeros((steps, 2, 2, N, N))
+    for k in range(steps - 1, -1, -1):
+        g, a2 = [], []
+        for i in range(2):
+            T = D[i].T @ S[i]
+            sol = np.linalg.solve(T @ D[i] + R[i],
+                                  np.hstack([T[:, :M] @ F, T @ D[1 - i]]))
+            g.append(sol[:, :dim])
+            a2.append(sol[:, dim:])
+        U = [np.linalg.solve(np.eye(N) - a2[i] @ a2[1 - i],
+                             a2[i] @ g[1 - i] - g[i]) for i in range(2)]
+        Cl = np.vstack([F + Gamma0[0] @ U[0] + Gamma0[1] @ U[1], U[0], U[1]])
+        for i in range(2):
+            Qbar = np.zeros((dim, dim))
+            Qbar[:M, :M] = Q[i]
+            Si = Qbar + U[i].T @ R[i] @ U[i] + Cl.T @ S[i] @ Cl
+            S[i] = 0.5 * (Si + Si.T)
+            A_coef[k, i] = U[i][:, :M]
+            B_coef[k, i, 0] = U[i][:, M:M + N]
+            B_coef[k, i, 1] = U[i][:, M + N:]
+    return A_coef, B_coef
+
+
+def delay_free_game(Phi, Gamma0, Q, QN, R, steps):
+    """Two-controller feedback game on a zero-delay plant, in closed form.
+
+    Pure state feedback u_i = A_i x with values on the plant state alone.
+    Per step E_i = R_i + Gamma0_i' S_i Gamma0_i, a1_i and a2_i solve
+    E_i [a1_i | a2_i] = Gamma0_i' S_i [Phi | Gamma0_j], and
+    A_i = (I - a2_i a2_j)^-1 (a2_i a1_j - a1_i).  Values follow
+    Q_i + Cl_j' S_i Cl_j - A_i' E_i A_i with Cl_j = Phi + Gamma0_j A_j.
+    Returns A_coef shaped (steps, 2, N, M).
+    """
+    M = Phi.shape[0]
+    N = Gamma0[0].shape[1]
+    S = [np.array(QN[0], dtype=float), np.array(QN[1], dtype=float)]
+    A_coef = np.zeros((steps, 2, N, M))
+    for k in range(steps - 1, -1, -1):
+        a1, a2, E = [], [], []
+        for i in range(2):
+            Ei = R[i] + Gamma0[i].T @ S[i] @ Gamma0[i]
+            sol = np.linalg.solve(Ei, np.hstack([
+                Gamma0[i].T @ S[i] @ Phi, Gamma0[i].T @ S[i] @ Gamma0[1 - i]]))
+            a1.append(sol[:, :M])
+            a2.append(sol[:, M:])
+            E.append(Ei)
+        A = [np.linalg.solve(np.eye(N) - a2[i] @ a2[1 - i],
+                             a2[i] @ a1[1 - i] - a1[i]) for i in range(2)]
+        for i in range(2):
+            closed = Phi + Gamma0[1 - i] @ A[1 - i]
+            Si = Q[i] + closed.T @ S[i] @ closed - A[i].T @ E[i] @ A[i]
+            S[i] = 0.5 * (Si + Si.T)
+            A_coef[k, i] = A[i]
+    return A_coef
 
 
 def closed_loop(dp, schedule, x0, deviation=None):

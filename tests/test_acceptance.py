@@ -20,16 +20,19 @@ from delay_lqgame import (
     rollout,
     run_scheme,
     sweep_delays,
-    synthesize_delay_free_game,
-    synthesize_multi,
-    synthesize_single_delayed,
-    synthesize_two,
+    synthesize,
 )
 from delay_lqgame.cli import main as cli_main
 from delay_lqgame.model import DiscretePlant
 
 from conftest import random_stable_plant, random_weights
-from oracles import augmented_delay_lqr, series_expm, simpson_exp_integral
+from oracles import (
+    augmented_delay_lqr,
+    delay_free_game,
+    series_expm,
+    simpson_exp_integral,
+    two_controller_game,
+)
 
 
 def _criterion(number, description, ok):
@@ -95,7 +98,7 @@ def test_criterion_2_single_controller_equivalence():
         plant = random_stable_plant(rng, M=int(rng.integers(1, 6)), p=1,
                                     h=float(rng.uniform(0.02, 0.1)))
         w = random_weights(rng, plant.M, p=1, horizon=50)
-        sched = synthesize_single_delayed(discretize(plant), w)
+        sched = synthesize(discretize(plant), w)
         dp = discretize(plant)
         gains = augmented_delay_lqr(dp.Phi, dp.Gamma0[0], dp.Gamma1[0],
                                     w.Q[0], w.R[0], w.QN[0], 50)
@@ -106,39 +109,45 @@ def test_criterion_2_single_controller_equivalence():
                   "regulator oracle (1e-10, 20 random instances)", ok)
 
 
+def _closed_form(dp, w):
+    return two_controller_game(dp.Phi, dp.Gamma0, dp.Gamma1, w.Q, w.QN, w.R,
+                               w.horizon)
+
+
 def test_criterion_3_path_equivalence(generic, lfc):
     ok = True
     for config in (generic, lfc):
         dp = discretize(config.plant)
-        two = synthesize_two(dp, config.weights)
-        multi = synthesize_multi(dp, config.weights)
-        ok &= np.abs(two.A_coef - multi.A_coef).max() <= 1e-9
-        ok &= np.abs(two.B_coef - multi.B_coef).max() <= 1e-9
+        A, B = _closed_form(dp, config.weights)
+        multi = synthesize(dp, config.weights)
+        ok &= np.abs(A - multi.A_coef).max() <= 1e-9
+        ok &= np.abs(B - multi.B_coef).max() <= 1e-9
     rng = np.random.default_rng(1003)
     for _ in range(20):
         plant = random_stable_plant(rng, M=int(rng.integers(2, 5)), p=2)
         w = random_weights(rng, plant.M, p=2, horizon=30)
         dp = discretize(plant)
-        two = synthesize_two(dp, w)
-        multi = synthesize_multi(dp, w)
-        ok &= np.abs(two.A_coef - multi.A_coef).max() <= 1e-9
-        ok &= np.abs(two.B_coef - multi.B_coef).max() <= 1e-9
+        A, B = _closed_form(dp, w)
+        multi = synthesize(dp, w)
+        ok &= np.abs(A - multi.A_coef).max() <= 1e-9
+        ok &= np.abs(B - multi.B_coef).max() <= 1e-9
     _criterion(3, "general-p synthesis equals the two-controller closed "
                   "form (1e-9, both presets + 20 random instances)", ok)
 
 
 def test_criterion_4_delay_free_degeneration(generic):
     dp0 = discretize(generic.plant.with_delays((0.0, 0.0)))
-    two = synthesize_two(dp0, generic.weights)
-    free = synthesize_delay_free_game(dp0, generic.weights)
-    ok = np.abs(two.A_coef - free.A_coef).max() <= 1e-10
+    w = generic.weights
+    two = synthesize(dp0, w)
+    free = delay_free_game(dp0.Phi, dp0.Gamma0, w.Q, w.QN, w.R, w.horizon)
+    ok = np.abs(two.A_coef - free).max() <= 1e-10
     ok &= np.abs(two.B_coef).max() <= 1e-10
     # scalar one-step fixture: both coefficients are exactly -1/3
     dp = DiscretePlant([[1.0]], ([[1.0]], [[1.0]]), ([[0.0]], [[0.0]]))
     w = replace(generic.weights, Q=(np.eye(1), np.eye(1)),
                 QN=(np.eye(1), np.eye(1)), R=(np.eye(1), np.eye(1)),
                 horizon=1)
-    sched = synthesize_delay_free_game(dp, w)
+    sched = synthesize(dp, w)
     for i in (0, 1):
         ok &= abs(sched.A_coef[0, i, 0, 0] + 1.0 / 3.0) <= 1e-12
     _criterion(4, "zero-delay two-controller synthesis degenerates to the "
@@ -149,7 +158,7 @@ def test_criterion_5_nash_no_improvement(generic, lfc):
     ok = True
     for config in (generic, lfc):
         dp = discretize(config.plant)
-        sched = synthesize_two(dp, config.weights)
+        sched = synthesize(dp, config.weights)
         report = nash_deviation_check(dp, sched, config.weights, config.x0,
                                       trials=200, magnitude=1e-2, seed=0)
         ok &= report.passed
@@ -215,8 +224,7 @@ def test_criterion_9_lfc_fixture(lfc):
         for b, td2 in enumerate(grid):
             cfg = _with_delays(lfc, (td1, td2))
             dp = discretize(cfg.plant)
-            sched, values = synthesize_two(dp, cfg.weights,
-                                           return_values=True)
+            sched, values = synthesize(dp, cfg.weights, return_values=True)
             for step_values in values:
                 for S in step_values:
                     max_asym = max(max_asym, np.abs(S - S.T).max())
@@ -233,7 +241,7 @@ def test_criterion_9_lfc_fixture(lfc):
     ok &= bool(np.all(np.diff(ratio, axis=1) >= -rslack))
     # equilibrium check at the preset's own delays
     dp = discretize(lfc.plant)
-    sched = synthesize_two(dp, lfc.weights)
+    sched = synthesize(dp, lfc.weights)
     ok &= nash_deviation_check(dp, sched, lfc.weights, lfc.x0, trials=200,
                                magnitude=1e-2, seed=0).passed
     # scheme ordering with TD2 at the grid edges

@@ -3,7 +3,14 @@ import json
 import numpy as np
 import pytest
 
-from delay_lqgame import dump_config, load_config, preset_generic
+import delay_lqgame.synthesis
+from delay_lqgame import (
+    Scheme,
+    SingularMatrixError,
+    dump_config,
+    load_config,
+    preset_generic,
+)
 from delay_lqgame.cli import main
 
 from dataclasses import replace
@@ -99,6 +106,27 @@ class TestPipelines:
         assert set(rows[0]) == {"td1", "td2", "j_total", "j_1", "j_2", "ratio"}
 
 
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("scheme", [s.value for s in Scheme])
+    def test_outputs_carry_the_requested_scheme(self, tmp_path, scheme, p):
+        doc = json.loads(dump_config(preset_generic()))
+        for section, key in (("plant", "B"), ("plant", "delays"),
+                             ("weights", "Q"), ("weights", "QN"),
+                             ("weights", "R"), ("sweep", "delays_grid")):
+            doc[section][key] = doc[section][key][:p]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        gains = tmp_path / "gains.json"
+        traj = tmp_path / "traj.csv"
+        assert main(["synthesize", "--config", str(cfg), "--scheme", scheme,
+                     "--out", str(gains)]) == 0
+        assert main(["simulate", "--config", str(cfg), "--scheme", scheme,
+                     "--out", str(traj)]) == 0
+        assert json.loads(gains.read_text())["scheme"] == scheme
+        assert json.loads(traj.with_suffix(".json").read_text())["scheme"] \
+            == scheme
+
+
 class TestDeterminism:
     def test_sweep_reruns_byte_identical(self, tmp_path, cfg_path):
         a = tmp_path / "a.csv"
@@ -181,6 +209,28 @@ class TestFailureModes:
         err = self._simulate_with_gains(tmp_path, cfg_path,
                                         json.dumps(gains_doc), capsys)
         assert f"<gains>.{key}: expected" in err
+
+    def test_non_utf8_config_exits_1(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_bytes(b"\xff\xfe{}")
+        assert main(["discretize", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "<config>: not UTF-8 text" in err
+        assert "Traceback" not in err
+
+    def test_singular_coupling_exits_2_naming_step_and_controller(
+            self, tmp_path, cfg_path, capsys, monkeypatch):
+        def explode(A, B):
+            raise SingularMatrixError("forced", 0.0, 1)
+
+        monkeypatch.setattr(delay_lqgame.synthesis.lin_ops, "solve", explode)
+        code = main(["synthesize", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "gains.json")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "numerical failure" in err
+        assert "at step 49 for controller 2" in err
+        assert "Traceback" not in err
 
     def test_missing_config_file_exits_1(self, tmp_path):
         assert main(["discretize", "--config",

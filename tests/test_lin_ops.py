@@ -2,13 +2,9 @@ import numpy as np
 import pytest
 
 from delay_lqgame import (
-    BlockLayout,
     DimensionError,
     IntervalError,
     SingularMatrixError,
-    augmented_layout,
-    block_get,
-    block_set,
     exp_integral,
     mat_exp,
     solve,
@@ -137,6 +133,14 @@ class TestSolve:
             solve(A, np.eye(2))
         assert err.value.pivot <= 1e-12 * 4.0
 
+    def test_singular_reports_pivot_position(self):
+        # Column 1 is all zeros, so U's second diagonal entry is the zero.
+        A = np.array([[2.0, 0.0, 1.0], [1.0, 0.0, 3.0], [4.0, 0.0, 5.0]])
+        with pytest.raises(SingularMatrixError) as err:
+            solve(A, np.eye(3))
+        assert err.value.index == 1
+        assert err.value.pivot == 0.0
+
     def test_zero_matrix_is_singular(self):
         with pytest.raises(SingularMatrixError):
             solve(np.zeros((2, 2)), np.eye(2))
@@ -145,41 +149,3 @@ class TestSolve:
         with pytest.raises(DimensionError):
             solve(np.eye(2), np.ones((3, 1)))
 
-
-class TestBlocks:
-    def test_top_left_block(self):
-        layout = augmented_layout(2, 1, 2)
-        S = np.arange(16.0).reshape(4, 4)
-        np.testing.assert_array_equal(block_get(S, layout, 1, 1), S[:2, :2])
-
-    def test_offset_arithmetic(self):
-        # layout [2 | 1 | 1]: block (3, 1) sits at rows 4..4, cols 1..2.
-        layout = BlockLayout((2, 1, 1))
-        S = np.arange(16.0).reshape(4, 4)
-        np.testing.assert_array_equal(block_get(S, layout, 3, 1), S[3:4, 0:2])
-
-    def test_set_get_round_trip(self):
-        layout = augmented_layout(2, 1, 2)
-        S = np.zeros((4, 4))
-        value = np.array([[3.5, -1.0]])
-        block_set(S, layout, 2, 1, value)
-        np.testing.assert_array_equal(block_get(S, layout, 2, 1), value)
-
-    def test_block_sizes_follow_layout(self):
-        layout = augmented_layout(3, 2, 2)
-        S = np.zeros((7, 7))
-        assert block_get(S, layout, 1, 2).shape == (3, 2)
-        assert block_get(S, layout, 2, 1).shape == (2, 3)
-        assert block_get(S, layout, 3, 3).shape == (2, 2)
-
-    def test_out_of_range_index(self):
-        layout = augmented_layout(2, 1, 2)
-        with pytest.raises(IndexError):
-            block_get(np.zeros((4, 4)), layout, 4, 1)
-        with pytest.raises(IndexError):
-            block_get(np.zeros((4, 4)), layout, 0, 1)
-
-    def test_wrong_block_shape_rejected(self):
-        layout = augmented_layout(2, 1, 2)
-        with pytest.raises(DimensionError):
-            block_set(np.zeros((4, 4)), layout, 1, 1, np.zeros((1, 1)))

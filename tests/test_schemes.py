@@ -15,7 +15,6 @@ from delay_lqgame import (
     write_comparison_csv,
     write_sweep_csv,
 )
-from delay_lqgame.schemes import THREADS_ENV
 
 
 def small_grid_config(config, grid1, grid2):
@@ -105,20 +104,6 @@ class TestSweep:
         a = sweep_delays(cfg)
         b = sweep_delays(cfg)
         assert a == b
-
-    def test_thread_env_does_not_change_results(self, generic_config,
-                                                monkeypatch):
-        cfg = small_grid_config(generic_config, [0.0, 0.016], [0.0, 0.008])
-        serial = sweep_delays(cfg)
-        monkeypatch.setenv(THREADS_ENV, "4")
-        threaded = sweep_delays(cfg)
-        assert serial == threaded
-
-    def test_invalid_thread_env_rejected(self, generic_config, monkeypatch):
-        cfg = small_grid_config(generic_config, [0.0], [0.0])
-        monkeypatch.setenv(THREADS_ENV, "many")
-        with pytest.raises(ValidationError, match=THREADS_ENV):
-            sweep_delays(cfg)
 
     def test_missing_grid_rejected(self, generic_config):
         cfg = replace(generic_config, sweep=None,

@@ -19,9 +19,7 @@ from delay_lqgame import (
     read_trajectory_csv,
     rollout,
     simulate,
-    synthesize_multi,
-    synthesize_single_delayed,
-    synthesize_two,
+    synthesize,
     write_trajectory_csv,
 )
 
@@ -31,7 +29,7 @@ from oracles import closed_loop, per_trial_deviation_check, quadratic_costs
 
 @pytest.fixture(scope="module")
 def generic_schedule(generic_dp, generic_config):
-    return synthesize_two(generic_dp, generic_config.weights)
+    return synthesize(generic_dp, generic_config.weights)
 
 
 def zero_schedule(dp, horizon):
@@ -108,8 +106,8 @@ class TestRollout:
     def test_cost_matches_value_function(self, generic_dp, generic_config):
         # The realized cost of each controller equals its quadratic
         # cost-to-go evaluated at the initial stacked state.
-        sched, values = synthesize_two(generic_dp, generic_config.weights,
-                                       return_values=True)
+        sched, values = synthesize(generic_dp, generic_config.weights,
+                                   return_values=True)
         x0 = np.array(generic_config.x0)
         tr = rollout(generic_dp, sched, x0, generic_config.weights)
         for i in range(2):
@@ -277,7 +275,7 @@ class TestNashDeviation:
                                                        generic_config):
         dp1 = generic_dp.select_controller(0)
         w1 = generic_config.weights.select_player(0)
-        sched = synthesize_single_delayed(dp1, w1)
+        sched = synthesize(dp1, w1)
         report = nash_deviation_check(dp1, sched, w1, [1.0, 0.0], trials=100,
                                       magnitude=1e-2)
         assert report.passed
@@ -325,13 +323,13 @@ def _seeded_p3_case():
     plant = random_stable_plant(rng, M=5, p=3)
     weights = random_weights(rng, 5, p=3, horizon=30)
     dp = discretize(plant)
-    return dp, synthesize_multi(dp, weights), weights, rng.normal(size=5)
+    return dp, synthesize(dp, weights), weights, rng.normal(size=5)
 
 
 def _preset_case(make):
     config = make()
     dp = discretize(config.plant)
-    return dp, synthesize_two(dp, config.weights), config.weights, config.x0
+    return dp, synthesize(dp, config.weights), config.weights, config.x0
 
 
 def _perturbed_generic_case():
@@ -388,7 +386,7 @@ class TestRandomizedRollouts:
         plant = random_stable_plant(rng, M=M, p=2)
         dp = discretize(plant)
         w = random_weights(rng, M, p=2, horizon=15)
-        sched = synthesize_two(dp, w)
+        sched = synthesize(dp, w)
         x0 = rng.normal(size=M)
         tr = rollout(dp, sched, x0, w)
         u_prev = np.zeros((2, 1))

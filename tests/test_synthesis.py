@@ -14,14 +14,18 @@ from delay_lqgame import (
     SingularMatrixError,
     ValidationError,
     discretize,
-    synthesize_delay_free_game,
-    synthesize_multi,
-    synthesize_single_delayed,
-    synthesize_two,
+    synthesize,
+    synthesize_for_scheme,
 )
 
 from conftest import random_stable_plant, random_weights
-from oracles import augmented_delay_lqr, best_response_game, finite_horizon_lqr
+from oracles import (
+    augmented_delay_lqr,
+    best_response_game,
+    delay_free_game,
+    finite_horizon_lqr,
+    two_controller_game,
+)
 
 
 def eye_weights(M, p, horizon, q=1.0, r=1.0):
@@ -31,6 +35,20 @@ def eye_weights(M, p, horizon, q=1.0, r=1.0):
                        horizon=horizon)
 
 
+def closed_form(dp, w):
+    return two_controller_game(dp.Phi, dp.Gamma0, dp.Gamma1, w.Q, w.QN, w.R,
+                               w.horizon)
+
+
+def free_form(dp0, w):
+    return delay_free_game(dp0.Phi, dp0.Gamma0, w.Q, w.QN, w.R, w.horizon)
+
+
+def regulator_gains(dp1, w1):
+    return augmented_delay_lqr(dp1.Phi, dp1.Gamma0[0], dp1.Gamma1[0],
+                               w1.Q[0], w1.R[0], w1.QN[0], w1.horizon)
+
+
 class TestTwoController:
     def test_inert_second_controller_degenerates_to_single(self, generic_dp,
                                                            generic_config):
@@ -38,22 +56,21 @@ class TestTwoController:
         dp = DiscretePlant(generic_dp.Phi,
                            (generic_dp.Gamma0[0], np.zeros((2, 1))),
                            (generic_dp.Gamma1[0], np.zeros((2, 1))))
-        two = synthesize_two(dp, w)
-        single = synthesize_single_delayed(dp.select_controller(0),
-                                           w.select_player(0))
-        np.testing.assert_allclose(two.A_coef[:, 0], single.A_coef[:, 0],
+        two = synthesize(dp, w)
+        gains = regulator_gains(dp.select_controller(0), w.select_player(0))
+        np.testing.assert_allclose(two.A_coef[:, 0], -gains[:, :, :2],
                                    rtol=0, atol=1e-10)
-        np.testing.assert_allclose(two.B_coef[:, 0, 0], single.B_coef[:, 0, 0],
+        np.testing.assert_allclose(two.B_coef[:, 0, 0], -gains[:, :, 2:],
                                    rtol=0, atol=1e-10)
         assert np.all(two.A_coef[:, 1] == 0.0)
         assert np.all(two.B_coef[:, 1] == 0.0)
 
     def test_zero_delays_degenerate_to_delay_free_game(self, generic_config):
         dp0 = discretize(generic_config.plant.with_delays((0.0, 0.0)))
-        two = synthesize_two(dp0, generic_config.weights)
-        free = synthesize_delay_free_game(dp0, generic_config.weights)
+        two = synthesize(dp0, generic_config.weights)
+        free = free_form(dp0, generic_config.weights)
         assert np.abs(two.B_coef).max() <= 1e-10
-        np.testing.assert_allclose(two.A_coef, free.A_coef, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(two.A_coef, free, rtol=0, atol=1e-10)
 
     def test_scalar_two_step_hand_values(self):
         # Scalar symmetric instance Phi=1, Gamma0=4/5, Gamma1=1/5, Q=QN=R=1,
@@ -61,7 +78,7 @@ class TestTwoController:
         # rational arithmetic (see the Fraction recursion below).
         dp = DiscretePlant([[1.0]], ([[0.8]], [[0.8]]), ([[0.2]], [[0.2]]))
         w = eye_weights(1, 2, horizon=2)
-        sched = synthesize_two(dp, w)
+        sched = synthesize(dp, w)
 
         a_exp = {1: Fraction(-20, 57), 0: Fraction(-90605, 236443)}
         b_exp = {1: Fraction(-4, 57), 0: Fraction(-18121, 236443)}
@@ -95,7 +112,7 @@ class TestTwoController:
                                - float(b_exp[k])) <= 1e-12
 
     def test_schedule_is_tagged_proposed(self, generic_dp, generic_config):
-        sched = synthesize_two(generic_dp, generic_config.weights)
+        sched = synthesize(generic_dp, generic_config.weights)
         assert sched.scheme is Scheme.PROPOSED
 
 
@@ -105,19 +122,19 @@ class TestMultiController:
         plant = random_stable_plant(rng, M=3, p=1)
         dp = discretize(plant)
         w = random_weights(rng, 3, p=1, horizon=20)
-        multi = synthesize_multi(dp, w)
-        single = synthesize_single_delayed(dp, w)
-        np.testing.assert_allclose(multi.A_coef, single.A_coef, rtol=0,
-                                   atol=1e-12)
-        np.testing.assert_allclose(multi.B_coef, single.B_coef, rtol=0,
-                                   atol=1e-12)
+        multi = synthesize(dp, w)
+        gains = regulator_gains(dp, w)
+        np.testing.assert_allclose(multi.A_coef[:, 0], -gains[:, :, :3],
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(multi.B_coef[:, 0, 0], -gains[:, :, 3:],
+                                   rtol=0, atol=1e-12)
 
     def test_p2_matches_closed_form_on_preset(self, generic_dp,
                                               generic_config):
-        two = synthesize_two(generic_dp, generic_config.weights)
-        multi = synthesize_multi(generic_dp, generic_config.weights)
-        np.testing.assert_allclose(multi.A_coef, two.A_coef, rtol=0, atol=1e-9)
-        np.testing.assert_allclose(multi.B_coef, two.B_coef, rtol=0, atol=1e-9)
+        A, B = closed_form(generic_dp, generic_config.weights)
+        multi = synthesize(generic_dp, generic_config.weights)
+        np.testing.assert_allclose(multi.A_coef, A, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(multi.B_coef, B, rtol=0, atol=1e-9)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_p2_matches_closed_form_random(self, seed):
@@ -125,10 +142,10 @@ class TestMultiController:
         plant = random_stable_plant(rng, M=int(rng.integers(2, 5)), p=2)
         dp = discretize(plant)
         w = random_weights(rng, plant.M, p=2, horizon=30)
-        two = synthesize_two(dp, w)
-        multi = synthesize_multi(dp, w)
-        np.testing.assert_allclose(multi.A_coef, two.A_coef, rtol=0, atol=1e-9)
-        np.testing.assert_allclose(multi.B_coef, two.B_coef, rtol=0, atol=1e-9)
+        A, B = closed_form(dp, w)
+        multi = synthesize(dp, w)
+        np.testing.assert_allclose(multi.A_coef, A, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(multi.B_coef, B, rtol=0, atol=1e-9)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_wide_controls_match_closed_form(self, seed):
@@ -141,10 +158,10 @@ class TestMultiController:
             QN=tuple(np.eye(3) * rng.uniform(0.5, 2.0) for _ in range(2)),
             R=tuple(np.eye(2) * rng.uniform(0.5, 2.0) for _ in range(2)),
             horizon=20)
-        two = synthesize_two(dp, w)
-        multi = synthesize_multi(dp, w)
-        np.testing.assert_allclose(multi.A_coef, two.A_coef, rtol=0, atol=1e-9)
-        np.testing.assert_allclose(multi.B_coef, two.B_coef, rtol=0, atol=1e-9)
+        A, B = closed_form(dp, w)
+        multi = synthesize(dp, w)
+        np.testing.assert_allclose(multi.A_coef, A, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(multi.B_coef, B, rtol=0, atol=1e-9)
 
     def test_wide_controls_single_matches_oracle(self):
         rng = np.random.default_rng(21)
@@ -152,9 +169,8 @@ class TestMultiController:
         dp = discretize(plant)
         w = GameWeights(Q=(np.eye(4),), QN=(2.0 * np.eye(4),),
                         R=(np.eye(3),), horizon=15)
-        sched = synthesize_single_delayed(dp, w)
-        gains = augmented_delay_lqr(dp.Phi, dp.Gamma0[0], dp.Gamma1[0],
-                                    w.Q[0], w.R[0], w.QN[0], 15)
+        sched = synthesize(dp, w)
+        gains = regulator_gains(dp, w)
         for k in range(15):
             np.testing.assert_allclose(sched.gain(k, 0), gains[k], rtol=0,
                                        atol=1e-10)
@@ -167,7 +183,7 @@ class TestMultiController:
                         QN=tuple((i + 1.0) * np.eye(2) for i in range(3)),
                         R=tuple((1.0 + 0.5 * i) * np.eye(1) for i in range(3)),
                         horizon=12)
-        multi = synthesize_multi(dp, w)
+        multi = synthesize(dp, w)
         oracle = best_response_game(dp.Phi, dp.Gamma0, w.Q, w.QN, w.R, 12)
         assert np.abs(multi.B_coef).max() == 0.0
         np.testing.assert_allclose(multi.A_coef, oracle, rtol=0, atol=1e-10)
@@ -179,7 +195,7 @@ class TestSingleDelayed:
         plant = random_stable_plant(rng, M=3, p=1, zero_delays=True)
         dp = discretize(plant)
         w = random_weights(rng, 3, p=1, horizon=25)
-        sched = synthesize_single_delayed(dp, w)
+        sched = synthesize(dp, w)
         gains = finite_horizon_lqr(dp.Phi, dp.Gamma0[0], w.Q[0], w.R[0],
                                    w.QN[0], 25)
         assert np.abs(sched.B_coef).max() <= 1e-12
@@ -190,9 +206,8 @@ class TestSingleDelayed:
                                                 generic_config):
         w1 = generic_config.weights.select_player(0)
         dp1 = generic_dp.select_controller(0)
-        sched = synthesize_single_delayed(dp1, w1)
-        gains = augmented_delay_lqr(dp1.Phi, dp1.Gamma0[0], dp1.Gamma1[0],
-                                    w1.Q[0], w1.R[0], w1.QN[0], w1.horizon)
+        sched = synthesize(dp1, w1)
+        gains = regulator_gains(dp1, w1)
         for k in range(w1.horizon):
             np.testing.assert_allclose(sched.gain(k, 0), gains[k], rtol=0,
                                        atol=1e-10)
@@ -202,7 +217,7 @@ class TestSingleDelayed:
         plant = random_stable_plant(rng, M=2, p=1)
         dp = discretize(plant)
         w = random_weights(rng, 2, p=1, horizon=1)
-        sched = synthesize_single_delayed(dp, w)
+        sched = synthesize(dp, w)
         G0, G1, QN = dp.Gamma0[0], dp.Gamma1[0], w.QN[0]
         lhs = w.R[0] + G0.T @ QN @ G0
         want = np.linalg.solve(lhs, np.hstack([G0.T @ QN @ dp.Phi,
@@ -213,7 +228,7 @@ class TestSingleDelayed:
         # S(k) = P11 - L'P22L, rebuilt from the published value history.
         w1 = generic_config.weights.select_player(0)
         dp1 = generic_dp.select_controller(0)
-        sched, values = synthesize_single_delayed(dp1, w1, return_values=True)
+        sched, values = synthesize(dp1, w1, return_values=True)
         M, N = dp1.M, dp1.N
         C = np.zeros((M + N, M + N))
         C[:M, :M] = dp1.Phi
@@ -231,8 +246,9 @@ class TestSingleDelayed:
             assert np.abs(values[k][0] - (P11 - L.T @ P22 @ L)).max() <= 1e-10
 
     def test_rejects_multi_controller_plant(self, generic_dp, generic_config):
-        with pytest.raises(DimensionError):
-            synthesize_single_delayed(generic_dp, generic_config.weights)
+        # One controller's weights cannot drive a two-controller plant.
+        with pytest.raises(DimensionError, match="1 weight sets for 2"):
+            synthesize(generic_dp, generic_config.weights.select_player(0))
 
 
 class TestDelayFreeGame:
@@ -243,27 +259,46 @@ class TestDelayFreeGame:
         dp = DiscretePlant(dp.Phi, (dp.Gamma0[0], np.zeros((2, 1))),
                            (dp.Gamma1[0], np.zeros((2, 1))))
         w = eye_weights(2, 2, horizon=15)
-        sched = synthesize_delay_free_game(dp, w)
+        sched = synthesize(dp, w)
         gains = finite_horizon_lqr(dp.Phi, dp.Gamma0[0], w.Q[0], w.R[0],
                                    w.QN[0], 15)
         np.testing.assert_allclose(sched.A_coef[:, 0], -gains, rtol=0,
                                    atol=1e-10)
 
     def test_symmetric_players_share_gains(self, generic_config):
+        # Bitwise symmetry is a property of the closed form: each player's
+        # gain comes from its own mirror-image solves.
         dp0 = discretize(generic_config.plant.with_delays((0.0, 0.0)))
-        sched = synthesize_delay_free_game(dp0, generic_config.weights)
-        np.testing.assert_array_equal(sched.A_coef[:, 0], sched.A_coef[:, 1])
+        free = free_form(dp0, generic_config.weights)
+        np.testing.assert_array_equal(free[:, 0], free[:, 1])
+
+    def test_symmetric_players_share_gains_in_stacked_solve(self,
+                                                            generic_config):
+        # The stacked LU mixes both players' rows, so symmetry holds to
+        # round-off rather than bitwise.
+        dp0 = discretize(generic_config.plant.with_delays((0.0, 0.0)))
+        sched = synthesize(dp0, generic_config.weights)
+        np.testing.assert_allclose(sched.A_coef[:, 0], sched.A_coef[:, 1],
+                                   rtol=0, atol=1e-12)
 
     def test_scalar_one_step_value(self):
         dp = DiscretePlant([[1.0]], ([[1.0]], [[1.0]]),
                            ([[0.0]], [[0.0]]))
-        sched = synthesize_delay_free_game(dp, eye_weights(1, 2, horizon=1))
+        sched = synthesize(dp, eye_weights(1, 2, horizon=1))
         for i in (0, 1):
             assert abs(sched.A_coef[0, i, 0, 0] - (-1.0 / 3.0)) <= 1e-12
 
-    def test_nonzero_gamma1_rejected(self, generic_dp, generic_config):
-        with pytest.raises(ValidationError, match="zero delays"):
-            synthesize_delay_free_game(generic_dp, generic_config.weights)
+    @pytest.mark.parametrize("preset", ["generic_config", "lfc_config"])
+    def test_scheme_designs_on_zero_delay_plant(self, preset, request):
+        # The delay-free design ignores the configured delays, and its
+        # vanishing delay terms are +0.0, never -0.0.
+        config = request.getfixturevalue(preset)
+        sched = synthesize_for_scheme(config, Scheme.DELAY_FREE_GAME)
+        dp0 = discretize(config.plant.with_delays((0.0,) * config.plant.p))
+        np.testing.assert_array_equal(
+            sched.A_coef, synthesize(dp0, config.weights).A_coef)
+        assert np.all(sched.B_coef == 0.0)
+        assert not np.any(np.signbit(sched.B_coef))
 
 
 class TestRecursionInvariants:
@@ -277,21 +312,19 @@ class TestRecursionInvariants:
         dp = discretize(plant)
         dpz = DiscretePlant(dp.Phi, (dp.Gamma0[0], np.zeros((M, 1))),
                             (dp.Gamma1[0], np.zeros((M, 1))))
-        two = synthesize_two(dpz, w)
-        single = synthesize_single_delayed(dpz.select_controller(0),
-                                           w.select_player(0))
-        np.testing.assert_allclose(two.A_coef[:, 0], single.A_coef[:, 0],
+        two = synthesize(dpz, w)
+        gains = regulator_gains(dpz.select_controller(0), w.select_player(0))
+        np.testing.assert_allclose(two.A_coef[:, 0], -gains[:, :, :M],
                                    rtol=0, atol=1e-10)
         # zero delays
         dp0 = discretize(plant.with_delays((0.0, 0.0)))
-        two0 = synthesize_two(dp0, w)
-        free = synthesize_delay_free_game(dp0, w)
-        np.testing.assert_allclose(two0.A_coef, free.A_coef, rtol=0,
+        two0 = synthesize(dp0, w)
+        np.testing.assert_allclose(two0.A_coef, free_form(dp0, w), rtol=0,
                                    atol=1e-10)
 
     def test_value_matrices_symmetric_psd(self, generic_dp, generic_config):
-        _, values = synthesize_two(generic_dp, generic_config.weights,
-                                   return_values=True)
+        _, values = synthesize(generic_dp, generic_config.weights,
+                               return_values=True)
         for step_values in values:
             for S in step_values:
                 assert np.abs(S - S.T).max() <= 1e-9
@@ -303,7 +336,7 @@ class TestRecursionInvariants:
         # condition P22 L = P12 and the value identity S = P11 - L'P22L,
         # rebuilt here from scratch out of the published value history.
         w = generic_config.weights
-        sched, values = synthesize_two(generic_dp, w, return_values=True)
+        sched, values = synthesize(generic_dp, w, return_values=True)
         M, N = generic_dp.M, generic_dp.N
         dim = M + 2 * N
         D = []
@@ -335,19 +368,41 @@ class TestRecursionInvariants:
                                                            generic_config,
                                                            monkeypatch):
         def explode(A, B):
-            raise SingularMatrixError("forced", 0.0)
+            raise SingularMatrixError("forced", 0.0, 0)
 
         monkeypatch.setattr(delay_lqgame.synthesis.lin_ops, "solve", explode)
         with pytest.raises(CouplingSingularityError) as err:
-            synthesize_two(generic_dp, generic_config.weights)
+            synthesize(generic_dp, generic_config.weights)
         assert err.value.step == generic_config.weights.horizon - 1
         assert err.value.controller == 1
+
+    @pytest.mark.parametrize("N", [1, 2])
+    def test_smallest_pivot_names_its_controller(self, N, monkeypatch):
+        # Zeroing the first column of controller 2's block leaves a zero
+        # pivot there and nowhere earlier, so the real solve reports it.
+        rng = np.random.default_rng(31)
+        dp = discretize(random_stable_plant(rng, M=3, N=N, p=3))
+        w = random_weights(rng, 3, N=N, p=3, horizon=4)
+        solve = delay_lqgame.synthesis.lin_ops.solve
+
+        def singular_in_block_two(A, B):
+            A = np.array(A)
+            A[:, N] = 0.0
+            return solve(A, B)
+
+        monkeypatch.setattr(delay_lqgame.synthesis.lin_ops, "solve",
+                            singular_in_block_two)
+        with pytest.raises(CouplingSingularityError,
+                           match="at step 3 for controller 2") as err:
+            synthesize(dp, w)
+        assert err.value.step == 3
+        assert err.value.controller == 2
 
 
 class TestGainSchedule:
     def test_gain_is_negated_coefficient_view(self, generic_dp,
                                               generic_config):
-        sched = synthesize_two(generic_dp, generic_config.weights)
+        sched = synthesize(generic_dp, generic_config.weights)
         k, i = 7, 1
         want = -np.hstack([sched.A_coef[k, i], sched.B_coef[k, i, 0],
                            sched.B_coef[k, i, 1]])
