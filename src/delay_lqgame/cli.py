@@ -7,8 +7,9 @@ remaining plumbing.  All file output is byte-deterministic: floats are
 rendered as their shortest round-trip decimals and reruns of the same
 invocation rewrite identical bytes.
 
-Exit codes: 0 success, 1 configuration/validation failure, 2 numerical
-failure (singular coupling), 64 usage error.
+Exit codes: 0 success, 1 configuration/validation failure or a path that
+cannot be read or written, 2 numerical failure (singular coupling), 64
+usage error.
 """
 
 import argparse
@@ -49,17 +50,24 @@ from .synthesis import GainSchedule
 GAINS_FORMAT = "delay-lqgame-gains/1"
 
 
-def plant_hash(dp):
-    """Fingerprint of a discretized plant, for schedule/plant pairing."""
+def plant_hash(plant):
+    """Fingerprint of a validated continuous plant and the gains format,
+    for schedule/plant pairing.
+
+    It covers the inputs (A, B_i, delays, h), not their discretization, so
+    a last-bit change in the exponentials does not orphan gains files.
+    """
     digest = hashlib.sha256()
-    digest.update(f"M={dp.M};N={dp.N};p={dp.p};".encode())
-    for mat in (dp.Phi, *dp.Gamma0, *dp.Gamma1):
-        digest.update(";".join(repr(float(v)) for v in mat.ravel()).encode())
+    digest.update(f"{GAINS_FORMAT};M={plant.M};N={plant.N};p={plant.p};"
+                  .encode())
+    for values in (plant.A.ravel(), *(b.ravel() for b in plant.B),
+                   plant.delays, (plant.h,)):
+        digest.update(";".join(repr(float(v)) for v in values).encode())
         digest.update(b"|")
     return digest.hexdigest()
 
 
-def schedule_to_dict(schedule, dp):
+def schedule_to_dict(schedule, plant):
     return {
         "format": GAINS_FORMAT,
         "scheme": schedule.scheme.value,
@@ -67,7 +75,7 @@ def schedule_to_dict(schedule, dp):
         "N": schedule.N,
         "p": schedule.p,
         "horizon": schedule.horizon,
-        "plant_hash": plant_hash(dp),
+        "plant_hash": plant_hash(plant),
         "A_coef": schedule.A_coef.tolist(),
         "B_coef": schedule.B_coef.tolist(),
     }
@@ -85,16 +93,16 @@ def _gains_array(doc, key, axes):
     return array
 
 
-def schedule_from_dict(doc, dp):
+def schedule_from_dict(doc, plant):
     if not isinstance(doc, dict) or doc.get("format") != GAINS_FORMAT:
         raise SchemaError("<gains>", f"not a {GAINS_FORMAT} document")
     for key in ("scheme", "A_coef", "B_coef", "horizon", "p"):
         if key not in doc:
             raise SchemaError(f"<gains>.{key}", "missing field")
-    if doc.get("plant_hash") != plant_hash(dp):
+    if doc.get("plant_hash") != plant_hash(plant):
         raise ValidationError(
             "plant-hash mismatch: the gain schedule was synthesized for a "
-            "different discretized plant")
+            "different plant")
     try:
         scheme = Scheme(doc["scheme"])
     except ValueError:
@@ -169,8 +177,7 @@ def _cmd_synthesize(args):
     config = _load_config_file(args.config)
     scheme = _pick_scheme(config, args)
     schedule = synthesize_for_scheme(config, scheme)
-    dp = discretize(config.plant)
-    _write_json(schedule_to_dict(schedule, dp), args.out)
+    _write_json(schedule_to_dict(schedule, config.plant), args.out)
     return 0
 
 
@@ -182,7 +189,7 @@ def _cmd_simulate(args):
             doc = json.loads(Path(args.gains).read_text())
         except ValueError as exc:
             raise SchemaError("<gains>", f"invalid JSON: {exc}") from None
-        schedule = schedule_from_dict(doc, dp)
+        schedule = schedule_from_dict(doc, config.plant)
     else:
         schedule = synthesize_for_scheme(config, _pick_scheme(config, args))
     if schedule.horizon != config.weights.horizon:
@@ -309,8 +316,10 @@ def main(argv=None):
     except SingularMatrixError as exc:
         sys.stderr.write(f"delay-lqgame: numerical failure: {exc}\n")
         return 2
-    except FileNotFoundError as exc:
-        sys.stderr.write(f"delay-lqgame: {exc}\n")
+    except OSError as exc:
+        # Unreadable or unwritable paths: missing, a directory, no access.
+        where = f"{exc.filename}: " if exc.filename is not None else ""
+        sys.stderr.write(f"delay-lqgame: {where}{exc.strerror or exc}\n")
         return 1
     except DelayGameError as exc:
         sys.stderr.write(f"delay-lqgame: {exc}\n")

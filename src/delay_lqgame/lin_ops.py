@@ -5,10 +5,7 @@ Everything here is a pure function of its inputs; matrices are plain
 float64 ndarrays and are never mutated.
 """
 
-import warnings
-
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionError, IntervalError, SingularMatrixError
 
@@ -36,27 +33,95 @@ def symmetrize(A):
     return 0.5 * (A + A.T)
 
 
+# Coefficients b_0..b_m of the degree-m Pade approximant of e^x, scaled to
+# integers (Higham 2005, "The scaling and squaring method for the matrix
+# exponential revisited")...
+_PADE = {
+    3: (120.0, 60.0, 12.0, 1.0),
+    5: (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
+    7: (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0,
+        1.0),
+    9: (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
+        2162160.0, 110880.0, 3960.0, 90.0, 1.0),
+    13: (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+         1187353796428800.0, 129060195264000.0, 10559470521600.0,
+         670442572800.0, 33522128640.0, 1323241920.0, 40840800.0, 960960.0,
+         16380.0, 182.0, 1.0),
+}
+# ...and the largest 1-norm theta_m for which each degree is accurate to
+# unit roundoff in double precision (table 2.3 of the same paper).
+_THETA = ((3, 1.495585217958292e-2), (5, 2.539398330063230e-1),
+          (7, 9.504178996162932e-1), (9, 2.097847961257068e0))
+_THETA_13 = 5.371920351148152e0
+
+
+def _pade(A, m):
+    """Odd and even parts U, V of the degree-m Pade approximant of e^A;
+    e^A ~= (V - U)^-1 (V + U)."""
+    b = _PADE[m]
+    ident = np.eye(A.shape[0])
+    A2 = A @ A
+    if m == 13:
+        A4 = A2 @ A2
+        A6 = A4 @ A2
+        U = A @ (A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2)
+                 + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * ident)
+        V = (A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2)
+             + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * ident)
+        return U, V
+    powers = [ident, A2]  # A^0, A^2, ..., A^(m-1)
+    while len(powers) <= m // 2:
+        powers.append(powers[-1] @ A2)
+    U = A @ sum(b[2 * j + 1] * P for j, P in enumerate(powers))
+    V = sum(b[2 * j] * P for j, P in enumerate(powers))
+    return U, V
+
+
+def _expm(A):
+    """e^A by Pade scaling and squaring (Higham 2005): the lowest degree
+    in 3/5/7/9 whose theta bounds the 1-norm, else degree 13 after
+    halving A until its 1-norm is at most theta_13, then squaring back."""
+    norm = np.abs(A).sum(axis=0).max()
+    for m, theta in _THETA:
+        if norm <= theta:
+            U, V = _pade(A, m)
+            return np.linalg.solve(V - U, V + U)
+    squarings = max(0, int(np.ceil(np.log2(norm / _THETA_13))))
+    U, V = _pade(A / 2.0 ** squarings, 13)
+    E = np.linalg.solve(V - U, V + U)
+    for _ in range(squarings):
+        E = E @ E
+    return E
+
+
 def mat_exp(A, t=1.0):
     """Matrix exponential e^(A*t).
 
-    Scaling-and-squaring with a fixed-order rational core (scipy's expm),
-    adequate for the small dense matrices this package works with.
+    Pade scaling and squaring (Higham 2005): degree 3, 5, 7, 9 or 13
+    chosen by the 1-norm of A*t, then repeated squaring.
     """
     A = as_matrix(A, "A")
     _require_square(A, "A")
     t = float(t)
     if not np.isfinite(t):
         raise IntervalError(f"t must be finite, got {t}")
-    return scipy.linalg.expm(A * t)
+    return _expm(A * t)
 
 
-def _exp_cumulative(A, t):
-    # int_0^t e^(A s) ds is the top-right block of exp([[A, I], [0, 0]] t).
+def exp_and_integral(A, t):
+    """e^(A*t) and the integral of e^(A*s) over s in [0, t].
+
+    Both are blocks of one exponential of the augmented matrix
+    [[A, I], [0, 0]] t: the top-left and the top-right one.
+    """
+    A = as_matrix(A, "A")
+    _require_square(A, "A")
     m = A.shape[0]
     aug = np.zeros((2 * m, 2 * m))
     aug[:m, :m] = A
     aug[:m, m:] = np.eye(m)
-    return scipy.linalg.expm(aug * t)[:m, m:]
+    E = mat_exp(aug, t)
+    return E[:m, :m], E[:m, m:]
 
 
 def exp_integral(A, a, b):
@@ -65,38 +130,56 @@ def exp_integral(A, a, b):
     Computed as the difference of two cumulative integrals from 0, each
     read off an augmented-matrix exponential; no quadrature involved.
     """
-    A = as_matrix(A, "A")
-    _require_square(A, "A")
     a = float(a)
     b = float(b)
     if not (0.0 <= a <= b):
         raise IntervalError(f"interval must satisfy 0 <= a <= b, got [{a}, {b}]")
-    return _exp_cumulative(A, b) - _exp_cumulative(A, a)
+    return exp_and_integral(A, b)[1] - exp_and_integral(A, a)[1]
 
 
 def solve(A, B):
     """Solve A @ X = B by LU with partial pivoting.
 
-    Raises :class:`SingularMatrixError` when the smallest pivot falls below
-    PIVOT_RTOL times the largest entry of A, reporting that pivot and its
-    position on the diagonal of U (the column of A it belongs to).
+    Step k swaps up the first row holding the largest remaining |entry| of
+    column k, the choice LAPACK's getrf makes, and eliminates below it in
+    A and B together.  Raises :class:`SingularMatrixError` when the
+    smallest pivot falls below PIVOT_RTOL times the largest entry of A,
+    reporting that pivot and its position on the diagonal of U (the column
+    of A it belongs to).  Otherwise back substitution on the same
+    factorization gives X.
+
+    The arithmetic runs on Python lists: the systems this package solves
+    have p*N rows, where per-call array overhead outweighs the flops.
     """
     A = as_matrix(A, "A")
     B = as_matrix(B, "B")
     _require_square(A, "A")
-    if B.shape[0] != A.shape[0]:
-        raise DimensionError(
-            f"B has {B.shape[0]} rows, expected {A.shape[0]}")
-    with warnings.catch_warnings():
-        # lu_factor warns on exact zero pivots; our own check below governs.
-        warnings.simplefilter("ignore")
-        lu, piv = scipy.linalg.lu_factor(A, check_finite=False)
-    pivots = np.abs(np.diag(lu))
-    index = int(pivots.argmin())
-    smallest = pivots[index]
-    if smallest <= PIVOT_RTOL * np.abs(A).max():
+    n = A.shape[0]
+    if B.shape[0] != n:
+        raise DimensionError(f"B has {B.shape[0]} rows, expected {n}")
+    rows = [a + b for a, b in zip(A.tolist(), B.tolist())]
+    scale = max(abs(v) for row in rows for v in row[:n])
+    for k in range(n):
+        best = max(range(k, n), key=lambda r: abs(rows[r][k]))
+        rows[k], rows[best] = rows[best], rows[k]
+        top = rows[k]
+        if top[k] != 0.0:
+            # An exactly zero column is left as it is; the check reports it.
+            for r in range(k + 1, n):
+                factor = rows[r][k] / top[k]
+                rows[r] = [v - factor * w for v, w in zip(rows[r], top)]
+    pivots = [abs(rows[k][k]) for k in range(n)]
+    smallest = min(pivots)
+    index = pivots.index(smallest)
+    if smallest <= PIVOT_RTOL * scale:
         raise SingularMatrixError(
             f"matrix is numerically singular (pivot {smallest:.3e} at "
             f"position {index})", smallest, index)
-    return scipy.linalg.lu_solve((lu, piv), B, check_finite=False)
-
+    X = [None] * n
+    for k in range(n - 1, -1, -1):
+        row = rows[k]
+        x = row[n:]
+        for j in range(k + 1, n):
+            x = [v - row[j] * w for v, w in zip(x, X[j])]
+        X[k] = [v / row[k] for v in x]
+    return np.array(X).reshape(B.shape)

@@ -169,16 +169,31 @@ class DiscretePlant:
 def discretize(plant):
     """Zero-order-hold discretization with the delay split.
 
-    The conservation identity Gamma0_i + Gamma1_i = int_0^h e^(A s) ds B_i
-    is checked on the result; a delay of exactly zero yields Gamma1_i = 0.
+    Each distinct time t in {h, h - tau_i, tau_i} costs one augmented
+    exponential, which yields both e^(A t) and int_0^t e^(A s) ds
+    (``lin_ops.exp_and_integral``).  Gamma1_i comes from the semigroup
+    identity Gamma1_i = e^(A (h - tau_i)) int_0^tau_i e^(A s) ds B_i, not
+    from the total minus Gamma0_i, so the conservation identity
+    Gamma0_i + Gamma1_i = int_0^h e^(A s) ds B_i checked on the result is
+    an independent check.  A delay of exactly zero yields Gamma1_i = +0.0.
     """
-    Phi = lin_ops.mat_exp(plant.A, plant.h)
+    pairs = {}
+
+    def exp_pair(t):
+        if t not in pairs:
+            pairs[t] = lin_ops.exp_and_integral(plant.A, t)
+        return pairs[t]
+
+    Phi, total = exp_pair(plant.h)
     Gamma0 = []
     Gamma1 = []
-    total = lin_ops.exp_integral(plant.A, 0.0, plant.h)
     for B_i, tau in zip(plant.B, plant.delays):
-        Gamma0.append(lin_ops.exp_integral(plant.A, 0.0, plant.h - tau) @ B_i)
-        Gamma1.append(lin_ops.exp_integral(plant.A, plant.h - tau, plant.h) @ B_i)
+        shift, held = exp_pair(plant.h - tau)
+        Gamma0.append(held @ B_i)
+        if tau == 0.0:
+            Gamma1.append(np.zeros_like(B_i))
+        else:
+            Gamma1.append(shift @ (exp_pair(tau)[1] @ B_i))
         drift = np.abs(Gamma0[-1] + Gamma1[-1] - total @ B_i).max()
         if drift > SPLIT_CONSERVATION_ATOL:
             raise ValidationError(

@@ -60,6 +60,17 @@ def _embed_single(schedule, p):
     return GainSchedule(schedule.scheme, A_coef, B_coef)
 
 
+def _schedule(scheme, dp, weights):
+    """The scheme's schedule designed on the discretized plant it is given
+    (for ``delay_free_game``, the zero-delay one), tagged with the scheme."""
+    if scheme is Scheme.SINGLE_DELAYED:
+        single = synthesize(dp.select_controller(0), weights.select_player(0))
+        schedule = _embed_single(single, dp.p)
+    else:
+        schedule = synthesize(dp, weights)
+    return replace(schedule, scheme=scheme)
+
+
 def synthesize_for_scheme(config, scheme):
     """Gain schedule for one scheme on the config's plant, tagged with it.
 
@@ -69,32 +80,33 @@ def synthesize_for_scheme(config, scheme):
     """
     scheme = Scheme(scheme)
     plant = config.plant
-    weights = config.weights
     if scheme is Scheme.DELAY_FREE_GAME:
         plant = plant.with_delays((0.0,) * plant.p)
-    dp = discretize(plant)
-    if scheme is Scheme.SINGLE_DELAYED:
-        single = synthesize(dp.select_controller(0), weights.select_player(0))
-        schedule = _embed_single(single, plant.p)
-    else:
-        schedule = synthesize(dp, weights)
-    return replace(schedule, scheme=scheme)
+    return _schedule(scheme, discretize(plant), config.weights)
 
 
-def run_scheme(config, scheme):
-    """Design under the scheme's assumptions, run on the true plant."""
-    scheme = Scheme(scheme)
-    schedule = synthesize_for_scheme(config, scheme)
-    dp = discretize(config.plant)
+def _evaluate(config, schedule, dp):
+    """Roll a schedule out on the true discretized plant ``dp``."""
     trajectory = rollout(dp, schedule, config.x0, config.weights)
     return SchemeResult(
-        scheme=scheme,
+        scheme=schedule.scheme,
         delays=config.plant.delays,
         schedule=schedule,
         trajectory=trajectory,
         j_total=trajectory.total_cost,
         j_players=tuple(float(v) for v in trajectory.per_player_cost),
     )
+
+
+def run_scheme(config, scheme):
+    """Design under the scheme's assumptions, run on the true plant."""
+    scheme = Scheme(scheme)
+    dp = discretize(config.plant)
+    if scheme is Scheme.DELAY_FREE_GAME:
+        schedule = synthesize_for_scheme(config, scheme)
+    else:
+        schedule = _schedule(scheme, dp, config.weights)
+    return _evaluate(config, schedule, dp)
 
 
 def _grid_points(config):
@@ -133,14 +145,20 @@ def compare_schemes(config):
     """All three schemes at every grid point (or just the config's delays).
 
     Rows come back point-major: for each delay point, proposed first, then
-    the single-delayed and delay-free baselines.
+    the single-delayed and delay-free baselines.  Each point discretizes
+    its true plant once and shares it between the rollouts and the two
+    delayed designs.  The delay-free design does not depend on the point,
+    so it is synthesized once for the whole grid.
     """
-    order = (Scheme.PROPOSED, Scheme.SINGLE_DELAYED, Scheme.DELAY_FREE_GAME)
+    free = synthesize_for_scheme(config, Scheme.DELAY_FREE_GAME)
     results = []
     for point in _grid_points(config):
         cfg = _with_delays(config, point)
-        for scheme in order:
-            results.append(run_scheme(cfg, scheme))
+        dp = discretize(cfg.plant)
+        for scheme in (Scheme.PROPOSED, Scheme.SINGLE_DELAYED):
+            results.append(_evaluate(cfg, _schedule(scheme, dp, cfg.weights),
+                                     dp))
+        results.append(_evaluate(cfg, free, dp))
     return results
 
 

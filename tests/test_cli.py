@@ -3,10 +3,13 @@ import json
 import numpy as np
 import pytest
 
+import delay_lqgame.cli
 import delay_lqgame.synthesis
 from delay_lqgame import (
+    DiscretePlant,
     Scheme,
     SingularMatrixError,
+    discretize,
     dump_config,
     load_config,
     preset_generic,
@@ -171,6 +174,50 @@ class TestFailureModes:
                      "--gains", str(gains), "--out", str(out)])
         assert code == 1
         assert "plant-hash" in capsys.readouterr().err
+
+    def test_changing_one_delay_exits_1(self, tmp_path, cfg_path, capsys):
+        gains = tmp_path / "gains.json"
+        main(["synthesize", "--config", str(cfg_path), "--out", str(gains)])
+        doc = json.loads(cfg_path.read_text())
+        doc["plant"]["delays"][1] = 0.012
+        other = tmp_path / "other.json"
+        other.write_text(json.dumps(doc))
+        code = main(["simulate", "--config", str(other),
+                     "--gains", str(gains), "--out", str(tmp_path / "t.csv")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "plant-hash mismatch" in err
+
+    def test_gains_pair_when_discretization_moves_one_ulp(
+            self, tmp_path, cfg_path, monkeypatch):
+        # The fingerprint covers the continuous plant, so a last-bit change
+        # in the exponentials (another BLAS, say) keeps gains usable.
+        gains = tmp_path / "gains.json"
+        assert main(["synthesize", "--config", str(cfg_path),
+                     "--out", str(gains)]) == 0
+
+        def nudged(plant):
+            dp = discretize(plant)
+            return DiscretePlant(np.nextafter(dp.Phi, np.inf), dp.Gamma0,
+                                 dp.Gamma1)
+
+        monkeypatch.setattr(delay_lqgame.cli, "discretize", nudged)
+        assert main(["simulate", "--config", str(cfg_path),
+                     "--gains", str(gains),
+                     "--out", str(tmp_path / "t.csv")]) == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["discretize", "--config", "{dir}"],
+        ["preset", "--name", "generic", "--out", "{dir}"],
+    ], ids=["config-is-dir", "out-is-dir"])
+    def test_directory_path_exits_1_naming_it(self, tmp_path, capsys, argv):
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        code = main([a.format(dir=folder) for a in argv])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert str(folder) in err
+        assert "Traceback" not in err
 
     @pytest.fixture()
     def gains_doc(self, tmp_path, cfg_path):

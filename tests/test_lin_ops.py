@@ -1,11 +1,19 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from delay_lqgame import (
+    ContinuousPlant,
     DimensionError,
     IntervalError,
     SingularMatrixError,
+    ValidationError,
+    discretize,
     exp_integral,
+    lin_ops,
     mat_exp,
     solve,
 )
@@ -48,6 +56,55 @@ class TestMatExp:
     def test_rejects_non_square(self):
         with pytest.raises(DimensionError):
             mat_exp(np.zeros((2, 3)), 1.0)
+
+
+def _scaled_matrices(norm, count=6, seed=0):
+    """Random matrices of 1-norm `norm`, sizes 1..6."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(1, 7))
+        A = rng.normal(size=(n, n))
+        yield A * (norm / np.abs(A).sum(axis=0).max())
+
+
+# 1-norms just inside each Pade degree's theta, where its truncation error
+# is largest, then two that need 2 and 4 halvings.
+PADE_NORMS = (1e-8, *(0.99 * theta for _, theta in lin_ops._THETA),
+              0.99 * lin_ops._THETA_13, 12.0, 50.0)
+
+
+class TestPadeExpm:
+    @pytest.mark.parametrize("norm", PADE_NORMS, ids="{:.3g}".format)
+    def test_matches_series_oracle(self, norm):
+        for A in _scaled_matrices(norm, seed=int(norm * 1e3) % 97):
+            want = series_expm(A)
+            err = np.abs(mat_exp(A) - want).max() / np.abs(want).max()
+            assert err <= 2e-14 * max(1.0, norm)
+
+    def test_norms_reach_every_degree_and_the_squaring(self, monkeypatch):
+        calls = []
+        pade = lin_ops._pade
+
+        def recording(A, m):
+            calls.append((m, np.abs(A).sum(axis=0).max()))
+            return pade(A, m)
+
+        monkeypatch.setattr(lin_ops, "_pade", recording)
+        for norm in PADE_NORMS:
+            for A in _scaled_matrices(norm, count=1):
+                mat_exp(A)
+        assert {m for m, _ in calls} == {3, 5, 7, 9, 13}
+        # The largest norm reaches degree 13 only after scaling.
+        assert calls[-1][0] == 13
+        assert calls[-1][1] <= lin_ops._THETA_13 < 50.0
+
+    @pytest.mark.parametrize("norm", PADE_NORMS, ids="{:.3g}".format)
+    def test_matches_scipy_expm(self, norm):
+        scipy_linalg = pytest.importorskip("scipy.linalg")
+        for A in _scaled_matrices(norm, seed=7):
+            want = scipy_linalg.expm(A)
+            err = np.abs(mat_exp(A) - want).max() / np.abs(want).max()
+            assert err <= 1e-10
 
 
 class TestExpIntegral:
@@ -148,4 +205,91 @@ class TestSolve:
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
             solve(np.eye(2), np.ones((3, 1)))
+
+    def test_no_right_hand_side_columns(self):
+        assert solve(np.eye(3), np.zeros((3, 0))).shape == (3, 0)
+
+
+def _pivot_cases():
+    rng = np.random.default_rng(21)
+    for n in (2, 3, 4, 6, 9):
+        yield "random", rng.normal(size=(n, n))
+        # A row permutation of a triangular matrix with a dominant
+        # diagonal: the pivots must undo the permutation.
+        T = np.triu(rng.normal(size=(n, n))) + 4.0 * np.eye(n)
+        yield "permuted", T[rng.permutation(n)]
+        # Rank n-1 plus noise: one pivot near 1e-14 relative.
+        U, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        V, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        s = np.r_[rng.uniform(1.0, 2.0, n - 1), 1e-14]
+        yield "near-singular", U @ np.diag(s) @ V.T
+
+
+class TestPivotAgreesWithLapack:
+    @pytest.mark.parametrize("kind,A", list(_pivot_cases()),
+                             ids=lambda v: v if isinstance(v, str) else "")
+    def test_smallest_pivot_position(self, monkeypatch, kind, A):
+        scipy_linalg = pytest.importorskip("scipy.linalg")
+        lu, _ = scipy_linalg.lu_factor(A)
+        pivots = np.abs(np.diag(lu))
+        # An infinite threshold makes every solve report its smallest pivot.
+        monkeypatch.setattr(lin_ops, "PIVOT_RTOL", np.inf)
+        with pytest.raises(SingularMatrixError) as err:
+            solve(A, np.eye(A.shape[0]))
+        assert err.value.index == int(pivots.argmin())
+        assert err.value.pivot == pytest.approx(pivots.min(), rel=1e-6,
+                                                abs=1e-15)
+
+
+class TestAugmentedDiscretization:
+    def test_zero_delay_gamma1_is_positive_zero(self):
+        plant = ContinuousPlant(A=A22, B=([[0.0], [1.0]], [[0.5], [-2.0]]),
+                                delays=(0.0, 0.01), h=0.05)
+        dp = discretize(plant)
+        assert np.all(dp.Gamma1[0] == 0.0)
+        assert not np.any(np.signbit(dp.Gamma1[0]))
+        assert np.all(dp.Gamma1[1] != 0.0)
+
+    @pytest.mark.parametrize("delays,calls", [((0.01, 0.02), 5),
+                                              ((0.01, 0.01), 3),
+                                              ((0.0, 0.02), 3),
+                                              ((0.0, 0.0), 1)])
+    def test_one_exponential_per_distinct_time(self, monkeypatch, delays,
+                                               calls):
+        times = []
+        exp = lin_ops.mat_exp
+
+        def counting(A, t=1.0):
+            times.append(t)
+            return exp(A, t)
+
+        monkeypatch.setattr(lin_ops, "mat_exp", counting)
+        B = ([[0.0], [1.0]], [[0.0], [1.0]])
+        discretize(ContinuousPlant(A=A22, B=B, delays=delays, h=0.05))
+        assert len(times) == len(set(times)) == calls
+
+    def test_split_conservation_check_is_independent(self, monkeypatch):
+        # Gamma1 comes from its own exponentials, so corrupting the one at
+        # t = tau must trip the conservation check.
+        exp = lin_ops.mat_exp
+
+        def corrupt(A, t=1.0):
+            E = exp(A, t)
+            return E * 1.001 if t == 0.01 else E
+
+        monkeypatch.setattr(lin_ops, "mat_exp", corrupt)
+        plant = ContinuousPlant(A=A22, B=([[0.0], [1.0]],), delays=(0.01,),
+                                h=0.05)
+        with pytest.raises(ValidationError, match="delay-split conservation"):
+            discretize(plant)
+
+
+def test_cli_import_loads_no_scipy():
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("import sys, delay_lqgame.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], cwd=src,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import delay_lqgame.schemes
 from delay_lqgame import (
     ContinuousPlant,
     ExperimentConfig,
@@ -71,6 +72,59 @@ class TestRunScheme:
         free0 = run_scheme(cfg0, Scheme.DELAY_FREE_GAME)
         assert free.j_total > free0.j_total
         assert np.abs(free.schedule.B_coef).max() == 0.0
+
+
+def _count_discretize(monkeypatch):
+    calls = []
+    original = delay_lqgame.schemes.discretize
+
+    def counting(plant):
+        calls.append(plant.delays)
+        return original(plant)
+
+    monkeypatch.setattr(delay_lqgame.schemes, "discretize", counting)
+    return calls
+
+
+class TestCompareSchemes:
+    def test_rows_equal_per_point_run_scheme(self, generic_config):
+        cfg = small_grid_config(generic_config, [0.0, 0.012], [0.004, 0.02])
+        results = compare_schemes(cfg)
+        order = (Scheme.PROPOSED, Scheme.SINGLE_DELAYED,
+                 Scheme.DELAY_FREE_GAME)
+        expected = [
+            run_scheme(replace(cfg, plant=cfg.plant.with_delays(point),
+                               x0=np.array(cfg.x0)), scheme)
+            for point in [(0.0, 0.004), (0.0, 0.02), (0.012, 0.004),
+                          (0.012, 0.02)]
+            for scheme in order]
+        assert len(results) == len(expected)
+        for got, want in zip(results, expected):
+            assert (got.scheme, got.delays) == (want.scheme, want.delays)
+            assert got.j_total == want.j_total
+            assert got.j_players == want.j_players
+            np.testing.assert_array_equal(got.trajectory.states,
+                                          want.trajectory.states)
+            np.testing.assert_array_equal(got.schedule.A_coef,
+                                          want.schedule.A_coef)
+
+    def test_discretizes_each_point_once_plus_the_zero_delay_plant(
+            self, monkeypatch, generic_config):
+        cfg = small_grid_config(generic_config, [0.0, 0.012], [0.004, 0.02])
+        calls = _count_discretize(monkeypatch)
+        compare_schemes(cfg)
+        # One true plant per point, and one zero-delay plant for the
+        # delay-free design, which does not depend on the point.
+        assert sorted(calls) == sorted([(0.0, 0.0), (0.0, 0.004),
+                                        (0.0, 0.02), (0.012, 0.004),
+                                        (0.012, 0.02)])
+
+    def test_sweep_discretizes_each_point_once(self, monkeypatch,
+                                               generic_config):
+        cfg = small_grid_config(generic_config, [0.0, 0.012], [0.004])
+        calls = _count_discretize(monkeypatch)
+        sweep_delays(cfg)
+        assert calls == [(0.0, 0.004), (0.012, 0.004)]
 
 
 class TestSweep:
