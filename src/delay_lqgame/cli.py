@@ -38,6 +38,7 @@ from .model import (
 from .schemes import (
     compare_schemes,
     comparison_header,
+    run_scheme,
     sweep_delays,
     sweep_header,
     synthesize_for_scheme,
@@ -84,7 +85,7 @@ def schedule_to_dict(schedule, plant):
 def _gains_array(doc, key, axes):
     try:
         array = np.array(doc[key], dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"<gains>.{key}",
                           f"expected a numeric array: {exc}") from None
     if array.ndim != axes:
@@ -183,21 +184,23 @@ def _cmd_synthesize(args):
 
 def _cmd_simulate(args):
     config = _load_config_file(args.config)
-    dp = discretize(config.plant)
+    _warn_unshared_weights(config)
     if args.gains:
         try:
             doc = json.loads(Path(args.gains).read_text())
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise SchemaError("<gains>", f"invalid JSON: {exc}") from None
         schedule = schedule_from_dict(doc, config.plant)
+        if schedule.horizon != config.weights.horizon:
+            raise ValidationError(
+                f"horizon: schedule has {schedule.horizon} steps, weights "
+                f"expect {config.weights.horizon}")
+        trajectory = rollout(discretize(config.plant), schedule, config.x0,
+                             config.weights)
     else:
-        schedule = synthesize_for_scheme(config, _pick_scheme(config, args))
-    if schedule.horizon != config.weights.horizon:
-        raise ValidationError(
-            f"horizon: schedule has {schedule.horizon} steps, weights "
-            f"expect {config.weights.horizon}")
-    _warn_unshared_weights(config)
-    trajectory = rollout(dp, schedule, config.x0, config.weights)
+        # One discretization of the true plant serves design and rollout.
+        result = run_scheme(config, _pick_scheme(config, args))
+        schedule, trajectory = result.schedule, result.trajectory
     write_trajectory_csv(trajectory, args.out, scheme=schedule.scheme,
                          delays=config.plant.delays, seed=args.seed)
     return 0

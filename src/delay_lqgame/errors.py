@@ -32,13 +32,18 @@ class CouplingSingularityError(SingularMatrixError):
     """The simultaneous best-response system is singular at some step.
 
     Carries the backward-recursion step index and, when the failure is
-    attributable to one controller, its 1-based index (else None).
+    attributable to one controller, its 1-based index (else None).  A
+    batched synthesis adds the failing plant's index in the batch, and a
+    delay grid the delays of that plant's point (else None).
     """
 
-    def __init__(self, message, pivot, step, controller=None):
+    def __init__(self, message, pivot, step, controller=None, plant=None,
+                 delays=None):
         super().__init__(message, pivot)
         self.step = int(step)
         self.controller = controller
+        self.plant = plant
+        self.delays = delays
 
 
 class ValidationError(DelayGameError):

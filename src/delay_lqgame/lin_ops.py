@@ -7,7 +7,12 @@ float64 ndarrays and are never mutated.
 
 import numpy as np
 
-from .errors import DimensionError, IntervalError, SingularMatrixError
+from .errors import (
+    DimensionError,
+    IntervalError,
+    SingularMatrixError,
+    ValidationError,
+)
 
 # Relative pivot threshold below which a solve is reported as singular.
 PIVOT_RTOL = 1e-12
@@ -29,8 +34,8 @@ def _require_square(A, name):
 
 
 def symmetrize(A):
-    """Return (A + A^T)/2."""
-    return 0.5 * (A + A.T)
+    """Return (A + A^T)/2, transposing the last two axes of a stack."""
+    return 0.5 * (A + np.swapaxes(A, -1, -2))
 
 
 # Coefficients b_0..b_m of the degree-m Pade approximant of e^x, scaled to
@@ -82,6 +87,9 @@ def _expm(A):
     in 3/5/7/9 whose theta bounds the 1-norm, else degree 13 after
     halving A until its 1-norm is at most theta_13, then squaring back."""
     norm = np.abs(A).sum(axis=0).max()
+    if not np.isfinite(norm):
+        raise ValidationError(
+            "matrix exponential: the argument's 1-norm overflows")
     for m, theta in _THETA:
         if norm <= theta:
             U, V = _pade(A, m)

@@ -211,7 +211,14 @@ def _checked_weight(W, name, definite):
         raise ValidationError(
             f"weight symmetry: {name} is asymmetric by {skew:.3e}")
     W = lin_ops.symmetrize(W)
+    # Entries near the float limit can overflow in the symmetrization or
+    # the eigenvalues; non-finite values would pass the checks below.
+    if not np.all(np.isfinite(W)):
+        raise ValidationError(f"weight range: {name} overflows")
     eigs = np.linalg.eigvalsh(W)
+    if not np.all(np.isfinite(eigs)):
+        raise ValidationError(f"weight range: {name} has non-finite "
+                              f"eigenvalues")
     floor = SYMMETRY_ATOL * max(1.0, np.abs(W).max())
     if definite:
         if eigs.min() <= 0.0:
@@ -366,7 +373,10 @@ def _reject_unknown(mapping, allowed, path):
 def _number(value, path):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(path, f"expected a number, got {type(value).__name__}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise SchemaError(path, "number out of floating-point range") from None
 
 
 def _integer(value, path):
@@ -496,7 +506,8 @@ def load_config(text):
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers malformed text and over-long integer literals.
         raise SchemaError("<document>", f"invalid JSON: {exc}") from None
     return config_from_dict(doc)
 

@@ -21,10 +21,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import CouplingSingularityError, ValidationError
 from .model import Scheme, discretize
-from .simulate import Trajectory, _fmt, rollout
-from .synthesis import GainSchedule, synthesize
+from .simulate import Trajectory, _fmt, _rollouts
+from .synthesis import GainSchedule, synthesize, synthesize_batch
 
 
 @dataclass(frozen=True)
@@ -60,15 +60,29 @@ def _embed_single(schedule, p):
     return GainSchedule(schedule.scheme, A_coef, B_coef)
 
 
-def _schedule(scheme, dp, weights):
-    """The scheme's schedule designed on the discretized plant it is given
-    (for ``delay_free_game``, the zero-delay one), tagged with the scheme."""
+def _designs(scheme, plants, weights, points):
+    """The scheme's schedules, tagged with it, designed in one batch on the
+    discretized plants it is given (for ``delay_free_game``, zero-delay
+    ones).  A singular plant is named by its delays, ``points[b]``."""
+    p = plants[0].p
     if scheme is Scheme.SINGLE_DELAYED:
-        single = synthesize(dp.select_controller(0), weights.select_player(0))
-        schedule = _embed_single(single, dp.p)
-    else:
-        schedule = synthesize(dp, weights)
-    return replace(schedule, scheme=scheme)
+        plants = [dp.select_controller(0) for dp in plants]
+        weights = weights.select_player(0)
+    try:
+        # A lone plant goes through ``synthesize``, the batch-of-1 case of
+        # the same recursion, so per-call tracing of that public entry
+        # point (lqbench/tracing.py) still sees every single design.
+        schedules = (synthesize_batch(plants, weights) if len(plants) > 1
+                     else [synthesize(plants[0], weights)])
+    except CouplingSingularityError as exc:
+        delays = points[exc.plant]
+        raise CouplingSingularityError(
+            f"{exc} at delays {delays}", exc.pivot, exc.step,
+            controller=exc.controller, plant=exc.plant,
+            delays=delays) from None
+    if scheme is Scheme.SINGLE_DELAYED:
+        schedules = [_embed_single(s, p) for s in schedules]
+    return [replace(s, scheme=scheme) for s in schedules]
 
 
 def synthesize_for_scheme(config, scheme):
@@ -82,84 +96,86 @@ def synthesize_for_scheme(config, scheme):
     plant = config.plant
     if scheme is Scheme.DELAY_FREE_GAME:
         plant = plant.with_delays((0.0,) * plant.p)
-    return _schedule(scheme, discretize(plant), config.weights)
+    return _designs(scheme, [discretize(plant)], config.weights,
+                    [plant.delays])[0]
 
 
-def _evaluate(config, schedule, dp):
-    """Roll a schedule out on the true discretized plant ``dp``."""
-    trajectory = rollout(dp, schedule, config.x0, config.weights)
-    return SchemeResult(
-        scheme=schedule.scheme,
-        delays=config.plant.delays,
-        schedule=schedule,
-        trajectory=trajectory,
-        j_total=trajectory.total_cost,
-        j_players=tuple(float(v) for v in trajectory.per_player_cost),
-    )
+def _evaluate(config, points, plants, schedules):
+    """Roll each schedule out on its point's true discretized plant, all
+    rows in one batched closed loop."""
+    trajectories = _rollouts(plants, schedules, config.x0, config.weights)
+    return [SchemeResult(scheme=schedule.scheme, delays=point,
+                         schedule=schedule, trajectory=trajectory,
+                         j_total=trajectory.total_cost,
+                         j_players=tuple(float(v) for v in
+                                         trajectory.per_player_cost))
+            for point, schedule, trajectory
+            in zip(points, schedules, trajectories)]
 
 
 def run_scheme(config, scheme):
     """Design under the scheme's assumptions, run on the true plant."""
     scheme = Scheme(scheme)
-    dp = discretize(config.plant)
+    points = [config.plant.delays]
+    plants = [discretize(config.plant)]
     if scheme is Scheme.DELAY_FREE_GAME:
-        schedule = synthesize_for_scheme(config, scheme)
+        schedules = [synthesize_for_scheme(config, scheme)]
     else:
-        schedule = _schedule(scheme, dp, config.weights)
-    return _evaluate(config, schedule, dp)
+        schedules = _designs(scheme, plants, config.weights, points)
+    return _evaluate(config, points, plants, schedules)[0]
 
 
-def _grid_points(config):
+def _grid(config):
+    """Delay points in row-major grid order (just the config's delays
+    without a grid) and each point's true plant, discretized once."""
     if config.sweep is None:
-        return [config.plant.delays]
-    return [tuple(point) for point in product(*config.sweep)]
+        points = [config.plant.delays]
+    else:
+        points = [tuple(point) for point in product(*config.sweep)]
+    return points, [discretize(config.plant.with_delays(point))
+                    for point in points]
 
 
 def sweep_delays(config):
     """Proposed-scheme costs over the config's delay grid.
 
-    Points are evaluated in deterministic row-major grid order.  Grid
-    values outside [0, h) are rejected before any computation by config
-    validation.
+    Points come in deterministic row-major grid order.  All points are
+    designed in one batched synthesis and rolled out in one batched
+    closed loop.  Grid values outside [0, h) are rejected before any
+    computation by config validation.
     """
     if config.sweep is None:
         raise ValidationError("sweep: config has no sweep grid")
-    points = []
-    for point in _grid_points(config):
-        result = run_scheme(
-            _with_delays(config, point), Scheme.PROPOSED)
+    points, plants = _grid(config)
+    schedules = _designs(Scheme.PROPOSED, plants, config.weights, points)
+    swept = []
+    for result in _evaluate(config, points, plants, schedules):
         j = result.j_players
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = float(np.divide(j[0], j[1])) if len(j) > 1 else float("nan")
-        points.append(SweepPoint(delays=point, j_total=result.j_total,
-                                 j_players=j, ratio=ratio))
-    return points
-
-
-def _with_delays(config, delays):
-    return replace(config, plant=config.plant.with_delays(delays),
-                   x0=np.array(config.x0))
+        swept.append(SweepPoint(delays=result.delays, j_total=result.j_total,
+                                j_players=j, ratio=ratio))
+    return swept
 
 
 def compare_schemes(config):
     """All three schemes at every grid point (or just the config's delays).
 
     Rows come back point-major: for each delay point, proposed first, then
-    the single-delayed and delay-free baselines.  Each point discretizes
-    its true plant once and shares it between the rollouts and the two
-    delayed designs.  The delay-free design does not depend on the point,
-    so it is synthesized once for the whole grid.
+    the single-delayed and delay-free baselines.  Each point's true plant
+    is discretized once; the two delayed designs are one batched synthesis
+    each over all points.  The delay-free design does not depend on the
+    point, so it is synthesized once for the whole grid.  Every row is
+    then rolled out in one batched closed loop.
     """
+    points, plants = _grid(config)
     free = synthesize_for_scheme(config, Scheme.DELAY_FREE_GAME)
-    results = []
-    for point in _grid_points(config):
-        cfg = _with_delays(config, point)
-        dp = discretize(cfg.plant)
-        for scheme in (Scheme.PROPOSED, Scheme.SINGLE_DELAYED):
-            results.append(_evaluate(cfg, _schedule(scheme, dp, cfg.weights),
-                                     dp))
-        results.append(_evaluate(cfg, free, dp))
-    return results
+    proposed = _designs(Scheme.PROPOSED, plants, config.weights, points)
+    single = _designs(Scheme.SINGLE_DELAYED, plants, config.weights, points)
+    rows = [(point, dp, schedule)
+            for point, dp, *designs in zip(points, plants, proposed, single)
+            for schedule in (*designs, free)]
+    return _evaluate(config, *zip(*rows))
 
 
 # ---------------------------------------------------------------------------

@@ -52,37 +52,45 @@ def _matvec(W, v):
     return np.matmul(W, v[..., None])[..., 0]
 
 
-def _closed_loop(dp, schedule, x0, offsets=None):
+def _closed_loop(plants, schedules, x0, offsets=None):
     """Run the feedback loop for a batch of rows that all start at x0.
 
+    Row b runs plants[b] under schedules[b]; a single plant and schedule
+    are shared by every row, their arrays broadcasting over the rows.
     offsets, of shape (horizon, rows, p, N), adds offsets[k, b, i] to
     controller i's input at step k in row b; every law stays in place
-    afterwards.  Without offsets the batch is the one undeviated row.
+    afterwards.  Without offsets there is one row per schedule.
     Returns states (rows, horizon + 1, M) and controls (rows, horizon, p, N).
 
     Sums run player by player in a fixed order, so each row's arithmetic
     does not depend on the batch: a zero offset reproduces the undeviated
-    row bit for bit.
+    row bit for bit, and a row equals the same plant and schedule run alone.
     """
-    steps = schedule.horizon
-    rows = 1 if offsets is None else offsets.shape[1]
-    Gamma0, Gamma1 = np.stack(dp.Gamma0), np.stack(dp.Gamma1)
-    states = np.empty((rows, steps + 1, dp.M))
-    controls = np.empty((rows, steps, dp.p, dp.N))
-    x = np.broadcast_to(x0, (rows, dp.M))
+    steps, p = schedules[0].horizon, schedules[0].p
+    rows = len(schedules) if offsets is None else offsets.shape[1]
+    Phi = np.stack([dp.Phi for dp in plants])
+    Gamma0 = np.stack([dp.Gamma0 for dp in plants])
+    Gamma1 = np.stack([dp.Gamma1 for dp in plants])
+    # Step axis first, so A_coef[k] is (rows or 1, p, N, M).
+    A_coef = np.stack([s.A_coef for s in schedules], axis=1)
+    B_coef = np.stack([s.B_coef for s in schedules], axis=1)
+    M, N = Phi.shape[-1], Gamma0.shape[-1]
+    states = np.empty((rows, steps + 1, M))
+    controls = np.empty((rows, steps, p, N))
+    x = np.broadcast_to(x0, (rows, M))
     states[:, 0] = x
-    u_prev = np.zeros((rows, dp.p, dp.N))
+    u_prev = np.zeros((rows, p, N))
     for k in range(steps):
-        u = _matvec(schedule.A_coef[k], x[:, None])
-        coupled = _matvec(schedule.B_coef[k], u_prev[:, None])
-        for j in range(dp.p):
+        u = _matvec(A_coef[k], x[:, None])
+        coupled = _matvec(B_coef[k], u_prev[:, None])
+        for j in range(p):
             u = u + coupled[:, :, j]
         if offsets is not None:
             u = u + offsets[k]
         now = _matvec(Gamma0, u)
         before = _matvec(Gamma1, u_prev)
-        x = _matvec(dp.Phi, x)
-        for i in range(dp.p):
+        x = _matvec(Phi, x)
+        for i in range(p):
             x = x + now[:, i] + before[:, i]
         controls[:, k] = u
         states[:, k + 1] = x
@@ -139,14 +147,21 @@ def _checked_x0(dp, schedule, weights, x0):
     return x0
 
 
+def _rollouts(plants, schedules, x0, weights):
+    """Costed trajectories of rows that each run their own plant and
+    schedule from x0, in one batched closed loop and one cost evaluation."""
+    states, controls = _closed_loop(plants, schedules, x0)
+    total, per_player = _costs(states, controls, weights)
+    return [Trajectory(states=states[b], controls=controls[b],
+                       per_player_cost=per_player[b],
+                       total_cost=float(total[b]))
+            for b in range(len(schedules))]
+
+
 def rollout(dp, schedule, x0, weights):
     """Simulate the closed loop from x0 and return the costed trajectory."""
     x0 = _checked_x0(dp, schedule, weights, x0)
-    states, controls = _closed_loop(dp, schedule, x0)
-    total, per_player = _costs(states, controls, weights)
-    return Trajectory(states=states[0], controls=controls[0],
-                      per_player_cost=per_player[0],
-                      total_cost=float(total[0]))
+    return _rollouts([dp], [schedule], x0, weights)[0]
 
 
 def evaluate_costs(trajectory, weights):
@@ -214,7 +229,7 @@ def nash_deviation_check(dp, schedule, weights, x0, trials=200,
                 seed, row - 1, dp.p, schedule.horizon, dp.N, magnitude)
             offsets[step, row - start, player] = delta
             players[row] = player
-        _, per_player = _costs(*_closed_loop(dp, schedule, x0, offsets),
+        _, per_player = _costs(*_closed_loop([dp], [schedule], x0, offsets),
                                weights)
         if start == 0:
             base = per_player[0]
@@ -294,7 +309,7 @@ def _read_sidecar(path):
         doc = json.loads(path.read_text())
     except FileNotFoundError:
         raise SchemaError(str(path), "missing trajectory sidecar") from None
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise SchemaError(str(path), f"invalid JSON: {exc}") from None
     doc = _expect_mapping(doc, str(path))
 
@@ -331,11 +346,13 @@ def read_trajectory_csv(path):
     if not lines:
         raise SchemaError(str(path), "empty trajectory file")
     M, N, p, steps, per_player, total = _read_sidecar(path.with_suffix(".json"))
-    header = trajectory_header(M, p, N)
-    if lines[0].split(",") != header:
+    # Sizes come from the sidecar, so they are checked against the file
+    # before anything of that size is built.
+    header = lines[0].split(",")
+    if len(header) != 1 + M + p * N or header != trajectory_header(M, p, N):
         raise SchemaError(str(path), "trajectory header does not match sidecar")
-    states = np.empty((steps + 1, M))
-    controls = np.empty((steps, p, N))
+    states = []
+    controls = []
     for k, line in enumerate(lines[1:]):
         where = f"{path} line {k + 2}"
         if k > steps:
@@ -356,15 +373,15 @@ def read_trajectory_csv(path):
             except ValueError:
                 raise SchemaError(f"{where} column {column}",
                                   f"expected a number, got {cell!r}") from None
-        states[k] = values[:M]
+        states.append(values[:M])
         if k < steps:
-            controls[k] = np.reshape(values[M:], (p, N))
+            controls.append(values[M:])
     if len(lines) - 1 < steps + 1:
         raise SchemaError(str(path), f"{len(lines) - 1} rows, the sidecar's "
                                      f"horizon {steps} needs {steps + 1}")
     return Trajectory(
-        states=states,
-        controls=controls,
+        states=np.array(states),
+        controls=np.reshape(controls, (steps, p, N)),
         per_player_cost=np.array(per_player),
         total_cost=total,
     )

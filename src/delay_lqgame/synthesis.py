@@ -21,6 +21,19 @@ The system is stacked over all p controllers and solved in one shot.
 Value matrices are symmetrized after every update to stop round-off drift
 from compounding across the horizon.
 
+The step works on stacked routing matrices built once per plant:
+z(k+1) = Abar z(k) + D [u_1(k); ...; u_p(k)] with
+
+    D    = [[Gamma0_1 ... Gamma0_p]; I_pN],
+    Abar = [[Phi | Gamma1_1 ... Gamma1_p]; 0],
+
+so D_i (the N columns of D that route u_i) gives controller i's rows of
+the system as D_i^T S_i, and the value update sees the step
+C_i = Abar + sum_{j != i} D_j U_j with every other controller's law
+applied.  Every product is one array operation over all controllers, and
+over a leading batch axis of plants that share M, N, p and the weights;
+only the small LU solve runs once per plant and step.
+
 Known controllers are this recursion on a prepared plant: one controller
 gives the stacked-state delayed regulator, zero delays the delay-free game.
 """
@@ -107,92 +120,109 @@ def _check_pair(dp, weights):
             f"controls have {dp.N}")
 
 
-def _embedded_state_weight(Q, dim):
-    out = np.zeros((dim, dim))
-    out[:Q.shape[0], :Q.shape[0]] = Q
+def _embedded(weights, dim):
+    """The M x M weights embedded top-left in dim x dim zeros, stacked."""
+    M = weights[0].shape[0]
+    out = np.zeros((len(weights), dim, dim))
+    out[:, :M, :M] = weights
     return out
 
 
-def _control_row(dp, S, i):
-    """Blocks of D_i^T S, where D_i routes u_i into [x; u_1; ...; u_p].
+def synthesize_batch(plants, weights, return_values=False):
+    """Gain schedules, each tagged ``proposed``, for plants that share M, N,
+    p and the weights.
 
-    D_i stacks Gamma0_i on top of a lone identity in controller i's slot, so
-    D_i^T S collapses to Gamma0_i^T (row block 1) plus row block i+1.
+    Walks k = horizon-1 .. 0 with every plant on a leading batch axis.  Per
+    step and plant the simultaneous equations over all coefficients
+    {A_i, Bj_i} are stacked into one (p N) x (p N) system with a column per
+    column of [Phi | Gamma1_1 | ... | Gamma1_p] and solved directly.  A
+    plant's arithmetic does not depend on the batch around it, so each
+    schedule equals a batch-of-1 call bit for bit.  Raises
+    :class:`CouplingSingularityError` with the step, the controller whose
+    block holds the smallest pivot, and the plant's index in the batch if
+    a system is singular.
+
+    With ``return_values`` the value-matrix history is returned as a second
+    output: values[k, b, i] is S_i(k) of plant b, k = 0..horizon.
     """
-    M, N = dp.M, dp.N
-    own = slice(M + i * N, M + (i + 1) * N)
-    return dp.Gamma0[i].T @ S[:M, :] + S[own, :]
-
-
-def _value_update(dp, weights, S_next, U, E, i):
-    """Next value matrix for controller i given everyone's coefficients U."""
-    M, N, p = dp.M, dp.N, dp.p
-    dim = M + p * N
-    top = np.hstack([dp.Phi] + list(dp.Gamma1))
-    for n in range(p):
-        if n != i:
-            top = top + dp.Gamma0[n] @ U[n]
-    rows = [top]
-    for m in range(p):
-        rows.append(U[m] if m != i else np.zeros((N, dim)))
-    C = np.vstack(rows)
-    P11 = C.T @ S_next[i] @ C + _embedded_state_weight(weights.Q[i], dim)
-    # With L_i = -U_i the correction term L_i^T P22 L_i equals U_i^T E_i U_i.
-    return lin_ops.symmetrize(P11 - U[i].T @ E[i] @ U[i])
+    plants = list(plants)
+    if not plants:
+        raise ValidationError("synthesize: no plants given")
+    for dp in plants:
+        _check_pair(dp, weights)
+    M, N, p, steps = plants[0].M, plants[0].N, plants[0].p, weights.horizon
+    batch, n, dim = len(plants), p * N, M + p * N
+    # Routing D = [[Gamma0_1 ... Gamma0_p]; I] and open-loop step
+    # Abar = [[Phi | Gamma1_1 ... Gamma1_p]; 0] of z = [x; u_1; ...; u_p].
+    D = np.zeros((batch, dim, n))
+    D[:, :M] = [np.hstack(dp.Gamma0) for dp in plants]
+    D[:, M:] = np.eye(n)
+    target = np.stack([np.hstack((dp.Phi,) + dp.Gamma1) for dp in plants])
+    Abar = np.zeros((batch, 1, dim, dim))
+    Abar[:, 0, :M] = target
+    # D_i^T for every controller i: (batch, p, N, dim).
+    Dt = D.transpose(0, 2, 1).reshape(batch, p, N, dim)
+    Q = _embedded(weights.Q, dim)
+    R = np.zeros((n, n))
+    for i, R_i in enumerate(weights.R):
+        R[i * N:(i + 1) * N, i * N:(i + 1) * N] = R_i
+    # others[i] keeps every controller's rows of U but controller i's.
+    others = np.ones((p, n, 1))
+    for i in range(p):
+        others[i, i * N:(i + 1) * N] = 0.0
+    S = np.broadcast_to(_embedded(weights.QN, dim), (batch, p, dim, dim))
+    # Each step builds fresh value matrices, so the history keeps
+    # references; it is kept only when asked for, since it grows with the
+    # batch.
+    values = [S]
+    U = np.empty((steps, batch, n, dim))
+    for k in range(steps - 1, -1, -1):
+        T = Dt @ S
+        G = (T @ D[:, None]).reshape(batch, n, n) + R
+        W = -(T[..., :M] @ target[:, None]).reshape(batch, n, dim)
+        for b in range(batch):
+            try:
+                U[k, b] = lin_ops.solve(G[b], W[b])
+            except SingularMatrixError as exc:
+                controller = exc.index // N + 1
+                which = f" of plant {b}" if batch > 1 else ""
+                raise CouplingSingularityError(
+                    f"stacked best-response system{which} is singular at "
+                    f"step {k} for controller {controller} "
+                    f"(pivot {exc.pivot:.3e})",
+                    exc.pivot, step=k, controller=controller,
+                    plant=b) from None
+        Ui = U[k].reshape(batch, p, N, dim)
+        # E_i = D_i^T S_i D_i + R_i, the diagonal blocks of G.
+        E = G.reshape(batch, p, N, p, N).diagonal(0, 1, 3)
+        E = E.transpose(0, 3, 1, 2)
+        # C_i: the step controller i sees with every other law applied.
+        C = Abar + D[:, None] @ (U[k, :, None] * others)
+        S = lin_ops.symmetrize(C.swapaxes(-1, -2) @ S @ C + Q
+                               - Ui.swapaxes(-1, -2) @ E @ Ui)
+        if return_values:
+            values.append(S)
+    # + 0.0 is exact but turns -0.0 into 0.0, so vanishing terms (the delay
+    # terms of a zero-delay plant) are written as 0.0.
+    U = (U + 0.0).reshape(steps, batch, p, N, dim)
+    A_coef = U[..., :M].transpose(1, 0, 2, 3, 4)
+    B_coef = U[..., M:].reshape(steps, batch, p, N, p, N)
+    B_coef = B_coef.transpose(1, 0, 2, 4, 3, 5)
+    schedules = [GainSchedule(Scheme.PROPOSED,
+                              np.ascontiguousarray(A_coef[b]),
+                              np.ascontiguousarray(B_coef[b]))
+                 for b in range(batch)]
+    return (schedules, np.stack(values[::-1])) if return_values else schedules
 
 
 def synthesize(dp, weights, return_values=False):
-    """Gain schedule for any number of controllers, tagged ``proposed``.
-
-    Walks k = horizon-1 .. 0.  Per step the simultaneous equations over all
-    coefficients {A_i, Bj_i} are stacked into one (p N) x (p N) system with
-    a column per column of [Phi | Gamma1_1 | ... | Gamma1_p] and solved
-    directly.  Raises :class:`CouplingSingularityError` with the step and
-    the controller whose block holds the smallest pivot if it is singular.
+    """Gain schedule of one plant, tagged ``proposed``: the batch-of-1
+    case of :func:`synthesize_batch`.
 
     With ``return_values`` the full value-matrix history is returned as a
     second output: values[k][i] is S_i(k), k = 0..horizon.
     """
-    _check_pair(dp, weights)
-    M, N, p, steps = dp.M, dp.N, dp.p, weights.horizon
-    dim = M + p * N
-    target = np.hstack([dp.Phi] + list(dp.Gamma1))
-    S = [_embedded_state_weight(QN, dim) for QN in weights.QN]
-    A_coef = np.zeros((steps, p, N, M))
-    B_coef = np.zeros((steps, p, p, N, N))
-    # Each step builds fresh value matrices, so the history keeps references.
-    values = [S]
-    for k in range(steps - 1, -1, -1):
-        G = np.zeros((p * N, p * N))
-        W = np.zeros((p * N, dim))
-        E = []
-        for i in range(p):
-            T = _control_row(dp, S[i], i)
-            T1 = T[:, :M]
-            rows = slice(i * N, (i + 1) * N)
-            for j in range(p):
-                block = T1 @ dp.Gamma0[j] + T[:, M + j * N: M + (j + 1) * N]
-                if j == i:
-                    block = block + weights.R[i]
-                G[rows, j * N:(j + 1) * N] = block
-            E.append(G[rows, i * N:(i + 1) * N])
-            W[rows, :] = -(T1 @ target)
-        try:
-            # + 0.0 is exact but turns -0.0 into 0.0, so vanishing terms
-            # (the delay terms of a zero-delay plant) are written as 0.0.
-            sol = lin_ops.solve(G, W) + 0.0
-        except SingularMatrixError as exc:
-            controller = exc.index // N + 1
-            raise CouplingSingularityError(
-                f"stacked best-response system is singular at step {k} for "
-                f"controller {controller} (pivot {exc.pivot:.3e})",
-                exc.pivot, step=k, controller=controller) from None
-        U = [sol[i * N:(i + 1) * N, :] for i in range(p)]
-        for i in range(p):
-            A_coef[k, i] = U[i][:, :M]
-            for j in range(p):
-                B_coef[k, i, j] = U[i][:, M + j * N: M + (j + 1) * N]
-        S = [_value_update(dp, weights, S, U, E, i) for i in range(p)]
-        values.append(S)
-    schedule = GainSchedule(Scheme.PROPOSED, A_coef, B_coef)
-    return (schedule, values[::-1]) if return_values else schedule
+    if not return_values:
+        return synthesize_batch([dp], weights)[0]
+    schedules, values = synthesize_batch([dp], weights, return_values=True)
+    return schedules[0], values[:, 0]

@@ -142,6 +142,61 @@ def best_response_game(Phi, Gamma0, Q, QN, R, steps, tol=1e-12, max_iter=2000):
     return coeffs
 
 
+def delayed_best_response_game(Phi, Gamma0, Gamma1, Q, QN, R, steps,
+                               tol=1e-13, max_iter=5000):
+    """Delayed p-player game by iterated best response on z = [x; u(k-1)].
+
+    D_i routes u_i into z, Abar = [[Phi | Gamma1]; 0] is the step with no
+    inputs.  At each backward step every player's stacked coefficients
+    U_i = -(R_i + D_i'S_iD_i)^-1 D_i'S_i (Abar + sum_{j!=i} D_j U_j) are
+    iterated to a fixed point, then the values are updated in the direct
+    closed-loop form Q_i + U_i'R_iU_i + C'S_iC with C = Abar + sum_j D_j U_j.
+    Returns (A_coef, B_coef) shaped like the package's gain schedule.
+    """
+    p = len(Gamma0)
+    M = Phi.shape[0]
+    N = Gamma0[0].shape[1]
+    dim = M + p * N
+    Abar = np.zeros((dim, dim))
+    Abar[:M] = np.hstack([Phi] + list(Gamma1))
+    D = []
+    for i in range(p):
+        Di = np.zeros((dim, N))
+        Di[:M] = Gamma0[i]
+        Di[M + i * N:M + (i + 1) * N] = np.eye(N)
+        D.append(Di)
+
+    def embed(W):
+        out = np.zeros((dim, dim))
+        out[:M, :M] = W
+        return out
+
+    S = [embed(QN[i]) for i in range(p)]
+    A_coef = np.zeros((steps, p, N, M))
+    B_coef = np.zeros((steps, p, p, N, N))
+    for k in range(steps - 1, -1, -1):
+        U = [np.zeros((N, dim)) for _ in range(p)]
+        for _ in range(max_iter):
+            new = []
+            for i in range(p):
+                drift = Abar + sum(D[j] @ U[j] for j in range(p) if j != i)
+                E = R[i] + D[i].T @ S[i] @ D[i]
+                new.append(-np.linalg.solve(E, D[i].T @ S[i] @ drift))
+            delta = max(np.abs(new[i] - U[i]).max() for i in range(p))
+            U = new
+            if delta < tol:
+                break
+        C = Abar + sum(D[j] @ U[j] for j in range(p))
+        S = [embed(Q[i]) + U[i].T @ R[i] @ U[i] + C.T @ S[i] @ C
+             for i in range(p)]
+        S = [0.5 * (Si + Si.T) for Si in S]
+        for i in range(p):
+            A_coef[k, i] = U[i][:, :M]
+            for j in range(p):
+                B_coef[k, i, j] = U[i][:, M + j * N:M + (j + 1) * N]
+    return A_coef, B_coef
+
+
 def two_controller_game(Phi, Gamma0, Gamma1, Q, QN, R, steps):
     """Two-controller delayed game with the coupling eliminated in closed form.
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import delay_lqgame.cli
+import delay_lqgame.schemes
 import delay_lqgame.synthesis
 from delay_lqgame import (
     DiscretePlant,
@@ -188,6 +189,23 @@ class TestFailureModes:
         assert code == 1
         assert "plant-hash mismatch" in err
 
+    @pytest.mark.parametrize("scheme, plants", [
+        ("proposed", 1), ("single_delayed", 1), ("delay_free_game", 2)])
+    def test_fused_simulate_discretizes_each_plant_once(
+            self, tmp_path, cfg_path, monkeypatch, scheme, plants):
+        calls = []
+
+        def counting(plant):
+            calls.append(plant.delays)
+            return discretize(plant)
+
+        for module in (delay_lqgame.cli, delay_lqgame.schemes):
+            monkeypatch.setattr(module, "discretize", counting)
+        assert main(["simulate", "--config", str(cfg_path), "--scheme",
+                     scheme, "--out", str(tmp_path / "t.csv")]) == 0
+        # The true plant once; the delay-free design adds the zero-delay one.
+        assert len(calls) == len(set(calls)) == plants
+
     def test_gains_pair_when_discretization_moves_one_ulp(
             self, tmp_path, cfg_path, monkeypatch):
         # The fingerprint covers the continuous plant, so a last-bit change
@@ -277,6 +295,28 @@ class TestFailureModes:
         assert code == 2
         assert "numerical failure" in err
         assert "at step 49 for controller 2" in err
+        assert "Traceback" not in err
+
+    def test_singular_grid_point_exits_2_naming_its_delays(
+            self, tmp_path, cfg_path, capsys, monkeypatch):
+        solve = delay_lqgame.synthesis.lin_ops.solve
+        calls = []
+
+        def singular_for_plant_one(A, B):
+            # The first step solves the 2x2 grid's plants in order.
+            calls.append(None)
+            if len(calls) == 2:
+                raise SingularMatrixError("forced", 0.0, 1)
+            return solve(A, B)
+
+        monkeypatch.setattr(delay_lqgame.synthesis.lin_ops, "solve",
+                            singular_for_plant_one)
+        code = main(["sweep", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "sweep.csv")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "at step 49 for controller 2" in err
+        assert "at delays (0.0, 0.02)" in err
         assert "Traceback" not in err
 
     def test_missing_config_file_exits_1(self, tmp_path):

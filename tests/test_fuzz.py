@@ -1,0 +1,246 @@
+"""Property-based fuzzing of the input boundary.
+
+The rule: any input either parses or raises a DelayGameError subclass, and
+the CLI answers any input file with exit code 0, 1 or 2, never with an
+uncaught exception.  Inputs are raw text, arbitrary JSON values, and valid
+documents with one to three fields replaced or deleted.  Examples are
+derandomized, so every run draws the same inputs.
+"""
+
+import contextlib
+import copy
+import io
+import json
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from delay_lqgame import (
+    DelayGameError,
+    GameWeights,
+    config_to_dict,
+    discretize,
+    dump_config,
+    load_config,
+    preset_generic,
+    preset_lfc,
+    read_trajectory_csv,
+    rollout,
+    synthesize_for_scheme,
+    write_trajectory_csv,
+)
+from delay_lqgame.cli import main, schedule_from_dict, schedule_to_dict
+
+fuzz = settings(derandomize=True, deadline=None, database=None,
+                max_examples=50)
+
+# Past float range, and the largest, smallest and negative extremes.
+EXTREMES = st.sampled_from([10**400, -10**400, 1.7976931348623157e308,
+                            -1e308, 5e-324, 1e300])
+SCALARS = (st.none() | st.booleans() | st.integers() | st.floats()
+           | EXTREMES | st.text(max_size=8))
+JSON = st.recursive(
+    SCALARS,
+    lambda children: (st.lists(children, max_size=4)
+                      | st.dictionaries(st.text(max_size=8), children,
+                                        max_size=4)),
+    max_leaves=12)
+
+
+def _small(config):
+    w = config.weights
+    return replace(config, weights=GameWeights(w.Q, w.QN, w.R, horizon=3),
+                   x0=np.array(config.x0))
+
+
+GENERIC = _small(preset_generic())
+CONFIG_DOCS = [config_to_dict(GENERIC), config_to_dict(_small(preset_lfc()))]
+SCHEDULE = synthesize_for_scheme(GENERIC, "proposed")
+GAINS_DOC = schedule_to_dict(SCHEDULE, GENERIC.plant)
+TRAJECTORY = rollout(discretize(GENERIC.plant), SCHEDULE, GENERIC.x0,
+                     GENERIC.weights)
+
+
+def _paths(doc, prefix=()):
+    yield prefix
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield from _paths(value, prefix + (key,))
+    elif isinstance(doc, list):
+        for index, value in enumerate(doc):
+            yield from _paths(value, prefix + (index,))
+
+
+@st.composite
+def mutated(draw, base):
+    """A copy of a JSON document with 1-3 values replaced or deleted."""
+    doc = copy.deepcopy(base)
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_paths(doc))))
+        if not path:
+            return draw(JSON)
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if draw(st.booleans()):
+            parent[path[-1]] = draw(SCALARS | JSON)
+        else:
+            del parent[path[-1]]
+    return doc
+
+
+def _parses_or_raises_package_error(call, *args):
+    try:
+        call(*args)
+    except DelayGameError:
+        return False
+    return True
+
+
+def _config_is_finite_or_rejected(text):
+    """load_config either raises a package error or returns only finite
+    numbers: a value that overflows must not slip through validation."""
+    try:
+        config = load_config(text)
+    except DelayGameError:
+        return
+    plant, w = config.plant, config.weights
+    for array in (plant.A, *plant.B, plant.delays, [plant.h], config.x0,
+                  *w.Q, *w.QN, *w.R):
+        assert np.all(np.isfinite(array))
+
+
+def _with(doc, *path_and_value):
+    """Copy of a document with one value replaced at a key path."""
+    *path, key, value = path_and_value
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for step in path:
+        parent = parent[step]
+    parent[key] = value
+    return json.dumps(doc)
+
+
+def _cli(argv):
+    """Exit code and stderr of an in-process CLI run."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    return code
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+class TestLoadConfig:
+    @fuzz
+    @given(st.text())
+    @example("[" * 5000)  # nested past the recursion limit
+    @example('{"plant": ' + "1" * 5000 + "}")  # past int parsing's limit
+    def test_any_text(self, text):
+        _config_is_finite_or_rejected(text)
+
+    @fuzz
+    @given(JSON)
+    def test_any_json_value(self, doc):
+        _config_is_finite_or_rejected(json.dumps(doc))
+
+    @fuzz
+    @given(st.sampled_from(CONFIG_DOCS).flatmap(mutated).map(json.dumps))
+    @example(_with(CONFIG_DOCS[0], "plant", "h", 10**400))
+    @example(_with(CONFIG_DOCS[0], "weights", "Q", 0,
+                   [[1.7e308, 1.7e308], [1.7e308, 1.7e308]]))
+    @example(_with(CONFIG_DOCS[1], "weights", "Q", 0, [[5e307] * 9] * 9))
+    def test_mutated_config(self, text):
+        _config_is_finite_or_rejected(text)
+
+    def test_unmutated_configs_parse(self):
+        for doc in CONFIG_DOCS:
+            assert _parses_or_raises_package_error(load_config,
+                                                   json.dumps(doc))
+
+
+class TestScheduleFromDict:
+    @fuzz
+    @given(JSON)
+    def test_any_json_value(self, doc):
+        _parses_or_raises_package_error(schedule_from_dict, doc,
+                                        GENERIC.plant)
+
+    @fuzz
+    @given(mutated(GAINS_DOC))
+    @example(dict(GAINS_DOC, A_coef=[[[[10**400, 0.0]]]]))
+    def test_mutated_gains(self, doc):
+        _parses_or_raises_package_error(schedule_from_dict, doc,
+                                        GENERIC.plant)
+
+
+class TestReadTrajectoryCsv:
+    @fuzz
+    @given(lines=st.lists(st.text(max_size=30), max_size=6),
+           sidecar=st.one_of(JSON, mutated(json.loads(json.dumps(
+               {"M": 2, "N": 1, "p": 2, "horizon": 3,
+                "per_player_cost": [1.0, 2.0], "total_cost": 3.0})))))
+    # Sidecar sizes far beyond the file must not size any allocation.
+    @example(lines=["k,x_1,u_1_1", "0,1.0,2.0", "1,1.0,"],
+             sidecar={"M": 10**12, "N": 1, "p": 1, "horizon": 1,
+                      "per_player_cost": [1.0], "total_cost": 1.0})
+    @example(lines=["k,x_1,u_1_1", "0,1.0,2.0", "1,1.0,"],
+             sidecar={"M": 1, "N": 1, "p": 1, "horizon": 10**12,
+                      "per_player_cost": [1.0], "total_cost": 1.0})
+    def test_any_rows_and_sidecar(self, workdir, lines, sidecar):
+        path = workdir / "any.csv"
+        path.write_text("\n".join(lines))
+        path.with_suffix(".json").write_text(json.dumps(sidecar))
+        _parses_or_raises_package_error(read_trajectory_csv, path)
+
+    @fuzz
+    @given(row=st.integers(0, 4), cell=st.integers(0, 4),
+           text=st.text(max_size=12), sidecar=st.data())
+    def test_mutated_file(self, workdir, row, cell, text, sidecar):
+        path = workdir / "traj.csv"
+        sidecar_path = write_trajectory_csv(TRAJECTORY, path)
+        rows = [line.split(",") for line in path.read_text().splitlines()]
+        rows[row][cell % len(rows[row])] = text
+        path.write_text("\n".join(",".join(r) for r in rows) + "\n")
+        if sidecar.draw(st.booleans()):
+            doc = json.loads(sidecar_path.read_text())
+            sidecar_path.write_text(json.dumps(sidecar.draw(mutated(doc))))
+        _parses_or_raises_package_error(read_trajectory_csv, path)
+
+
+class TestCliExitCodes:
+    @fuzz
+    @given(st.binary(max_size=40) | st.sampled_from(CONFIG_DOCS).flatmap(
+        mutated).map(lambda doc: json.dumps(doc).encode()))
+    # e^(A h) whose argument's norm overflows
+    @example(_with(CONFIG_DOCS[0], "plant", "A",
+                   [[1e300, 1e300], [1e300, 1e300]]).replace(
+        '"h": 0.05', '"h": 1e10').encode())
+    def test_config_file(self, workdir, data):
+        config = workdir / "config.json"
+        config.write_bytes(data)
+        code = _cli(["discretize", "--config", str(config)])
+        try:
+            load_config(data.decode("utf-8"))
+        except (DelayGameError, UnicodeDecodeError):
+            assert code == 1
+
+    @fuzz
+    @given(st.binary(max_size=40) | mutated(GAINS_DOC).map(
+        lambda doc: json.dumps(doc).encode()))
+    def test_gains_file(self, workdir, data):
+        config = workdir / "generic.json"
+        config.write_text(dump_config(GENERIC))
+        gains = workdir / "gains.json"
+        gains.write_bytes(data)
+        _cli(["simulate", "--config", str(config), "--gains", str(gains),
+              "--out", str(workdir / "out.csv")])

@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 
 import delay_lqgame.schemes
+import delay_lqgame.synthesis
 from delay_lqgame import (
     ContinuousPlant,
+    CouplingSingularityError,
     ExperimentConfig,
     GameWeights,
     Scheme,
+    SingularMatrixError,
     ValidationError,
     compare_schemes,
     run_scheme,
@@ -108,6 +111,19 @@ class TestCompareSchemes:
             np.testing.assert_array_equal(got.schedule.A_coef,
                                           want.schedule.A_coef)
 
+    def test_sweep_rows_equal_per_point_run_scheme(self, lfc_config):
+        cfg = small_grid_config(lfc_config, lfc_config.sweep[0][:3],
+                                lfc_config.sweep[1][1:])
+        points = sweep_delays(cfg)
+        assert len(points) == 9
+        for got in points:
+            want = run_scheme(replace(cfg, plant=cfg.plant.with_delays(
+                got.delays), x0=np.array(cfg.x0)), Scheme.PROPOSED)
+            assert got.delays == want.delays
+            assert got.j_total == want.j_total
+            assert got.j_players == want.j_players
+            assert got.ratio == want.j_players[0] / want.j_players[1]
+
     def test_discretizes_each_point_once_plus_the_zero_delay_plant(
             self, monkeypatch, generic_config):
         cfg = small_grid_config(generic_config, [0.0, 0.012], [0.004, 0.02])
@@ -125,6 +141,43 @@ class TestCompareSchemes:
         calls = _count_discretize(monkeypatch)
         sweep_delays(cfg)
         assert calls == [(0.0, 0.004), (0.012, 0.004)]
+
+
+def singular_on_row(monkeypatch, calls_before, row):
+    """Patch the solve to fail for one plant of a batch's first step: the
+    batch starts after ``calls_before`` solves, and solves run plant by
+    plant within a step."""
+    solve = delay_lqgame.synthesis.lin_ops.solve
+    calls = []
+
+    def failing(A, B):
+        calls.append(None)
+        if len(calls) == calls_before + row + 1:
+            raise SingularMatrixError("forced", 0.0, 0)
+        return solve(A, B)
+
+    monkeypatch.setattr(delay_lqgame.synthesis.lin_ops, "solve", failing)
+
+
+class TestSingularGridPoint:
+    @pytest.mark.parametrize("command", ["sweep", "compare"])
+    def test_error_names_the_point(self, command, monkeypatch,
+                                   generic_config):
+        cfg = small_grid_config(generic_config, [0.0, 0.012], [0.004, 0.02])
+        # compare designs the delay-free game first, one solve per step.
+        # The grid's third point, in row-major order, is (0.012, 0.004).
+        if command == "sweep":
+            run, calls_before = sweep_delays, 0
+        else:
+            run, calls_before = compare_schemes, cfg.weights.horizon
+        singular_on_row(monkeypatch, calls_before, 2)
+        with pytest.raises(CouplingSingularityError) as err:
+            run(cfg)
+        assert err.value.delays == (0.012, 0.004)
+        assert err.value.plant == 2
+        assert err.value.step == cfg.weights.horizon - 1
+        assert err.value.controller == 1
+        assert str(err.value).endswith("at delays (0.012, 0.004)")
 
 
 class TestSweep:

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from delay_lqgame import (
     ValidationError,
     discretize,
     synthesize,
+    synthesize_batch,
     synthesize_for_scheme,
 )
 
@@ -23,6 +25,7 @@ from oracles import (
     augmented_delay_lqr,
     best_response_game,
     delay_free_game,
+    delayed_best_response_game,
     finite_horizon_lqr,
     two_controller_game,
 )
@@ -187,6 +190,18 @@ class TestMultiController:
         oracle = best_response_game(dp.Phi, dp.Gamma0, w.Q, w.QN, w.R, 12)
         assert np.abs(multi.B_coef).max() == 0.0
         np.testing.assert_allclose(multi.A_coef, oracle, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("M, N, p", [(3, 1, 3), (3, 2, 2), (2, 1, 4)])
+    def test_delayed_game_matches_best_response_oracle(self, M, N, p):
+        rng = np.random.default_rng(700 + 10 * p + N)
+        dp = discretize(random_stable_plant(rng, M=M, N=N, p=p))
+        w = random_weights(rng, M, N=N, p=p, horizon=15)
+        sched = synthesize(dp, w)
+        A, B = delayed_best_response_game(dp.Phi, dp.Gamma0, dp.Gamma1, w.Q,
+                                          w.QN, w.R, w.horizon)
+        scale = max(1.0, np.abs(A).max())
+        np.testing.assert_allclose(sched.A_coef, A, rtol=0, atol=1e-10 * scale)
+        np.testing.assert_allclose(sched.B_coef, B, rtol=0, atol=1e-10 * scale)
 
 
 class TestSingleDelayed:
@@ -397,6 +412,78 @@ class TestRecursionInvariants:
             synthesize(dp, w)
         assert err.value.step == 3
         assert err.value.controller == 2
+
+
+def _grid_plants(config, grids):
+    return [discretize(config.plant.with_delays(point))
+            for point in product(*grids)]
+
+
+def _seeded_grid_plants(M, N, p, size, seed):
+    rng = np.random.default_rng(seed)
+    plant = random_stable_plant(rng, M=M, N=N, p=p)
+    grids = [np.sort(rng.uniform(0.0, 0.98 * plant.h, size=size))
+             for _ in range(p)]
+    plants = [discretize(plant.with_delays(point))
+              for point in product(*grids)]
+    return plants, random_weights(rng, M, N=N, p=p, horizon=20)
+
+
+class TestBatch:
+    @pytest.mark.parametrize("case", ["generic36", "lfc16", "p3", "N2"])
+    def test_each_plant_equals_its_batch_of_one(self, case, generic_config,
+                                                lfc_config):
+        if case == "generic36":
+            plants = _grid_plants(generic_config, generic_config.sweep)
+            weights = generic_config.weights
+        elif case == "lfc16":
+            plants = _grid_plants(lfc_config, lfc_config.sweep)
+            weights = lfc_config.weights
+        elif case == "p3":
+            plants, weights = _seeded_grid_plants(4, 1, 3, 3, seed=41)
+        else:
+            plants, weights = _seeded_grid_plants(3, 2, 2, 3, seed=42)
+        batched, values = synthesize_batch(plants, weights,
+                                           return_values=True)
+        assert len(batched) == len(plants)
+        for b, (dp, got) in enumerate(zip(plants, batched)):
+            want, want_values = synthesize(dp, weights, return_values=True)
+            assert got.scheme is Scheme.PROPOSED
+            np.testing.assert_array_equal(got.A_coef, want.A_coef)
+            np.testing.assert_array_equal(got.B_coef, want.B_coef)
+            np.testing.assert_array_equal(values[:, b], want_values)
+
+    def test_empty_batch_rejected(self, generic_config):
+        with pytest.raises(ValidationError, match="no plants"):
+            synthesize_batch([], generic_config.weights)
+
+    def test_mismatched_plant_rejected(self, generic_dp, generic_config):
+        with pytest.raises(DimensionError):
+            synthesize_batch([generic_dp, generic_dp.select_controller(0)],
+                             generic_config.weights)
+
+    def test_singular_plant_named_by_batch_index(self, generic_config,
+                                                 monkeypatch):
+        plants = _grid_plants(generic_config, ((0.0, 0.01), (0.0, 0.01)))
+        solve = delay_lqgame.synthesis.lin_ops.solve
+        calls = []
+
+        def singular_on_row_two(A, B):
+            # Calls run plant by plant within a step; the first step's
+            # third call is plant 2's.
+            calls.append(None)
+            if len(calls) == 3:
+                raise SingularMatrixError("forced", 0.0, 1)
+            return solve(A, B)
+
+        monkeypatch.setattr(delay_lqgame.synthesis.lin_ops, "solve",
+                            singular_on_row_two)
+        with pytest.raises(CouplingSingularityError,
+                           match="of plant 2 is singular at step 49 for "
+                                 "controller 2") as err:
+            synthesize_batch(plants, generic_config.weights)
+        assert (err.value.plant, err.value.step, err.value.controller) == (
+            2, 49, 2)
 
 
 class TestGainSchedule:
