@@ -12,8 +12,6 @@ from .errors import (
     ValidationError,
 )
 from .lin_ops import (
-    exp_integral,
-    mat_exp,
     solve,
     symmetrize,
 )
@@ -87,9 +85,7 @@ __all__ = [
     "discretize",
     "dump_config",
     "evaluate_costs",
-    "exp_integral",
     "load_config",
-    "mat_exp",
     "nash_deviation_check",
     "preset_generic",
     "preset_lfc",

@@ -31,6 +31,7 @@ from .errors import (
 from .model import (
     PRESETS,
     Scheme,
+    _number,
     discretize,
     dump_config,
     load_config,
@@ -83,15 +84,17 @@ def schedule_to_dict(schedule, plant):
 
 
 def _gains_array(doc, key, axes):
+    path = f"<gains>.{key}"
     try:
-        array = np.array(doc[key], dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise SchemaError(f"<gains>.{key}",
-                          f"expected a numeric array: {exc}") from None
-    if array.ndim != axes:
-        raise SchemaError(f"<gains>.{key}",
-                          f"expected {axes} axes, got {array.ndim}")
-    return array
+        cells = np.array(doc[key], dtype=object)
+    except ValueError as exc:
+        raise SchemaError(path, f"expected a numeric array: {exc}") from None
+    if cells.ndim != axes:
+        raise SchemaError(path, f"expected {axes} axes, got {cells.ndim}")
+    # The config reader's number rule (no strings, no booleans); floats,
+    # all a gains file holds, pass without a call.
+    values = [v if type(v) is float else _number(v, path) for v in cells.flat]
+    return np.array(values, dtype=float).reshape(cells.shape)
 
 
 def schedule_from_dict(doc, plant):

@@ -132,19 +132,6 @@ def exp_and_integral(A, t):
     return E[:m, :m], E[:m, m:]
 
 
-def exp_integral(A, a, b):
-    """Integral of e^(A*s) over s in [a, b], with 0 <= a <= b.
-
-    Computed as the difference of two cumulative integrals from 0, each
-    read off an augmented-matrix exponential; no quadrature involved.
-    """
-    a = float(a)
-    b = float(b)
-    if not (0.0 <= a <= b):
-        raise IntervalError(f"interval must satisfy 0 <= a <= b, got [{a}, {b}]")
-    return exp_and_integral(A, b)[1] - exp_and_integral(A, a)[1]
-
-
 def solve(A, B):
     """Solve A @ X = B by LU with partial pivoting.
 

@@ -20,6 +20,7 @@ Configurations are JSON documents; see ``load_config`` for the schema.
 
 import enum
 import json
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -38,6 +39,13 @@ SYMMETRY_ATOL = 1e-12
 
 # Tolerance for the Gamma0 + Gamma1 split-conservation check.
 SPLIT_CONSERVATION_ATOL = 1e-9
+
+# Size budget: the most float64 entries (80 MB) that a config may ask one
+# array of a run to hold.  The largest arrays grow as horizon * (M + p N)^2
+# per plant (the recursion's stacked solutions and value matrices, the
+# rolled-out histories), and sweeps and comparisons hold one set per grid
+# point, so configs past it are rejected before anything is allocated.
+MAX_ENTRIES = 10**7
 
 
 class Scheme(enum.Enum):
@@ -273,6 +281,11 @@ class GameWeights:
         horizon = int(self.horizon)
         if horizon < 1:
             raise ValidationError(f"horizon: must be >= 1, got {horizon}")
+        dim = Q[0].shape[0] + len(R) * R[0].shape[0]
+        if horizon * dim**2 > MAX_ENTRIES:
+            raise ValidationError(
+                f"weights.horizon: {horizon} steps of {dim} x {dim} "
+                f"matrices exceed the size budget of {MAX_ENTRIES} entries")
         object.__setattr__(self, "Q", tuple(_readonly(q) for q in Q))
         object.__setattr__(self, "QN", tuple(_readonly(q) for q in QN))
         object.__setattr__(self, "R", tuple(_readonly(r) for r in R))
@@ -343,6 +356,13 @@ class ExperimentConfig:
                         raise DelayBoundError(
                             f"delay-bound: sweep grid value {v} must satisfy "
                             f"0 <= tau < h={self.plant.h}")
+            points = math.prod(len(grid) for grid in sweep)
+            dim = self.plant.M + self.plant.p * self.plant.N
+            if points * self.weights.horizon * dim**2 > MAX_ENTRIES:
+                raise ValidationError(
+                    f"sweep.delays_grid: {points} grid points of "
+                    f"{self.weights.horizon} steps of {dim} x {dim} matrices "
+                    f"exceed the size budget of {MAX_ENTRIES} entries")
         object.__setattr__(self, "x0", _readonly(x0))
         object.__setattr__(self, "scheme", scheme)
         object.__setattr__(self, "sweep", sweep)

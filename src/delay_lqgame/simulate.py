@@ -7,6 +7,7 @@ exchanged inputs (u_j(-1) = 0), the plant advances, and the controllers
 exchange this step's inputs for use at k+1.
 """
 
+import functools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -52,22 +53,27 @@ def _matvec(W, v):
     return np.matmul(W, v[..., None])[..., 0]
 
 
-def _closed_loop(plants, schedules, x0, offsets=None):
+def _closed_loop(plants, schedules, x0, starts=None, offsets=None):
     """Run the feedback loop for a batch of rows that all start at x0.
 
     Row b runs plants[b] under schedules[b]; a single plant and schedule
     are shared by every row, their arrays broadcasting over the rows.
-    offsets, of shape (horizon, rows, p, N), adds offsets[k, b, i] to
-    controller i's input at step k in row b; every law stays in place
-    afterwards.  Without offsets there is one row per schedule.
     Returns states (rows, horizon + 1, M) and controls (rows, horizon, p, N).
 
+    Rows may join late, with one shared plant and schedule: starts, one
+    per row, ascending from starts[0] == 0, lets row b follow row 0 (the
+    base) up to step starts[b], where offsets[b] (p, N) is added to its
+    inputs; every law stays in place afterwards.  Until then the row is
+    the base row bit for bit, so step k runs only the rows with
+    starts <= k, and the others' history is copied from row 0 as it goes.
+
     Sums run player by player in a fixed order, so each row's arithmetic
-    does not depend on the batch: a zero offset reproduces the undeviated
-    row bit for bit, and a row equals the same plant and schedule run alone.
+    does not depend on the batch: a row equals the same plant and schedule
+    run alone, and a row that joins late equals one run from step 0 with
+    its offset at its start step.
     """
     steps, p = schedules[0].horizon, schedules[0].p
-    rows = len(schedules) if offsets is None else offsets.shape[1]
+    rows = len(schedules) if starts is None else len(starts)
     Phi = np.stack([dp.Phi for dp in plants])
     Gamma0 = np.stack([dp.Gamma0 for dp in plants])
     Gamma1 = np.stack([dp.Gamma1 for dp in plants])
@@ -75,26 +81,36 @@ def _closed_loop(plants, schedules, x0, offsets=None):
     A_coef = np.stack([s.A_coef for s in schedules], axis=1)
     B_coef = np.stack([s.B_coef for s in schedules], axis=1)
     M, N = Phi.shape[-1], Gamma0.shape[-1]
+    # joined[k]: the leading rows that run at step k.
+    joined = ([rows] * steps if starts is None else
+              np.searchsorted(starts, np.arange(steps), side="right").tolist())
     states = np.empty((rows, steps + 1, M))
     controls = np.empty((rows, steps, p, N))
-    x = np.broadcast_to(x0, (rows, M))
-    states[:, 0] = x
-    u_prev = np.zeros((rows, p, N))
+    states[:, 0] = x0
+    ran = 0
     for k in range(steps):
+        first, ran = ran, joined[k]
+        # Rows joining at this step find the base row's state and last
+        # inputs in their history.
+        x = states[:ran, k]
+        u_prev = controls[:ran, k - 1] if k else np.zeros((ran, p, N))
         u = _matvec(A_coef[k], x[:, None])
         coupled = _matvec(B_coef[k], u_prev[:, None])
         for j in range(p):
             u = u + coupled[:, :, j]
         if offsets is not None:
-            u = u + offsets[k]
+            u[first:ran] += offsets[first:ran]
         now = _matvec(Gamma0, u)
         before = _matvec(Gamma1, u_prev)
         x = _matvec(Phi, x)
         for i in range(p):
             x = x + now[:, i] + before[:, i]
-        controls[:, k] = u
-        states[:, k + 1] = x
-        u_prev = u
+        controls[:ran, k] = u
+        states[:ran, k + 1] = x
+        if ran < rows:
+            # Rows yet to join hold the base row's history.
+            controls[ran:, k] = u[0]
+            states[ran:, k + 1] = x[0]
     return states, controls
 
 
@@ -103,26 +119,38 @@ def _quadratic(v, W):
     return np.matmul(np.matmul(v[..., None, :], W), v[..., :, None])[..., 0, 0]
 
 
-def _costs(states, controls, weights):
+def _costs(states, controls, weights, players=None):
     """Batched (total, per-player) costs of (rows, ...) trajectories.
 
+    Given players, only row b's cost to controller players[b] is formed,
+    with that controller's weights, and returned alone, shaped (rows,).
+
     Each cost is a running sum in step order, terminal term first, so a
-    batch of one equals a plain step-by-step sum bit for bit.
+    batch of one equals a plain step-by-step sum bit for bit, and a cost
+    formed alone equals its entry among all the per-player costs.
     """
     steps, p = controls.shape[1:3]
-    x_run = np.stack([_quadratic(states[:, :steps], Q) for Q in weights.Q],
-                     axis=-1)
-    x_end = np.stack([_quadratic(states[:, steps], QN) for QN in weights.QN],
-                     axis=-1)
-    u_run = np.stack([_quadratic(controls[:, :, i], weights.R[i])
-                      for i in range(p)], axis=-1)
+    Q, QN, R = (np.stack(w) for w in (weights.Q, weights.QN, weights.R))
+    u = controls
+    if players is not None:
+        # Each row's own controller, as a controller axis of length one.
+        u = controls[np.arange(len(players)), :, players][:, :, None]
+        Q = Q[players, None, None]
+        QN = QN[players, None]
+        R = R[players, None, None]
+    x_run = _quadratic(states[:, :steps, None], Q)
+    x_end = _quadratic(states[:, steps, None], QN)
+    u_run = _quadratic(u, R)
     per_player = x_end
+    for k in range(steps):
+        per_player = per_player + x_run[:, k] + u_run[:, k]
+    if players is not None:
+        return per_player[:, 0]
     # Shared-objective total: first controller's state weights, everyone's
     # control effort.  Matches the per-player costs exactly when all state
     # weights coincide, which both bundled presets satisfy.
     total = x_end[:, 0]
     for k in range(steps):
-        per_player = per_player + x_run[:, k] + u_run[:, k]
         total = total + x_run[:, k, 0]
         for i in range(p):
             total = total + u_run[:, k, i]
@@ -187,18 +215,121 @@ class DeviationReport:
     tolerance: float
 
 
-def _draw_deviation(seed, trial, p, steps, N, magnitude):
-    """(player, step, delta) of one trial, from its own (seed, trial) stream."""
-    rng = np.random.default_rng((int(seed), trial))
-    player = int(rng.integers(p))
-    step = int(rng.integers(steps))
-    delta = rng.normal(size=N)
-    norm = np.linalg.norm(delta)
-    if norm == 0.0:
-        delta = np.zeros(N)
-        delta[0] = 1.0
-        norm = 1.0
-    return player, step, delta * (float(magnitude) / norm)
+# numpy's SeedSequence hashing (numpy/random/bit_generator.pyx, after
+# M. E. O'Neill's seed_seq_fe): the entropy words are hashed into a pool
+# of four uint32 words, which is then hashed out into the generator's
+# state.  Every constant depends only on a word's position, never on data.
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+
+
+def _hash_constants(init, mult, count):
+    """init * mult^j mod 2^32 for j = 0..count, as a uint32 column."""
+    out = [init]
+    for _ in range(count):
+        out.append(out[-1] * mult & _MASK32)
+    return np.array(out, dtype=np.uint32)[:, None]
+
+
+def _hashmix(values, consts):
+    """The hash of each row of values, row j under consts[j], consts[j+1]."""
+    values = (values ^ consts[:-1]) * consts[1:]
+    return values ^ (values >> 16)
+
+
+def _mix(x, y):
+    mixed = x * _MIX_MULT_L - y * _MIX_MULT_R
+    return mixed ^ (mixed >> 16)
+
+
+def _pool_state(entropy):
+    """SeedSequence(words).generate_state(4, np.uint64) for every column
+    of the (words, columns) uint32 array entropy, columns side by side."""
+    words = len(entropy)
+    hashes = _POOL_SIZE * (_POOL_SIZE + max(words - _POOL_SIZE, 0))
+    consts = _hash_constants(_INIT_A, _MULT_A, hashes)
+    pool = np.zeros((_POOL_SIZE, entropy.shape[1]), dtype=np.uint32)
+    pool[:words] = entropy[:_POOL_SIZE]
+    pool = _hashmix(pool, consts[:_POOL_SIZE + 1])
+    at = _POOL_SIZE
+    # Each pool word into every other, destinations in order.
+    for src in range(_POOL_SIZE):
+        dst = [d for d in range(_POOL_SIZE) if d != src]
+        pool[dst] = _mix(pool[dst],
+                         _hashmix(pool[src], consts[at:at + _POOL_SIZE]))
+        at += _POOL_SIZE - 1
+    # Entropy beyond the pool's size, each word into every pool word.
+    for src in range(_POOL_SIZE, words):
+        pool = _mix(pool, _hashmix(entropy[src],
+                                   consts[at:at + _POOL_SIZE + 1]))
+        at += _POOL_SIZE
+    state = _hashmix(np.concatenate((pool, pool)),
+                     _hash_constants(_INIT_B, _MULT_B, 2 * _POOL_SIZE))
+    state = state.astype(np.uint64)
+    return (state[0::2] | state[1::2] << 32).T
+
+
+def _seed_words(seed, trials):
+    """SeedSequence((seed, t)).generate_state(4, np.uint64) for every t in
+    trials, hashed together as array operations, shaped (trials, 4)."""
+    seed = int(seed)
+    if seed < 0:
+        raise ValidationError(f"seed: must be >= 0, got {seed}")
+    head = []  # numpy's split of an int into uint32 words, low word first
+    while seed or not head:
+        head.append(seed & _MASK32)
+        seed >>= 32
+    trials = np.asarray(trials, dtype=np.uint64)
+    words = np.empty((len(trials), 4), dtype=np.uint64)
+    wide = trials > _MASK32
+    for rows, width in ((~wide, 1), (wide, 2)):
+        if rows.any():
+            t = trials[rows]
+            entropy = np.empty((len(head) + width, len(t)), dtype=np.uint32)
+            entropy[:len(head)] = np.array(head, dtype=np.uint32)[:, None]
+            entropy[len(head):] = [t & _MASK32, t >> 32][:width]
+            words[rows] = _pool_state(entropy)
+    return words
+
+
+@functools.cache
+def _generator_from_words():
+    """Factory of a Generator on a stream given by its seed words.
+
+    numpy.random is imported on the first call, so importing this module
+    (and the CLI) does not load it.
+    """
+    from numpy.random import PCG64, Generator
+    from numpy.random.bit_generator import ISeedSequence
+
+    class Words(ISeedSequence):
+        """Seed words hashed ahead of time, handed to PCG64 as they are."""
+
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return lambda words: Generator(PCG64(Words(words)))
+
+
+def _draw_deviations(seed, trials, p, steps, N, magnitude):
+    """(players, steps, deltas) of the given trials, trial t drawn from
+    the stream of default_rng((seed, t)), delta scaled to the magnitude."""
+    draws = [(rng.integers(p), rng.integers(steps), rng.normal(size=N))
+             for rng in map(_generator_from_words(),
+                            _seed_words(seed, trials))]
+    players, at, deltas = (np.array(column) for column in zip(*draws))
+    # Each row's delta @ delta, the same dot as for the row alone.
+    norm = np.sqrt(np.matmul(deltas[:, None], deltas[..., None])[:, 0, 0])
+    zero = norm == 0.0
+    deltas[zero] = np.eye(N)[0]
+    norm[zero] = 1.0
+    return players, at, deltas * (float(magnitude) / norm)[:, None]
 
 
 def nash_deviation_check(dp, schedule, weights, x0, trials=200,
@@ -211,33 +342,36 @@ def nash_deviation_check(dp, schedule, weights, x0, trials=200,
     records the deviator's cost change.  Trials are seeded individually
     from (seed, trial) so they are reproducible and order independent.
 
-    All trials run as rows of one batched closed loop, row 0 being the
-    undeviated base, in blocks of DEVIATION_BLOCK rows.
+    Trials run as rows of one batched closed loop, in blocks of
+    DEVIATION_BLOCK rows led by the undeviated base row.  A trial's row is
+    the base row until its deviation step, so the rows are sorted by that
+    step and each joins the loop there; only its deviator's cost is formed.
     """
     x0 = _checked_x0(dp, schedule, weights, x0)
     trials = int(trials)
     if trials < 0:
         raise ValidationError(f"trials: must be >= 0, got {trials}")
-    rows = trials + 1
-    players = np.zeros(rows, dtype=int)
-    own_cost = np.empty(rows)
-    for start in range(0, rows, DEVIATION_BLOCK):
-        stop = min(start + DEVIATION_BLOCK, rows)
-        offsets = np.zeros((schedule.horizon, stop - start, dp.p, dp.N))
-        for row in range(max(start, 1), stop):
-            player, step, delta = _draw_deviation(
-                seed, row - 1, dp.p, schedule.horizon, dp.N, magnitude)
-            offsets[step, row - start, player] = delta
-            players[row] = player
-        _, per_player = _costs(*_closed_loop([dp], [schedule], x0, offsets),
-                               weights)
-        if start == 0:
-            base = per_player[0]
-        own_cost[start:stop] = per_player[np.arange(stop - start),
-                                          players[start:stop]]
-    deviator = players[1:]
-    change = own_cost[1:] - base[deviator]
-    margin = change + NASH_TOLERANCE * (1.0 + base[deviator])
+    change = np.empty(trials)
+    margin = np.empty(trials)
+    per_block = max(DEVIATION_BLOCK - 1, 1)
+    for first in range(0, trials, per_block):
+        stop = min(first + per_block, trials)
+        block = np.arange(first, stop)
+        players, steps, deltas = _draw_deviations(
+            seed, block, dp.p, schedule.horizon, dp.N, magnitude)
+        order = np.argsort(steps, kind="stable")
+        players = players[order]
+        offsets = np.zeros((len(block) + 1, dp.p, dp.N))
+        offsets[np.arange(1, len(block) + 1), players] = deltas[order]
+        states, controls = _closed_loop(
+            [dp], [schedule], x0, starts=np.append(0, steps[order]),
+            offsets=offsets)
+        if first == 0:
+            base = _costs(states[:1], controls[:1], weights)[1][0]
+        own = _costs(states[1:], controls[1:], weights, players)
+        change[first:stop] = own - base[players]
+        margin[first:stop] = (change[first:stop]
+                              + NASH_TOLERANCE * (1.0 + base[players]))
     min_margin = margin.min(initial=np.inf)
     return DeviationReport(
         passed=bool(min_margin >= 0.0),

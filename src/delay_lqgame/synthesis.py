@@ -58,7 +58,7 @@ class GainSchedule:
 
     A_coef[k, i] is the N x M state coefficient of controller i at step k;
     B_coef[k, i, j] is its N x N coefficient on u_j(k-1).  The stacked gain
-    L_i(k) is a derived view (see :meth:`gain`), never stored.
+    L_i(k) = -[A_i | B1_i | ... | Bp_i] at step k is never stored.
     """
 
     scheme: Scheme
@@ -94,16 +94,6 @@ class GainSchedule:
     @property
     def M(self):
         return self.A_coef.shape[3]
-
-    def coefficients(self, k, i):
-        """Stacked coefficient row [A_i | B1_i | ... | Bp_i] at step k."""
-        blocks = [self.A_coef[k, i]]
-        blocks.extend(self.B_coef[k, i, j] for j in range(self.p))
-        return np.hstack(blocks)
-
-    def gain(self, k, i):
-        """L_i(k), i.e. the negated stacked coefficients."""
-        return -self.coefficients(k, i)
 
 
 def _check_pair(dp, weights):

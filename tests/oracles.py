@@ -5,10 +5,26 @@ scaled truncated Taylor series, the integral is adaptive Simpson over that
 series, the regulator recursion is the textbook difference-equation form,
 the game oracles iterate best responses to a fixed point or eliminate the
 two-controller coupling in closed form, and the closed loop runs one
-trajectory at a time with plain per-step sums.
+trajectory at a time with plain per-step sums.  The dense deviation check
+keeps the batched check's earlier layout (every trial a full row from step
+0, every player costed) as the reference the package's check must equal.
+
+Two views of package results live here too, because only the tests use
+them: ``exp_integral`` (an interval integral as a difference of the
+package's cumulative ones), and ``coefficients`` and ``gain`` (a
+controller's stacked coefficient row and its negation).
 """
 
 import numpy as np
+
+from delay_lqgame.errors import IntervalError, ValidationError
+from delay_lqgame.lin_ops import exp_and_integral
+from delay_lqgame.simulate import (
+    DEVIATION_BLOCK,
+    NASH_TOLERANCE,
+    DeviationReport,
+    _checked_x0,
+)
 
 
 def series_expm(A, t=1.0, terms=40):
@@ -368,3 +384,159 @@ def per_trial_deviation_check(dp, schedule, weights, x0, trials, magnitude,
         min_delta = min(min_delta, change)
         min_margin = min(min_margin, change + tolerance * (1.0 + base[player]))
     return bool(min_margin >= 0.0), float(min_delta), float(min_margin)
+
+
+# ---------------------------------------------------------------------------
+# the dense batched deviation check: every trial a full row from step 0,
+# every row costed for every player
+# ---------------------------------------------------------------------------
+
+def _matvec(W, v):
+    """W @ v over the last axis of v, broadcasting the leading axes."""
+    return np.matmul(W, v[..., None])[..., 0]
+
+
+def _dense_closed_loop(plants, schedules, x0, offsets=None):
+    """Feedback loop of a batch of rows from x0; offsets[k, b, i] is added
+    to controller i's input at step k in row b."""
+    steps, p = schedules[0].horizon, schedules[0].p
+    rows = len(schedules) if offsets is None else offsets.shape[1]
+    Phi = np.stack([dp.Phi for dp in plants])
+    Gamma0 = np.stack([dp.Gamma0 for dp in plants])
+    Gamma1 = np.stack([dp.Gamma1 for dp in plants])
+    # Step axis first, so A_coef[k] is (rows or 1, p, N, M).
+    A_coef = np.stack([s.A_coef for s in schedules], axis=1)
+    B_coef = np.stack([s.B_coef for s in schedules], axis=1)
+    M, N = Phi.shape[-1], Gamma0.shape[-1]
+    states = np.empty((rows, steps + 1, M))
+    controls = np.empty((rows, steps, p, N))
+    x = np.broadcast_to(x0, (rows, M))
+    states[:, 0] = x
+    u_prev = np.zeros((rows, p, N))
+    for k in range(steps):
+        u = _matvec(A_coef[k], x[:, None])
+        coupled = _matvec(B_coef[k], u_prev[:, None])
+        for j in range(p):
+            u = u + coupled[:, :, j]
+        if offsets is not None:
+            u = u + offsets[k]
+        now = _matvec(Gamma0, u)
+        before = _matvec(Gamma1, u_prev)
+        x = _matvec(Phi, x)
+        for i in range(p):
+            x = x + now[:, i] + before[:, i]
+        controls[:, k] = u
+        states[:, k + 1] = x
+        u_prev = u
+    return states, controls
+
+
+def _quadratic(v, W):
+    """v' W v for each vector along the last axis of v."""
+    return np.matmul(np.matmul(v[..., None, :], W), v[..., :, None])[..., 0, 0]
+
+
+def _dense_costs(states, controls, weights):
+    """Batched (total, per-player) costs, running sums in step order with
+    the terminal term first."""
+    steps, p = controls.shape[1:3]
+    x_run = np.stack([_quadratic(states[:, :steps], Q) for Q in weights.Q],
+                     axis=-1)
+    x_end = np.stack([_quadratic(states[:, steps], QN) for QN in weights.QN],
+                     axis=-1)
+    u_run = np.stack([_quadratic(controls[:, :, i], weights.R[i])
+                      for i in range(p)], axis=-1)
+    per_player = x_end
+    total = x_end[:, 0]
+    for k in range(steps):
+        per_player = per_player + x_run[:, k] + u_run[:, k]
+        total = total + x_run[:, k, 0]
+        for i in range(p):
+            total = total + u_run[:, k, i]
+    return total, per_player
+
+
+def _draw_deviation(seed, trial, p, steps, N, magnitude):
+    """(player, step, delta) of one trial, from its own (seed, trial) stream."""
+    rng = np.random.default_rng((int(seed), trial))
+    player = int(rng.integers(p))
+    step = int(rng.integers(steps))
+    delta = rng.normal(size=N)
+    norm = np.linalg.norm(delta)
+    if norm == 0.0:
+        delta = np.zeros(N)
+        delta[0] = 1.0
+        norm = 1.0
+    return player, step, delta * (float(magnitude) / norm)
+
+
+def dense_deviation_check(dp, schedule, weights, x0, trials=200,
+                          magnitude=1e-2, seed=0):
+    """The deviation check with every trial a dense row of one batched loop.
+
+    All trials run as rows of one batched closed loop, row 0 being the
+    undeviated base, in blocks of DEVIATION_BLOCK rows; each row carries a
+    (horizon, p, N) offset array that is zero but at its deviation.
+    """
+    x0 = _checked_x0(dp, schedule, weights, x0)
+    trials = int(trials)
+    if trials < 0:
+        raise ValidationError(f"trials: must be >= 0, got {trials}")
+    rows = trials + 1
+    players = np.zeros(rows, dtype=int)
+    own_cost = np.empty(rows)
+    for start in range(0, rows, DEVIATION_BLOCK):
+        stop = min(start + DEVIATION_BLOCK, rows)
+        offsets = np.zeros((schedule.horizon, stop - start, dp.p, dp.N))
+        for row in range(max(start, 1), stop):
+            player, step, delta = _draw_deviation(
+                seed, row - 1, dp.p, schedule.horizon, dp.N, magnitude)
+            offsets[step, row - start, player] = delta
+            players[row] = player
+        _, per_player = _dense_costs(
+            *_dense_closed_loop([dp], [schedule], x0, offsets), weights)
+        if start == 0:
+            base = per_player[0]
+        own_cost[start:stop] = per_player[np.arange(stop - start),
+                                          players[start:stop]]
+    deviator = players[1:]
+    change = own_cost[1:] - base[deviator]
+    margin = change + NASH_TOLERANCE * (1.0 + base[deviator])
+    min_margin = margin.min(initial=np.inf)
+    return DeviationReport(
+        passed=bool(min_margin >= 0.0),
+        trials=trials,
+        min_delta=float(change.min(initial=np.inf)),
+        min_margin=float(min_margin),
+        tolerance=NASH_TOLERANCE,
+    )
+
+
+# ---------------------------------------------------------------------------
+# views of package results that only the tests use
+# ---------------------------------------------------------------------------
+
+def exp_integral(A, a, b):
+    """Integral of e^(A*s) over s in [a, b], with 0 <= a <= b.
+
+    Computed as the difference of two cumulative integrals from 0, each
+    read off an augmented-matrix exponential; no quadrature involved.
+    """
+    a = float(a)
+    b = float(b)
+    if not (0.0 <= a <= b):
+        raise IntervalError(f"interval must satisfy 0 <= a <= b, got [{a}, {b}]")
+    return exp_and_integral(A, b)[1] - exp_and_integral(A, a)[1]
+
+
+def coefficients(schedule, k, i):
+    """Stacked coefficient row [A_i | B1_i | ... | Bp_i] of controller i
+    at step k."""
+    blocks = [schedule.A_coef[k, i]]
+    blocks.extend(schedule.B_coef[k, i, j] for j in range(schedule.p))
+    return np.hstack(blocks)
+
+
+def gain(schedule, k, i):
+    """L_i(k), i.e. the negated stacked coefficients."""
+    return -coefficients(schedule, k, i)

@@ -13,7 +13,6 @@ from delay_lqgame import (
     Scheme,
     discretize,
     dump_config,
-    exp_integral,
     nash_deviation_check,
     preset_generic,
     preset_lfc,
@@ -29,6 +28,8 @@ from conftest import random_stable_plant, random_weights
 from oracles import (
     augmented_delay_lqr,
     delay_free_game,
+    exp_integral,
+    gain,
     series_expm,
     simpson_exp_integral,
     two_controller_game,
@@ -102,7 +103,7 @@ def test_criterion_2_single_controller_equivalence():
         dp = discretize(plant)
         gains = augmented_delay_lqr(dp.Phi, dp.Gamma0[0], dp.Gamma1[0],
                                     w.Q[0], w.R[0], w.QN[0], 50)
-        worst = max(np.abs(sched.gain(k, 0) - gains[k]).max()
+        worst = max(np.abs(gain(sched, k, 0) - gains[k]).max()
                     for k in range(50))
         ok &= worst <= 1e-10
     _criterion(2, "single delayed controller equals the stacked-state "

@@ -21,6 +21,8 @@ from hypothesis import strategies as st
 from delay_lqgame import (
     DelayGameError,
     GameWeights,
+    SchemaError,
+    ValidationError,
     config_to_dict,
     discretize,
     dump_config,
@@ -32,6 +34,7 @@ from delay_lqgame import (
     synthesize_for_scheme,
     write_trajectory_csv,
 )
+from delay_lqgame import cli, model
 from delay_lqgame.cli import main, schedule_from_dict, schedule_to_dict
 
 fuzz = settings(derandomize=True, deadline=None, database=None,
@@ -181,6 +184,110 @@ class TestScheduleFromDict:
     def test_mutated_gains(self, doc):
         _parses_or_raises_package_error(schedule_from_dict, doc,
                                         GENERIC.plant)
+
+
+def _leaf_paths(doc, prefix=()):
+    """Key paths of the numbers in a nested list."""
+    if isinstance(doc, list):
+        for index, value in enumerate(doc):
+            yield from _leaf_paths(value, prefix + (index,))
+    else:
+        yield prefix
+
+
+def _gains_with(key, path, value):
+    """Copy of the gains document with one entry of doc[key] replaced."""
+    doc = copy.deepcopy(GAINS_DOC)
+    parent = doc[key]
+    for index in path[:-1]:
+        parent = parent[index]
+    parent[path[-1]] = value
+    return doc
+
+
+class TestGainsNumbers:
+    """Gains entries follow the config reader's number rule: a string or a
+    boolean anywhere in A_coef or B_coef is a schema error naming the key."""
+
+    @fuzz
+    @given(key=st.sampled_from(["A_coef", "B_coef"]), data=st.data(),
+           value=st.sampled_from(["1.5", "  1.5 ", "nan", "", True, False]))
+    def test_string_or_boolean_entry_rejected(self, key, data, value):
+        path = data.draw(st.sampled_from(list(_leaf_paths(GAINS_DOC[key]))))
+        doc = _gains_with(key, path, value)
+        with pytest.raises(SchemaError, match=f"<gains>.{key}: expected a "
+                                              f"number"):
+            schedule_from_dict(doc, GENERIC.plant)
+
+    @pytest.mark.parametrize("key", ["A_coef", "B_coef"])
+    def test_cli_exits_1_naming_key(self, workdir, key):
+        doc = _gains_with(key, next(_leaf_paths(GAINS_DOC[key])), "1.5")
+        config = workdir / "generic.json"
+        config.write_text(dump_config(GENERIC))
+        gains = workdir / "string_gains.json"
+        gains.write_text(json.dumps(doc))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["simulate", "--config", str(config), "--gains",
+                         str(gains), "--out", str(workdir / "out.csv")])
+        assert code == 1
+        assert f"<gains>.{key}: expected a number, got str" in err.getvalue()
+
+
+class TestSizeBudget:
+    """Configs whose arrays would pass model.MAX_ENTRIES are rejected by
+    validation alone; nothing of their size is ever built."""
+
+    def test_horizon_past_budget_names_field(self):
+        text = _with(CONFIG_DOCS[0], "weights", "horizon", 10**9)
+        with pytest.raises(ValidationError, match="weights.horizon"):
+            load_config(text)
+
+    def test_grid_past_budget_names_field(self):
+        grid = [round(0.00001 * i, 10) for i in range(2000)]
+        text = _with(CONFIG_DOCS[0], "sweep", {"delays_grid": [grid, grid]})
+        with pytest.raises(ValidationError, match="sweep.delays_grid"):
+            load_config(text)
+
+    def test_budget_is_inclusive(self, monkeypatch):
+        # generic: horizon 3, M + p N = 4, 2 x 2 grid points.
+        monkeypatch.setattr(model, "MAX_ENTRIES", 3 * 16)
+        text = _with(CONFIG_DOCS[0], "sweep", {"delays_grid": [[0.0]] * 2})
+        assert load_config(text).weights.horizon == 3
+        with pytest.raises(ValidationError, match="weights.horizon"):
+            load_config(_with(CONFIG_DOCS[0], "weights", "horizon", 4))
+        with pytest.raises(ValidationError, match="sweep.delays_grid"):
+            load_config(_with(CONFIG_DOCS[0], "sweep",
+                              {"delays_grid": [[0.0, 0.01], [0.0]]}))
+
+    @pytest.mark.parametrize("command", ["synthesize", "simulate", "sweep",
+                                         "compare"])
+    @pytest.mark.parametrize("field,value", [
+        ("horizon", 10**9),
+        ("sweep", [[round(0.00001 * i, 10) for i in range(2000)]] * 2)])
+    def test_cli_exits_1_naming_field(self, workdir, monkeypatch, command,
+                                      field, value):
+        def never(*args, **kwargs):
+            raise AssertionError("a rejected config reached the numerics")
+
+        for name in ("synthesize_for_scheme", "run_scheme", "sweep_delays",
+                     "compare_schemes"):
+            monkeypatch.setattr(cli, name, never)
+        if field == "horizon":
+            text = _with(CONFIG_DOCS[0], "weights", "horizon", value)
+            named = "weights.horizon"
+        else:
+            text = _with(CONFIG_DOCS[0], "sweep", {"delays_grid": value})
+            named = "sweep.delays_grid"
+        config = workdir / "big.json"
+        config.write_text(text)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main([command, "--config", str(config),
+                         "--out", str(workdir / "big.out")])
+        assert code == 1
+        assert named in err.getvalue()
+        assert "Traceback" not in err.getvalue()
 
 
 class TestReadTrajectoryCsv:

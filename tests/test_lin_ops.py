@@ -12,13 +12,12 @@ from delay_lqgame import (
     SingularMatrixError,
     ValidationError,
     discretize,
-    exp_integral,
     lin_ops,
-    mat_exp,
     solve,
 )
+from delay_lqgame.lin_ops import mat_exp
 
-from oracles import series_expm, simpson_exp_integral
+from oracles import exp_integral, series_expm, simpson_exp_integral
 
 A22 = np.array([[0.0, 1.0], [-3.0, -4.0]])
 

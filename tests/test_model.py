@@ -16,14 +16,13 @@ from delay_lqgame import (
     config_to_dict,
     discretize,
     dump_config,
-    exp_integral,
     load_config,
     preset_generic,
     preset_lfc,
 )
 
 from conftest import random_stable_plant
-from oracles import simpson_exp_integral
+from oracles import exp_integral, simpson_exp_integral
 
 MINIMAL_DOC = """
 {

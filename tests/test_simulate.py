@@ -24,7 +24,12 @@ from delay_lqgame import (
 )
 
 from conftest import random_stable_plant, random_weights
-from oracles import closed_loop, per_trial_deviation_check, quadratic_costs
+from oracles import (
+    closed_loop,
+    dense_deviation_check,
+    per_trial_deviation_check,
+    quadratic_costs,
+)
 
 
 @pytest.fixture(scope="module")
@@ -339,6 +344,14 @@ def _perturbed_generic_case():
     return dp, GainSchedule(sched.scheme, A, sched.B_coef), weights, x0
 
 
+def _seeded_p1_case():
+    rng = np.random.default_rng(7)
+    plant = random_stable_plant(rng, M=3, N=2, p=1)
+    weights = random_weights(rng, 3, N=2, p=1, horizon=20)
+    dp = discretize(plant)
+    return dp, synthesize(dp, weights), weights, rng.normal(size=3)
+
+
 ORACLE_CASES = {
     "generic": lambda: _preset_case(preset_generic),
     "lfc": lambda: _preset_case(preset_lfc),
@@ -376,6 +389,69 @@ class TestAgainstPerTrialOracle:
                          .per_player_cost.max())
         assert abs(report.min_delta - min_delta) <= slack
         assert abs(report.min_margin - min_margin) <= slack
+
+
+DENSE_CASES = {**ORACLE_CASES, "p1": _seeded_p1_case}
+
+
+class TestAgainstDenseCheck:
+    """The check, whose rows join the loop at their deviation step and
+    cost only the deviator, against the dense batched form it replaced:
+    every trial a full row from step 0, every player costed."""
+
+    @pytest.mark.parametrize("case", sorted(DENSE_CASES))
+    def test_reports_equal(self, case):
+        dp, sched, weights, x0 = DENSE_CASES[case]()
+        # Blocks hold DEVIATION_BLOCK - 1 trials: 255, 256 and 257 trials
+        # end a block exactly, one past it and two past it.
+        for trials in (0, 1, 255, 256, 257, 300):
+            for magnitude in (1e-3, 1e-2, 1.0):
+                got = nash_deviation_check(dp, sched, weights, x0,
+                                           trials=trials,
+                                           magnitude=magnitude, seed=4)
+                want = dense_deviation_check(dp, sched, weights, x0,
+                                             trials=trials,
+                                             magnitude=magnitude, seed=4)
+                assert got == want, (trials, magnitude)
+                if (trials, magnitude) == (300, 1e-2):
+                    assert got.passed == (case != "perturbed")
+
+    def test_trials_cover_first_and_last_step(self):
+        # The cases above then hold rows that join at step 0, with the
+        # base row, and rows that join at the last step, after all others.
+        for make in DENSE_CASES.values():
+            dp, sched, _, _ = make()
+            _, steps, _ = simulate._draw_deviations(
+                4, np.arange(255), dp.p, sched.horizon, dp.N, 1.0)
+            assert steps.min() == 0
+            assert steps.max() == sched.horizon - 1
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5,
+                                      2**99 + 12345])
+    def test_seed_words_match_seed_sequence(self, seed):
+        trials = [*range(300), 2**32 - 1, 2**32, 2**32 + 7, 2**63 + 3]
+        want = [np.random.SeedSequence((seed, t)).generate_state(4, np.uint64)
+                for t in trials]
+        np.testing.assert_array_equal(simulate._seed_words(seed, trials),
+                                      want)
+
+    def test_draws_match_default_rng_streams(self):
+        players, steps, deltas = simulate._draw_deviations(
+            9, np.arange(50), 3, 40, 2, 0.5)
+        for t in range(50):
+            rng = np.random.default_rng((9, t))
+            assert players[t] == rng.integers(3)
+            assert steps[t] == rng.integers(40)
+            delta = rng.normal(size=2)
+            want = delta * (0.5 / np.linalg.norm(delta))
+            np.testing.assert_array_equal(deltas[t], want)
+
+    def test_negative_seed_rejected(self, generic_dp, generic_config,
+                                    generic_schedule):
+        with pytest.raises(ValidationError, match="seed"):
+            nash_deviation_check(generic_dp, generic_schedule,
+                                 generic_config.weights, generic_config.x0,
+                                 trials=1, seed=-1)
 
 
 class TestRandomizedRollouts:

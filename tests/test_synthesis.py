@@ -24,9 +24,11 @@ from conftest import random_stable_plant, random_weights
 from oracles import (
     augmented_delay_lqr,
     best_response_game,
+    coefficients,
     delay_free_game,
     delayed_best_response_game,
     finite_horizon_lqr,
+    gain,
     two_controller_game,
 )
 
@@ -175,7 +177,7 @@ class TestMultiController:
         sched = synthesize(dp, w)
         gains = regulator_gains(dp, w)
         for k in range(15):
-            np.testing.assert_allclose(sched.gain(k, 0), gains[k], rtol=0,
+            np.testing.assert_allclose(gain(sched, k, 0), gains[k], rtol=0,
                                        atol=1e-10)
 
     def test_p3_zero_delay_matches_best_response_oracle(self):
@@ -224,7 +226,7 @@ class TestSingleDelayed:
         sched = synthesize(dp1, w1)
         gains = regulator_gains(dp1, w1)
         for k in range(w1.horizon):
-            np.testing.assert_allclose(sched.gain(k, 0), gains[k], rtol=0,
+            np.testing.assert_allclose(gain(sched, k, 0), gains[k], rtol=0,
                                        atol=1e-10)
 
     def test_one_step_closed_form(self):
@@ -237,7 +239,7 @@ class TestSingleDelayed:
         lhs = w.R[0] + G0.T @ QN @ G0
         want = np.linalg.solve(lhs, np.hstack([G0.T @ QN @ dp.Phi,
                                                G0.T @ QN @ G1]))
-        np.testing.assert_allclose(sched.gain(0, 0), want, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(gain(sched, 0, 0), want, rtol=0, atol=1e-12)
 
     def test_value_recursion_identity(self, generic_dp, generic_config):
         # S(k) = P11 - L'P22L, rebuilt from the published value history.
@@ -253,7 +255,7 @@ class TestSingleDelayed:
         Q_aug[:M, :M] = w1.Q[0]
         for k in range(w1.horizon):
             S_next = values[k + 1][0]
-            L = sched.gain(k, 0)
+            L = gain(sched, k, 0)
             P11 = C.T @ S_next @ C + Q_aug
             P12 = D.T @ S_next @ C
             P22 = D.T @ S_next @ D + w1.R[0]
@@ -361,7 +363,7 @@ class TestRecursionInvariants:
             Di[M + i * N: M + (i + 1) * N] = np.eye(N)
             D.append(Di)
         for k in range(w.horizon):
-            U = [sched.coefficients(k, i) for i in range(2)]
+            U = [coefficients(sched, k, i) for i in range(2)]
             for i in range(2):
                 S_next = values[k + 1][i]
                 top = np.hstack([generic_dp.Phi] + list(generic_dp.Gamma1))
@@ -493,7 +495,7 @@ class TestGainSchedule:
         k, i = 7, 1
         want = -np.hstack([sched.A_coef[k, i], sched.B_coef[k, i, 0],
                            sched.B_coef[k, i, 1]])
-        np.testing.assert_array_equal(sched.gain(k, i), want)
+        np.testing.assert_array_equal(gain(sched, k, i), want)
 
     def test_non_finite_coefficients_rejected(self):
         A = np.zeros((2, 1, 1, 1))
