@@ -38,10 +38,10 @@ from .model import (
 )
 from .schemes import (
     compare_schemes,
-    comparison_header,
+    comparison_rows,
     run_scheme,
     sweep_delays,
-    sweep_header,
+    sweep_rows,
     synthesize_for_scheme,
     write_comparison_csv,
     write_sweep_csv,
@@ -209,22 +209,12 @@ def _cmd_simulate(args):
     return 0
 
 
-def _sweep_rows(points):
-    p = len(points[0].delays)
-    rows = []
-    for pt in points:
-        row = dict(zip(sweep_header(p),
-                       [*pt.delays, pt.j_total, *pt.j_players, pt.ratio]))
-        rows.append(row)
-    return rows
-
-
 def _cmd_sweep(args):
     config = _load_config_file(args.config)
     _warn_unshared_weights(config)
     points = sweep_delays(config)
     if args.format == "json":
-        _write_json(_sweep_rows(points), args.out)
+        _write_json(sweep_rows(points), args.out)
     else:
         write_sweep_csv(points, args.out)
     return 0
@@ -235,12 +225,7 @@ def _cmd_compare(args):
     _warn_unshared_weights(config)
     results = compare_schemes(config)
     if args.format == "json":
-        p = len(results[0].delays)
-        rows = [dict(zip(comparison_header(p),
-                         [res.scheme.value, *res.delays, res.j_total,
-                          *res.j_players]))
-                for res in results]
-        _write_json(rows, args.out)
+        _write_json(comparison_rows(results), args.out)
     else:
         write_comparison_csv(results, args.out)
     return 0

@@ -82,14 +82,16 @@ def _pade(A, m):
     return U, V
 
 
-def _expm(A):
+def _expm(A, name):
     """e^A by Pade scaling and squaring (Higham 2005): the lowest degree
     in 3/5/7/9 whose theta bounds the 1-norm, else degree 13 after
-    halving A until its 1-norm is at most theta_13, then squaring back."""
+    halving A until its 1-norm is at most theta_13, then squaring back.
+    Raises :class:`ValidationError` naming the exponential ``name`` when
+    the 1-norm or the squared result overflows."""
     norm = np.abs(A).sum(axis=0).max()
     if not np.isfinite(norm):
         raise ValidationError(
-            "matrix exponential: the argument's 1-norm overflows")
+            f"matrix exponential: {name}: the argument's 1-norm overflows")
     for m, theta in _THETA:
         if norm <= theta:
             U, V = _pade(A, m)
@@ -99,6 +101,8 @@ def _expm(A):
     E = np.linalg.solve(V - U, V + U)
     for _ in range(squarings):
         E = E @ E
+    if not np.all(np.isfinite(E)):
+        raise ValidationError(f"matrix exponential: {name} overflows")
     return E
 
 
@@ -113,7 +117,10 @@ def mat_exp(A, t=1.0):
     t = float(t)
     if not np.isfinite(t):
         raise IntervalError(f"t must be finite, got {t}")
-    return _expm(A * t)
+    # An argument, norm or square past the float range is caught by the
+    # finiteness checks of _expm, so it need not warn.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _expm(A * t, f"e^(A t) at t = {t!r}")
 
 
 def exp_and_integral(A, t):

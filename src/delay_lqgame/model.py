@@ -214,16 +214,17 @@ def _checked_weight(W, name, definite):
     W = lin_ops.as_matrix(W, name)
     if W.shape[0] != W.shape[1]:
         raise DimensionError(f"{name} must be square, got {W.shape}")
-    skew = np.abs(W - W.T).max() if W.size else 0.0
-    if skew > SYMMETRY_ATOL:
-        raise ValidationError(
-            f"weight symmetry: {name} is asymmetric by {skew:.3e}")
-    W = lin_ops.symmetrize(W)
-    # Entries near the float limit can overflow in the symmetrization or
-    # the eigenvalues; non-finite values would pass the checks below.
-    if not np.all(np.isfinite(W)):
-        raise ValidationError(f"weight range: {name} overflows")
-    eigs = np.linalg.eigvalsh(W)
+    # Entries near the float limit can overflow in the skew, the
+    # symmetrization or the eigenvalues; each is checked before use.
+    with np.errstate(over="ignore", invalid="ignore"):
+        skew = np.abs(W - W.T).max() if W.size else 0.0
+        if skew > SYMMETRY_ATOL:
+            raise ValidationError(
+                f"weight symmetry: {name} is asymmetric by {skew:.3e}")
+        W = lin_ops.symmetrize(W)
+        if not np.all(np.isfinite(W)):
+            raise ValidationError(f"weight range: {name} overflows")
+        eigs = np.linalg.eigvalsh(W)
     if not np.all(np.isfinite(eigs)):
         raise ValidationError(f"weight range: {name} has non-finite "
                               f"eigenvalues")
@@ -308,6 +309,27 @@ class GameWeights:
             for i in range(self.p))
 
 
+def check_compatible(plant, weights, x0=None):
+    """Raise :class:`DimensionError` unless the weights, and x0 when given,
+    fit the plant (continuous or discretized): one weight set per
+    controller, M x M state weights, N x N control weights, M entries of
+    x0."""
+    if weights.p != plant.p:
+        raise DimensionError(
+            f"{weights.p} weight sets for {plant.p} controllers")
+    if weights.Q[0].shape[0] != plant.M:
+        raise DimensionError(
+            f"state weights are {weights.Q[0].shape[0]}-dimensional, "
+            f"plant has {plant.M} states")
+    if weights.R[0].shape[0] != plant.N:
+        raise DimensionError(
+            f"control weights are {weights.R[0].shape[0]}-dimensional, "
+            f"controls have {plant.N}")
+    if x0 is not None and x0.shape[0] != plant.M:
+        raise DimensionError(
+            f"x0 has length {x0.shape[0]}, expected {plant.M}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """A complete experiment: plant, weights, initial state, scheme, sweep."""
@@ -319,24 +341,9 @@ class ExperimentConfig:
     sweep: tuple = None
 
     def __post_init__(self):
-        if self.weights.p != self.plant.p:
-            raise DimensionError(
-                f"{self.weights.p} weight sets for {self.plant.p} controllers")
-        if self.weights.Q[0].shape[0] != self.plant.M:
-            raise DimensionError(
-                f"state weights are {self.weights.Q[0].shape[0]}-dimensional, "
-                f"plant has {self.plant.M} states")
-        if self.weights.R[0].shape[0] != self.plant.N:
-            raise DimensionError(
-                f"control weights are {self.weights.R[0].shape[0]}-dimensional, "
-                f"controls have {self.plant.N}")
-        x0 = self.x0
-        if x0 is None:
-            x0 = np.zeros(self.plant.M)
+        x0 = np.zeros(self.plant.M) if self.x0 is None else self.x0
         x0 = np.asarray(x0, dtype=float).reshape(-1)
-        if x0.shape[0] != self.plant.M:
-            raise DimensionError(
-                f"x0 has length {x0.shape[0]}, expected {self.plant.M}")
+        check_compatible(self.plant, self.weights, x0)
         if x0.size and not np.all(np.isfinite(x0)):
             raise ValidationError("x0 contains non-finite entries")
         scheme = self.scheme

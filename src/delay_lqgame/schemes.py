@@ -2,17 +2,18 @@
 
 The schemes share one ground truth: whatever gains a scheme produces, the
 rollout always happens on the plant discretized with the *actual* delays,
-and costs always use the same convention.  The baselines differ only in
-what their designs know:
+and costs always use the same convention.  Every scheme is the one
+recursion under the config's weights; the baselines differ only in the
+plant, of the true plant's shape, that their designs are handed:
 
-* ``proposed``        - the distributed delayed-game schedule, designed on
-                        the true delayed discretization;
-* ``single_delayed``  - controller 1 designed alone on its own delayed
-                        discretization, every other controller held at
-                        zero for the whole horizon;
-* ``delay_free_game`` - the game designed as if all delays were zero,
-                        then run against the delayed plant (the
-                        design/plant mismatch is the point).
+* ``proposed``        - the true delayed discretization;
+* ``single_delayed``  - the true plant with only controller 1's input
+                        acting: every other Gamma0_i and Gamma1_i is zero,
+                        so the other controllers' coefficients solve to
+                        zero and they stay inert for the whole horizon;
+* ``delay_free_game`` - the zero-delay discretization, then run against
+                        the delayed plant (the design/plant mismatch is
+                        the point).
 """
 
 from dataclasses import dataclass, replace
@@ -49,55 +50,54 @@ class SweepPoint:
     ratio: float
 
 
-def _embed_single(schedule, p):
-    """Lift a one-controller schedule into a p-controller one; the extra
-    controllers get identically zero coefficients (they stay inert)."""
-    steps, _, N, M = schedule.A_coef.shape
-    A_coef = np.zeros((steps, p, N, M))
-    B_coef = np.zeros((steps, p, p, N, N))
-    A_coef[:, 0] = schedule.A_coef[:, 0]
-    B_coef[:, 0, 0] = schedule.B_coef[:, 0, 0]
-    return GainSchedule(schedule.scheme, A_coef, B_coef)
+def _lone_first(dp):
+    """The plant with every input but controller 1's cut off."""
+    zero = np.zeros_like(dp.Gamma0[0])
+    rest = (zero,) * (dp.p - 1)
+    return replace(dp, Gamma0=dp.Gamma0[:1] + rest,
+                   Gamma1=dp.Gamma1[:1] + rest)
 
 
-def _designs(scheme, plants, weights, points):
-    """The scheme's schedules, tagged with it, designed in one batch on the
-    discretized plants it is given (for ``delay_free_game``, zero-delay
-    ones).  A singular plant is named by its delays, ``points[b]``."""
-    p = plants[0].p
+def _designs(config, scheme, points, plants=None):
+    """The scheme's schedules, tagged with it, one per delay point.
+
+    ``plants`` are the points' true discretized plants (discretized here
+    when not given and the scheme needs them).  Each design runs the one
+    recursion under the config's weights, in one batch, on the plant the
+    scheme prescribes; the delay-free design does not depend on the point,
+    so it is synthesized once and shared.  A singular plant is named by its
+    delays.
+    """
+    count = len(points)
+    if scheme is Scheme.DELAY_FREE_GAME:
+        free = config.plant.with_delays((0.0,) * config.plant.p)
+        points, plants = [free.delays], [discretize(free)]
+    elif plants is None:
+        plants = [discretize(config.plant.with_delays(point))
+                  for point in points]
     if scheme is Scheme.SINGLE_DELAYED:
-        plants = [dp.select_controller(0) for dp in plants]
-        weights = weights.select_player(0)
+        plants = [_lone_first(dp) for dp in plants]
     try:
         # A lone plant goes through ``synthesize``, the batch-of-1 case of
         # the same recursion, so per-call tracing of that public entry
         # point (lqbench/tracing.py) still sees every single design.
-        schedules = (synthesize_batch(plants, weights) if len(plants) > 1
-                     else [synthesize(plants[0], weights)])
+        schedules = (synthesize_batch(plants, config.weights)
+                     if len(plants) > 1
+                     else [synthesize(plants[0], config.weights)])
     except CouplingSingularityError as exc:
         delays = points[exc.plant]
         raise CouplingSingularityError(
             f"{exc} at delays {delays}", exc.pivot, exc.step,
             controller=exc.controller, plant=exc.plant,
             delays=delays) from None
-    if scheme is Scheme.SINGLE_DELAYED:
-        schedules = [_embed_single(s, p) for s in schedules]
-    return [replace(s, scheme=scheme) for s in schedules]
+    schedules = [replace(s, scheme=scheme) for s in schedules]
+    # The one delay-free design serves every point.
+    return schedules if len(schedules) == count else schedules * count
 
 
 def synthesize_for_scheme(config, scheme):
-    """Gain schedule for one scheme on the config's plant, tagged with it.
-
-    Every scheme runs the one recursion; only the plant it is handed
-    differs: the true discretization (``proposed``), controller 1's part of
-    it (``single_delayed``), or the zero-delay one (``delay_free_game``).
-    """
-    scheme = Scheme(scheme)
-    plant = config.plant
-    if scheme is Scheme.DELAY_FREE_GAME:
-        plant = plant.with_delays((0.0,) * plant.p)
-    return _designs(scheme, [discretize(plant)], config.weights,
-                    [plant.delays])[0]
+    """Gain schedule for one scheme on the config's plant, tagged with it."""
+    return _designs(config, Scheme(scheme), [config.plant.delays])[0]
 
 
 def _evaluate(config, points, plants, schedules):
@@ -115,13 +115,9 @@ def _evaluate(config, points, plants, schedules):
 
 def run_scheme(config, scheme):
     """Design under the scheme's assumptions, run on the true plant."""
-    scheme = Scheme(scheme)
     points = [config.plant.delays]
     plants = [discretize(config.plant)]
-    if scheme is Scheme.DELAY_FREE_GAME:
-        schedules = [synthesize_for_scheme(config, scheme)]
-    else:
-        schedules = _designs(scheme, plants, config.weights, points)
+    schedules = _designs(config, Scheme(scheme), points, plants)
     return _evaluate(config, points, plants, schedules)[0]
 
 
@@ -147,7 +143,7 @@ def sweep_delays(config):
     if config.sweep is None:
         raise ValidationError("sweep: config has no sweep grid")
     points, plants = _grid(config)
-    schedules = _designs(Scheme.PROPOSED, plants, config.weights, points)
+    schedules = _designs(config, Scheme.PROPOSED, points, plants)
     swept = []
     for result in _evaluate(config, points, plants, schedules):
         j = result.j_players
@@ -163,18 +159,15 @@ def compare_schemes(config):
 
     Rows come back point-major: for each delay point, proposed first, then
     the single-delayed and delay-free baselines.  Each point's true plant
-    is discretized once; the two delayed designs are one batched synthesis
-    each over all points.  The delay-free design does not depend on the
-    point, so it is synthesized once for the whole grid.  Every row is
-    then rolled out in one batched closed loop.
+    is discretized once, and each scheme is one ``_designs`` call over all
+    points (the delay-free one synthesized once for the whole grid).  Every
+    row is then rolled out in one batched closed loop.
     """
     points, plants = _grid(config)
-    free = synthesize_for_scheme(config, Scheme.DELAY_FREE_GAME)
-    proposed = _designs(Scheme.PROPOSED, plants, config.weights, points)
-    single = _designs(Scheme.SINGLE_DELAYED, plants, config.weights, points)
+    designs = [_designs(config, scheme, points, plants) for scheme in Scheme]
     rows = [(point, dp, schedule)
-            for point, dp, *designs in zip(points, plants, proposed, single)
-            for schedule in (*designs, free)]
+            for point, dp, *schedules in zip(points, plants, *designs)
+            for schedule in schedules]
     return _evaluate(config, *zip(*rows))
 
 
@@ -182,39 +175,38 @@ def compare_schemes(config):
 # plot-ready tables
 # ---------------------------------------------------------------------------
 
-def sweep_header(p):
-    cols = [f"td{i + 1}" for i in range(p)]
-    cols += ["j_total"] + [f"j_{i + 1}" for i in range(p)] + ["ratio"]
-    return cols
+def _cost_columns(p):
+    return ([f"td{i + 1}" for i in range(p)] + ["j_total"]
+            + [f"j_{i + 1}" for i in range(p)])
+
+
+def sweep_rows(points):
+    """The sweep table: one {column: value} row per grid point."""
+    columns = _cost_columns(len(points[0].delays)) + ["ratio"]
+    return [dict(zip(columns, [*pt.delays, pt.j_total, *pt.j_players,
+                               pt.ratio]))
+            for pt in points]
+
+
+def comparison_rows(results):
+    """The comparison table: one {column: value} row per result."""
+    columns = ["scheme"] + _cost_columns(len(results[0].delays))
+    return [dict(zip(columns, [res.scheme.value, *res.delays, res.j_total,
+                               *res.j_players]))
+            for res in results]
+
+
+def _write_csv(rows, path):
+    lines = [",".join(rows[0])]
+    lines += [",".join(v if isinstance(v, str) else _fmt(v)
+                       for v in row.values())
+              for row in rows]
+    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def write_sweep_csv(points, path):
-    path = Path(path)
-    p = len(points[0].delays)
-    lines = [",".join(sweep_header(p))]
-    for pt in points:
-        cells = [_fmt(v) for v in pt.delays]
-        cells.append(_fmt(pt.j_total))
-        cells += [_fmt(v) for v in pt.j_players]
-        cells.append(_fmt(pt.ratio))
-        lines.append(",".join(cells))
-    path.write_text("\n".join(lines) + "\n")
-
-
-def comparison_header(p):
-    cols = ["scheme"] + [f"td{i + 1}" for i in range(p)]
-    cols += ["j_total"] + [f"j_{i + 1}" for i in range(p)]
-    return cols
+    _write_csv(sweep_rows(points), path)
 
 
 def write_comparison_csv(results, path):
-    path = Path(path)
-    p = len(results[0].delays)
-    lines = [",".join(comparison_header(p))]
-    for res in results:
-        cells = [res.scheme.value]
-        cells += [_fmt(v) for v in res.delays]
-        cells.append(_fmt(res.j_total))
-        cells += [_fmt(v) for v in res.j_players]
-        lines.append(",".join(cells))
-    path.write_text("\n".join(lines) + "\n")
+    _write_csv(comparison_rows(results), path)

@@ -15,7 +15,13 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DimensionError, SchemaError, ValidationError
-from .model import _expect_mapping, _integer, _number, _vector
+from .model import (
+    _expect_mapping,
+    _integer,
+    _number,
+    _vector,
+    check_compatible,
+)
 
 # A unilateral single-step deviation may not lower the deviator's cost by
 # more than this fraction of (1 + equilibrium cost).
@@ -166,12 +172,8 @@ def _checked_x0(dp, schedule, weights, x0):
         raise DimensionError(
             f"weights horizon {weights.horizon} != schedule horizon "
             f"{schedule.horizon}")
-    if weights.p != dp.p:
-        raise DimensionError(
-            f"{weights.p} weight sets for {dp.p} controllers")
     x0 = np.asarray(x0, dtype=float).reshape(-1)
-    if x0.shape[0] != dp.M:
-        raise DimensionError(f"x0 has length {x0.shape[0]}, expected {dp.M}")
+    check_compatible(dp, weights, x0)
     return x0
 
 

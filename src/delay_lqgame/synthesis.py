@@ -49,7 +49,7 @@ from .errors import (
     SingularMatrixError,
     ValidationError,
 )
-from .model import Scheme
+from .model import Scheme, check_compatible
 
 
 @dataclass(frozen=True)
@@ -96,20 +96,6 @@ class GainSchedule:
         return self.A_coef.shape[3]
 
 
-def _check_pair(dp, weights):
-    if weights.p != dp.p:
-        raise DimensionError(
-            f"{weights.p} weight sets for {dp.p} controllers")
-    if weights.Q[0].shape[0] != dp.M:
-        raise DimensionError(
-            f"state weights are {weights.Q[0].shape[0]}-dimensional, "
-            f"plant has {dp.M} states")
-    if weights.R[0].shape[0] != dp.N:
-        raise DimensionError(
-            f"control weights are {weights.R[0].shape[0]}-dimensional, "
-            f"controls have {dp.N}")
-
-
 def _embedded(weights, dim):
     """The M x M weights embedded top-left in dim x dim zeros, stacked."""
     M = weights[0].shape[0]
@@ -139,7 +125,7 @@ def synthesize_batch(plants, weights, return_values=False):
     if not plants:
         raise ValidationError("synthesize: no plants given")
     for dp in plants:
-        _check_pair(dp, weights)
+        check_compatible(dp, weights)
     M, N, p, steps = plants[0].M, plants[0].N, plants[0].p, weights.horizon
     batch, n, dim = len(plants), p * N, M + p * N
     # Routing D = [[Gamma0_1 ... Gamma0_p]; I] and open-loop step

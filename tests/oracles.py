@@ -9,10 +9,13 @@ trajectory at a time with plain per-step sums.  The dense deviation check
 keeps the batched check's earlier layout (every trial a full row from step
 0, every player costed) as the reference the package's check must equal.
 
-Two views of package results live here too, because only the tests use
+Views of package results live here too, because only the tests use
 them: ``exp_integral`` (an interval integral as a difference of the
-package's cumulative ones), and ``coefficients`` and ``gain`` (a
-controller's stacked coefficient row and its negation).
+package's cumulative ones), ``coefficients`` and ``gain`` (a
+controller's stacked coefficient row and its negation), and
+``lifted_single_design`` (controller 1 designed alone on its own plant and
+weights, then lifted to p controllers with zeros: the former path of the
+``single_delayed`` baseline).
 """
 
 import numpy as np
@@ -25,6 +28,7 @@ from delay_lqgame.simulate import (
     DeviationReport,
     _checked_x0,
 )
+from delay_lqgame.synthesis import GainSchedule, synthesize
 
 
 def series_expm(A, t=1.0, terms=40):
@@ -540,3 +544,15 @@ def coefficients(schedule, k, i):
 def gain(schedule, k, i):
     """L_i(k), i.e. the negated stacked coefficients."""
     return -coefficients(schedule, k, i)
+
+
+def lifted_single_design(dp, weights):
+    """Controller 1's schedule designed on its own plant and weights,
+    lifted to dp's p controllers: every other coefficient is +0.0."""
+    alone = synthesize(dp.select_controller(0), weights.select_player(0))
+    steps, _, N, M = alone.A_coef.shape
+    A_coef = np.zeros((steps, dp.p, N, M))
+    B_coef = np.zeros((steps, dp.p, dp.p, N, N))
+    A_coef[:, 0] = alone.A_coef[:, 0]
+    B_coef[:, 0, 0] = alone.B_coef[:, 0, 0]
+    return GainSchedule(alone.scheme, A_coef, B_coef)

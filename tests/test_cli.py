@@ -1,4 +1,7 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -188,6 +191,33 @@ class TestFailureModes:
         err = capsys.readouterr().err
         assert code == 1
         assert "plant-hash mismatch" in err
+
+    @pytest.mark.parametrize("path, value, message", [
+        (("plant", "A", 0, 0), 1e308,
+         "matrix exponential: e^(A t) at t = 0.05 overflows"),
+        (("weights", "Q", 0), [[1.7e308, 0.0], [0.0, 1.7e308]],
+         "weight range: Q[0] overflows"),
+    ])
+    def test_overflow_exits_1_with_one_stderr_line(self, tmp_path, path,
+                                                   value, message):
+        doc = json.loads(dump_config(preset_generic()))
+        *keys, last = path
+        parent = doc
+        for key in keys:
+            parent = parent[key]
+        parent[last] = value
+        cfg = tmp_path / "huge.json"
+        cfg.write_text(json.dumps(doc))
+        # A fresh interpreter with default warning filters, so a numpy
+        # overflow warning would show on stderr.
+        src = Path(__file__).resolve().parent.parent / "src"
+        out = subprocess.run([sys.executable, "-W", "default", "-m",
+                              "delay_lqgame", "discretize", "--config",
+                              str(cfg)],
+                             cwd=src, capture_output=True, text=True)
+        assert out.returncode == 1
+        assert out.stderr.splitlines() == [
+            f"delay-lqgame: validation error: {message}"]
 
     @pytest.mark.parametrize("scheme, plants", [
         ("proposed", 1), ("single_delayed", 1), ("delay_free_game", 2)])

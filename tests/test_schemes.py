@@ -14,11 +14,15 @@ from delay_lqgame import (
     SingularMatrixError,
     ValidationError,
     compare_schemes,
+    discretize,
     run_scheme,
     sweep_delays,
     write_comparison_csv,
     write_sweep_csv,
 )
+
+from conftest import random_stable_plant, random_weights
+from oracles import lifted_single_design
 
 
 def small_grid_config(config, grid1, grid2):
@@ -143,16 +147,15 @@ class TestCompareSchemes:
         assert calls == [(0.0, 0.004), (0.012, 0.004)]
 
 
-def singular_on_row(monkeypatch, calls_before, row):
-    """Patch the solve to fail for one plant of a batch's first step: the
-    batch starts after ``calls_before`` solves, and solves run plant by
-    plant within a step."""
+def singular_on_row(monkeypatch, row):
+    """Patch the solve to fail for one plant of the first batch's first
+    step: solves run plant by plant within a step."""
     solve = delay_lqgame.synthesis.lin_ops.solve
     calls = []
 
     def failing(A, B):
         calls.append(None)
-        if len(calls) == calls_before + row + 1:
+        if len(calls) == row + 1:
             raise SingularMatrixError("forced", 0.0, 0)
         return solve(A, B)
 
@@ -164,13 +167,11 @@ class TestSingularGridPoint:
     def test_error_names_the_point(self, command, monkeypatch,
                                    generic_config):
         cfg = small_grid_config(generic_config, [0.0, 0.012], [0.004, 0.02])
-        # compare designs the delay-free game first, one solve per step.
-        # The grid's third point, in row-major order, is (0.012, 0.004).
-        if command == "sweep":
-            run, calls_before = sweep_delays, 0
-        else:
-            run, calls_before = compare_schemes, cfg.weights.horizon
-        singular_on_row(monkeypatch, calls_before, 2)
+        # Both commands design the proposed scheme first, so the batch
+        # starts at the first solve.  The grid's third point, in row-major
+        # order, is (0.012, 0.004).
+        run = sweep_delays if command == "sweep" else compare_schemes
+        singular_on_row(monkeypatch, 2)
         with pytest.raises(CouplingSingularityError) as err:
             run(cfg)
         assert err.value.delays == (0.012, 0.004)
@@ -178,6 +179,48 @@ class TestSingularGridPoint:
         assert err.value.step == cfg.weights.horizon - 1
         assert err.value.controller == 1
         assert str(err.value).endswith("at delays (0.012, 0.004)")
+
+
+def _seeded_grid_config(M, N, p, size, seed):
+    rng = np.random.default_rng(seed)
+    plant = random_stable_plant(rng, M=M, N=N, p=p)
+    grids = [np.sort(rng.uniform(0.0, 0.98 * plant.h, size=size))
+             for _ in range(p)]
+    return ExperimentConfig(plant=plant,
+                            weights=random_weights(rng, M, N=N, p=p,
+                                                   horizon=20),
+                            sweep=grids)
+
+
+def _is_positive_zero(a):
+    return bool(np.all(a == 0.0) and not np.any(np.signbit(a)))
+
+
+class TestSingleDelayedDesign:
+    @pytest.mark.parametrize("case", ["generic", "lfc", "p3", "N2"])
+    def test_equals_lifted_lone_controller_design(self, case, generic_config,
+                                                  lfc_config):
+        # The baseline runs the p-controller recursion on the plant with
+        # only controller 1's input acting; it must equal controller 1
+        # designed alone and lifted with zeros.
+        config = {"generic": generic_config, "lfc": lfc_config,
+                  "p3": _seeded_grid_config(4, 1, 3, 3, seed=51),
+                  "N2": _seeded_grid_config(3, 2, 2, 3, seed=52)}[case]
+        rows = [r for r in compare_schemes(config)
+                if r.scheme is Scheme.SINGLE_DELAYED]
+        assert len(rows) == np.prod([len(g) for g in config.sweep])
+        for row in rows:
+            got = row.schedule
+            want = lifted_single_design(
+                discretize(config.plant.with_delays(row.delays)),
+                config.weights)
+            for g, w in ((got.A_coef, want.A_coef),
+                         (got.B_coef, want.B_coef)):
+                assert np.abs(g - w).max() <= 1e-14 * np.abs(w).max()
+            # Controllers 2..p, and controller 1's terms in their inputs.
+            assert _is_positive_zero(got.A_coef[:, 1:])
+            assert _is_positive_zero(got.B_coef[:, 1:])
+            assert _is_positive_zero(got.B_coef[:, 0, 1:])
 
 
 class TestSweep:
