@@ -3,18 +3,17 @@
 Subcommands mirror the offline/online split: ``synthesize`` computes and
 persists a gain schedule, ``simulate`` replays one (or does both in a
 single run), and ``discretize``/``sweep``/``compare``/``preset`` cover the
-remaining plumbing.  All file output is byte-deterministic: floats are
-rendered as their shortest round-trip decimals and reruns of the same
-invocation rewrite identical bytes.
+remaining plumbing.  All file output is byte-deterministic: floats, all
+finite, are written as their shortest round-trip decimals, and reruns of
+the same invocation rewrite identical bytes.
 
 Exit codes: 0 success, 1 configuration/validation failure or a path that
-cannot be read or written, 2 numerical failure (singular coupling), 64
-usage error.
+cannot be read or written, 2 numerical failure (singular coupling, or a
+closed loop whose states or costs leave the finite range), 64 usage error.
 """
 
 import argparse
 import hashlib
-import json
 import sys
 from pathlib import Path
 
@@ -24,17 +23,22 @@ from .errors import (
     DelayGameError,
     DimensionError,
     IntervalError,
+    NumericalError,
     SchemaError,
-    SingularMatrixError,
     ValidationError,
 )
 from .model import (
     PRESETS,
     Scheme,
+    _fields,
     _number,
+    _scheme,
     discretize,
     dump_config,
+    dump_json,
     load_config,
+    load_json,
+    write_csv,
 )
 from .schemes import (
     compare_schemes,
@@ -43,8 +47,6 @@ from .schemes import (
     sweep_delays,
     sweep_rows,
     synthesize_for_scheme,
-    write_comparison_csv,
-    write_sweep_csv,
 )
 from .simulate import rollout, write_trajectory_csv
 from .synthesis import GainSchedule
@@ -91,28 +93,21 @@ def _gains_array(doc, key, axes):
         raise SchemaError(path, f"expected a numeric array: {exc}") from None
     if cells.ndim != axes:
         raise SchemaError(path, f"expected {axes} axes, got {cells.ndim}")
-    # The config reader's number rule (no strings, no booleans); floats,
-    # all a gains file holds, pass without a call.
-    values = [v if type(v) is float else _number(v, path) for v in cells.flat]
+    # The config reader's number rule: finite, no strings, no booleans.
+    values = [_number(v, path) for v in cells.flat]
     return np.array(values, dtype=float).reshape(cells.shape)
 
 
 def schedule_from_dict(doc, plant):
     if not isinstance(doc, dict) or doc.get("format") != GAINS_FORMAT:
         raise SchemaError("<gains>", f"not a {GAINS_FORMAT} document")
-    for key in ("scheme", "A_coef", "B_coef", "horizon", "p"):
-        if key not in doc:
-            raise SchemaError(f"<gains>.{key}", "missing field")
+    _fields(doc, "<gains>", ("scheme", "A_coef", "B_coef", "horizon", "p"))
     if doc.get("plant_hash") != plant_hash(plant):
         raise ValidationError(
             "plant-hash mismatch: the gain schedule was synthesized for a "
             "different plant")
-    try:
-        scheme = Scheme(doc["scheme"])
-    except ValueError:
-        raise SchemaError("<gains>.scheme",
-                          f"unknown scheme {doc['scheme']!r}") from None
-    schedule = GainSchedule(scheme, _gains_array(doc, "A_coef", 4),
+    schedule = GainSchedule(_scheme(doc["scheme"], "<gains>.scheme"),
+                            _gains_array(doc, "A_coef", 4),
                             _gains_array(doc, "B_coef", 5))
     if schedule.horizon != doc["horizon"] or schedule.p != doc["p"]:
         raise SchemaError("<gains>", "coefficient arrays disagree with metadata")
@@ -126,22 +121,12 @@ def _write_text(text, out):
         Path(out).write_text(text)
 
 
-def _write_json(doc, out):
-    _write_text(json.dumps(doc, indent=2) + "\n", out)
-
-
 def _load_config_file(path):
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise SchemaError("<config>", f"not UTF-8 text: {exc}") from None
     return load_config(text)
-
-
-def _pick_scheme(config, args):
-    if getattr(args, "scheme", None):
-        return Scheme(args.scheme)
-    return config.scheme
 
 
 def _warn_unshared_weights(config):
@@ -173,15 +158,14 @@ def _cmd_discretize(args):
         "Gamma0": [g.tolist() for g in dp.Gamma0],
         "Gamma1": [g.tolist() for g in dp.Gamma1],
     }
-    _write_json(doc, args.out)
+    _write_text(dump_json(doc), args.out)
     return 0
 
 
 def _cmd_synthesize(args):
     config = _load_config_file(args.config)
-    scheme = _pick_scheme(config, args)
-    schedule = synthesize_for_scheme(config, scheme)
-    _write_json(schedule_to_dict(schedule, config.plant), args.out)
+    schedule = synthesize_for_scheme(config, args.scheme or config.scheme)
+    _write_text(dump_json(schedule_to_dict(schedule, config.plant)), args.out)
     return 0
 
 
@@ -189,45 +173,28 @@ def _cmd_simulate(args):
     config = _load_config_file(args.config)
     _warn_unshared_weights(config)
     if args.gains:
-        try:
-            doc = json.loads(Path(args.gains).read_text())
-        except (ValueError, RecursionError) as exc:
-            raise SchemaError("<gains>", f"invalid JSON: {exc}") from None
+        doc = load_json(Path(args.gains).read_bytes(), "<gains>")
         schedule = schedule_from_dict(doc, config.plant)
-        if schedule.horizon != config.weights.horizon:
-            raise ValidationError(
-                f"horizon: schedule has {schedule.horizon} steps, weights "
-                f"expect {config.weights.horizon}")
         trajectory = rollout(discretize(config.plant), schedule, config.x0,
                              config.weights)
     else:
         # One discretization of the true plant serves design and rollout.
-        result = run_scheme(config, _pick_scheme(config, args))
+        result = run_scheme(config, args.scheme or config.scheme)
         schedule, trajectory = result.schedule, result.trajectory
     write_trajectory_csv(trajectory, args.out, scheme=schedule.scheme,
                          delays=config.plant.delays, seed=args.seed)
     return 0
 
 
-def _cmd_sweep(args):
+def _cmd_table(args):
+    """sweep and compare: the table args.rows makes of args.run(config)."""
     config = _load_config_file(args.config)
     _warn_unshared_weights(config)
-    points = sweep_delays(config)
+    rows = args.rows(args.run(config))
     if args.format == "json":
-        _write_json(sweep_rows(points), args.out)
+        _write_text(dump_json(rows), args.out)
     else:
-        write_sweep_csv(points, args.out)
-    return 0
-
-
-def _cmd_compare(args):
-    config = _load_config_file(args.config)
-    _warn_unshared_weights(config)
-    results = compare_schemes(config)
-    if args.format == "json":
-        _write_json(comparison_rows(results), args.out)
-    else:
-        write_comparison_csv(results, args.out)
+        write_csv(rows, args.out)
     return 0
 
 
@@ -252,11 +219,8 @@ def _build_parser():
         if config:
             cmd.add_argument("--config", required=True,
                              help="experiment configuration JSON")
-        if out_required:
-            cmd.add_argument("--out", required=True, help="output file")
-        else:
-            cmd.add_argument("--out", default=None,
-                             help="output file (default: stdout)")
+        cmd.add_argument("--out", required=out_required, help="output file"
+                         + ("" if out_required else " (default: stdout)"))
         return cmd
 
     cmd = add("preset", _cmd_preset, "write a bundled experiment config",
@@ -282,13 +246,14 @@ def _build_parser():
     cmd.add_argument("--seed", type=int, default=0,
                      help="seed recorded in the sidecar metadata")
 
-    cmd = add("sweep", _cmd_sweep,
-              "evaluate the proposed scheme over the config's delay grid")
-    cmd.add_argument("--format", choices=("csv", "json"), default="csv")
-
-    cmd = add("compare", _cmd_compare,
-              "evaluate all three schemes per delay point")
-    cmd.add_argument("--format", choices=("csv", "json"), default="csv")
+    for name, run, rows, help_text in (
+            ("sweep", sweep_delays, sweep_rows,
+             "evaluate the proposed scheme over the config's delay grid"),
+            ("compare", compare_schemes, comparison_rows,
+             "evaluate all three schemes per delay point")):
+        cmd = add(name, _cmd_table, help_text)
+        cmd.set_defaults(run=run, rows=rows)
+        cmd.add_argument("--format", choices=("csv", "json"), default="csv")
 
     return parser
 
@@ -304,7 +269,7 @@ def main(argv=None):
     except (ValidationError, DimensionError, IntervalError) as exc:
         sys.stderr.write(f"delay-lqgame: validation error: {exc}\n")
         return 1
-    except SingularMatrixError as exc:
+    except NumericalError as exc:
         sys.stderr.write(f"delay-lqgame: numerical failure: {exc}\n")
         return 2
     except OSError as exc:

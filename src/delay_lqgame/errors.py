@@ -10,10 +10,21 @@ class DimensionError(DelayGameError):
 
 
 class IntervalError(DelayGameError):
-    """An integration interval [a, b] violates 0 <= a <= b."""
+    """A matrix exponential's time argument t is not finite."""
 
 
-class SingularMatrixError(DelayGameError):
+class NumericalError(DelayGameError):
+    """A computation failed numerically: a solve hit a singular system (the
+    subclasses), or a state or cost left the finite floating-point range,
+    first at ``step`` and, in a batch, in ``row`` (else None)."""
+
+    def __init__(self, message, step=None, row=None):
+        super().__init__(message)
+        self.step = step
+        self.row = row
+
+
+class SingularMatrixError(NumericalError):
     """A linear solve hit a pivot too small to trust.
 
     The offending pivot magnitude is kept on the exception so callers can

@@ -22,6 +22,7 @@ import enum
 import json
 import math
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -29,6 +30,7 @@ from . import lin_ops
 from .errors import (
     DelayBoundError,
     DimensionError,
+    NumericalError,
     SchemaError,
     ValidationError,
 )
@@ -309,11 +311,11 @@ class GameWeights:
             for i in range(self.p))
 
 
-def check_compatible(plant, weights, x0=None):
-    """Raise :class:`DimensionError` unless the weights, and x0 when given,
-    fit the plant (continuous or discretized): one weight set per
-    controller, M x M state weights, N x N control weights, M entries of
-    x0."""
+def check_compatible(plant, weights, x0=None, horizon=None):
+    """Raise :class:`DimensionError` unless the weights, and x0 and the
+    horizon when given, fit the plant (continuous or discretized) or the
+    trajectory: one weight set per controller, M x M state weights, N x N
+    control weights, M entries of x0, the weights' horizon."""
     if weights.p != plant.p:
         raise DimensionError(
             f"{weights.p} weight sets for {plant.p} controllers")
@@ -328,6 +330,9 @@ def check_compatible(plant, weights, x0=None):
     if x0 is not None and x0.shape[0] != plant.M:
         raise DimensionError(
             f"x0 has length {x0.shape[0]}, expected {plant.M}")
+    if horizon is not None and horizon != weights.horizon:
+        raise DimensionError(f"horizon: {horizon} steps, the weights "
+                             f"expect {weights.horizon}")
 
 
 @dataclass(frozen=True)
@@ -379,31 +384,39 @@ class ExperimentConfig:
 # configuration documents
 # ---------------------------------------------------------------------------
 
-_PLANT_KEYS = {"A", "B", "delays", "h"}
-_WEIGHT_KEYS = {"Q", "QN", "R", "horizon"}
-_TOP_KEYS = {"plant", "weights", "x0", "scheme", "sweep"}
-_SWEEP_KEYS = {"delays_grid"}
-
-
-def _expect_mapping(value, path):
+def _fields(value, path, required, optional=None):
+    """value, checked to be an object that holds every required key and,
+    unless optional is None, no key outside required and optional."""
     if not isinstance(value, dict):
         raise SchemaError(path, f"expected an object, got {type(value).__name__}")
+    if optional is not None:
+        unknown = sorted(set(value) - set(required) - set(optional))
+        if unknown:
+            raise SchemaError(f"{path}.{unknown[0]}", "unknown field")
+    missing = [key for key in required if key not in value]
+    if missing:
+        raise SchemaError(f"{path}.{missing[0]}", "missing field")
     return value
-
-
-def _reject_unknown(mapping, allowed, path):
-    unknown = sorted(set(mapping) - allowed)
-    if unknown:
-        raise SchemaError(f"{path}.{unknown[0]}", "unknown field")
 
 
 def _number(value, path):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(path, f"expected a number, got {type(value).__name__}")
     try:
-        return float(value)
+        number = float(value)
     except OverflowError:
         raise SchemaError(path, "number out of floating-point range") from None
+    if not math.isfinite(number):
+        raise SchemaError(path, f"expected a finite number, got {number}")
+    return number
+
+
+def _scheme(value, path):
+    try:
+        return Scheme(value)
+    except ValueError:
+        choices = ", ".join(s.value for s in Scheme)
+        raise SchemaError(path, f"must be one of: {choices}") from None
 
 
 def _integer(value, path):
@@ -438,27 +451,16 @@ def _matrix_list(value, path):
 def _delay(value, path):
     # Either a total delay or a {sc, ca} pair summed on ingestion.
     if isinstance(value, dict):
-        _reject_unknown(value, {"sc", "ca"}, path)
-        missing = {"sc", "ca"} - set(value)
-        if missing:
-            raise SchemaError(f"{path}.{sorted(missing)[0]}", "missing field")
+        _fields(value, path, ("ca", "sc"), ())
         return _number(value["sc"], f"{path}.sc") + _number(value["ca"], f"{path}.ca")
     return _number(value, path)
 
 
 def config_from_dict(doc):
     """Build an :class:`ExperimentConfig` from a parsed JSON document."""
-    doc = _expect_mapping(doc, "<document>")
-    _reject_unknown(doc, _TOP_KEYS, "<document>")
-    for key in ("plant", "weights"):
-        if key not in doc:
-            raise SchemaError(f"<document>.{key}", "missing field")
-
-    plant_doc = _expect_mapping(doc["plant"], "plant")
-    _reject_unknown(plant_doc, _PLANT_KEYS, "plant")
-    for key in _PLANT_KEYS:
-        if key not in plant_doc:
-            raise SchemaError(f"plant.{key}", "missing field")
+    doc = _fields(doc, "<document>", ("plant", "weights"),
+                  ("x0", "scheme", "sweep"))
+    plant_doc = _fields(doc["plant"], "plant", ("A", "B", "delays", "h"), ())
     delays_doc = plant_doc["delays"]
     if not isinstance(delays_doc, list):
         raise SchemaError("plant.delays", "expected an array")
@@ -470,11 +472,8 @@ def config_from_dict(doc):
         h=_number(plant_doc["h"], "plant.h"),
     )
 
-    weights_doc = _expect_mapping(doc["weights"], "weights")
-    _reject_unknown(weights_doc, _WEIGHT_KEYS, "weights")
-    for key in ("Q", "R", "horizon"):
-        if key not in weights_doc:
-            raise SchemaError(f"weights.{key}", "missing field")
+    weights_doc = _fields(doc["weights"], "weights", ("Q", "R", "horizon"),
+                          ("QN",))
     Q = _matrix_list(weights_doc["Q"], "weights.Q")
     QN = (_matrix_list(weights_doc["QN"], "weights.QN")
           if "QN" in weights_doc else Q)
@@ -487,24 +486,12 @@ def config_from_dict(doc):
 
     x0 = _vector(doc["x0"], "x0") if "x0" in doc else None
 
-    scheme = Scheme.PROPOSED
-    if "scheme" in doc:
-        raw = doc["scheme"]
-        if not isinstance(raw, str):
-            raise SchemaError("scheme", "expected a string")
-        try:
-            scheme = Scheme(raw)
-        except ValueError:
-            choices = ", ".join(s.value for s in Scheme)
-            raise SchemaError("scheme", f"must be one of: {choices}") from None
+    scheme = _scheme(doc.get("scheme", Scheme.PROPOSED.value), "scheme")
 
     sweep = None
     if "sweep" in doc:
-        sweep_doc = _expect_mapping(doc["sweep"], "sweep")
-        _reject_unknown(sweep_doc, _SWEEP_KEYS, "sweep")
-        if "delays_grid" not in sweep_doc:
-            raise SchemaError("sweep.delays_grid", "missing field")
-        grids = sweep_doc["delays_grid"]
+        grids = _fields(doc["sweep"], "sweep", ("delays_grid",),
+                        ())["delays_grid"]
         if not isinstance(grids, list):
             raise SchemaError("sweep.delays_grid", "expected an array of arrays")
         sweep = tuple(
@@ -531,12 +518,7 @@ def load_config(text):
           "sweep":   optional {"delays_grid": [[...], ...]}
         }
     """
-    try:
-        doc = json.loads(text)
-    except (ValueError, RecursionError) as exc:
-        # ValueError covers malformed text and over-long integer literals.
-        raise SchemaError("<document>", f"invalid JSON: {exc}") from None
-    return config_from_dict(doc)
+    return config_from_dict(load_json(text, "<document>"))
 
 
 def config_to_dict(config):
@@ -564,7 +546,46 @@ def config_to_dict(config):
 
 def dump_config(config):
     """Serialize a config to JSON text; load_config(dump_config(c)) == c."""
-    return json.dumps(config_to_dict(config), indent=2) + "\n"
+    return dump_json(config_to_dict(config))
+
+
+# ---------------------------------------------------------------------------
+# file formats: finite numbers only, floats as shortest round-trip decimals
+# (equal values, equal bytes), None as an empty CSV cell or JSON null;
+# numbers read back pass through _number
+# ---------------------------------------------------------------------------
+
+def load_json(text, path):
+    """The document in JSON text or bytes; SchemaError naming path when
+    the text is not JSON (or not UTF-8)."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers malformed text and over-long integer literals.
+        raise SchemaError(path, f"invalid JSON: {exc}") from None
+
+
+def dump_json(doc):
+    """JSON text of doc, two-space indented, with a final newline."""
+    try:
+        return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise NumericalError(f"cannot write JSON: {exc}") from None
+
+
+def _cell(value):
+    if value is None or isinstance(value, (str, int)):
+        return "" if value is None else str(value)
+    if not math.isfinite(value):
+        raise NumericalError(f"cannot write {value} to a CSV file")
+    return repr(float(value))
+
+
+def write_csv(rows, path):
+    """Write {column: value} rows, which share their columns, as CSV."""
+    lines = [",".join(rows[0])]
+    lines += [",".join(map(_cell, row.values())) for row in rows]
+    Path(path).write_text("\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -16,15 +16,15 @@ plant, of the true plant's shape, that their designs are handed:
                         the point).
 """
 
+import math
 from dataclasses import dataclass, replace
 from itertools import product
-from pathlib import Path
 
 import numpy as np
 
-from .errors import CouplingSingularityError, ValidationError
-from .model import Scheme, discretize
-from .simulate import Trajectory, _fmt, _rollouts
+from .errors import CouplingSingularityError, NumericalError, ValidationError
+from .model import Scheme, discretize, write_csv
+from .simulate import Trajectory, _rollouts
 from .synthesis import GainSchedule, synthesize, synthesize_batch
 
 
@@ -42,7 +42,8 @@ class SchemeResult:
 
 @dataclass(frozen=True)
 class SweepPoint:
-    """Proposed-scheme costs at one grid point."""
+    """Proposed-scheme costs at one grid point; ratio is j_1 / j_2, None
+    when that is undefined (one controller, or 0 / 0)."""
 
     delays: tuple
     j_total: float
@@ -102,8 +103,14 @@ def synthesize_for_scheme(config, scheme):
 
 def _evaluate(config, points, plants, schedules):
     """Roll each schedule out on its point's true discretized plant, all
-    rows in one batched closed loop."""
-    trajectories = _rollouts(plants, schedules, config.x0, config.weights)
+    rows in one batched closed loop.  A diverging row is named by its
+    scheme and delays."""
+    try:
+        trajectories = _rollouts(plants, schedules, config.x0, config.weights)
+    except NumericalError as exc:
+        raise NumericalError(
+            f"{exc} for scheme {schedules[exc.row].scheme} at delays "
+            f"{points[exc.row]}", exc.step, exc.row) from None
     return [SchemeResult(scheme=schedule.scheme, delays=point,
                          schedule=schedule, trajectory=trajectory,
                          j_total=trajectory.total_cost,
@@ -147,10 +154,11 @@ def sweep_delays(config):
     swept = []
     for result in _evaluate(config, points, plants, schedules):
         j = result.j_players
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = float(np.divide(j[0], j[1])) if len(j) > 1 else float("nan")
+        with np.errstate(all="ignore"):
+            ratio = float(np.divide(j[0], j[1])) if len(j) > 1 else math.nan
         swept.append(SweepPoint(delays=result.delays, j_total=result.j_total,
-                                j_players=j, ratio=ratio))
+                                j_players=j,
+                                ratio=ratio if math.isfinite(ratio) else None))
     return swept
 
 
@@ -196,17 +204,9 @@ def comparison_rows(results):
             for res in results]
 
 
-def _write_csv(rows, path):
-    lines = [",".join(rows[0])]
-    lines += [",".join(v if isinstance(v, str) else _fmt(v)
-                       for v in row.values())
-              for row in rows]
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
 def write_sweep_csv(points, path):
-    _write_csv(sweep_rows(points), path)
+    write_csv(sweep_rows(points), path)
 
 
 def write_comparison_csv(results, path):
-    _write_csv(comparison_rows(results), path)
+    write_csv(comparison_rows(results), path)

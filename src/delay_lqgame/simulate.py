@@ -8,19 +8,21 @@ exchange this step's inputs for use at k+1.
 """
 
 import functools
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionError, SchemaError, ValidationError
+from .errors import DimensionError, NumericalError, SchemaError, ValidationError
 from .model import (
-    _expect_mapping,
+    _fields,
     _integer,
     _number,
     _vector,
     check_compatible,
+    dump_json,
+    load_json,
+    write_csv,
 )
 
 # A unilateral single-step deviation may not lower the deviator's cost by
@@ -49,6 +51,14 @@ class Trajectory:
     def p(self):
         return self.controls.shape[1]
 
+    @property
+    def M(self):
+        return self.states.shape[1]
+
+    @property
+    def N(self):
+        return self.controls.shape[2]
+
 
 def _matvec(W, v):
     """W @ v over the last axis of v, broadcasting the leading axes.
@@ -59,6 +69,8 @@ def _matvec(W, v):
     return np.matmul(W, v[..., None])[..., 0]
 
 
+# A diverging loop overflows quietly; _costs then names the step.
+@np.errstate(over="ignore", invalid="ignore")
 def _closed_loop(plants, schedules, x0, starts=None, offsets=None):
     """Run the feedback loop for a batch of rows that all start at x0.
 
@@ -125,6 +137,7 @@ def _quadratic(v, W):
     return np.matmul(np.matmul(v[..., None, :], W), v[..., :, None])[..., 0, 0]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _costs(states, controls, weights, players=None):
     """Batched (total, per-player) costs of (rows, ...) trajectories.
 
@@ -134,6 +147,10 @@ def _costs(states, controls, weights, players=None):
     Each cost is a running sum in step order, terminal term first, so a
     batch of one equals a plain step-by-step sum bit for bit, and a cost
     formed alone equals its entry among all the per-player costs.
+
+    A non-finite cost (as any non-finite state or control makes it) raises
+    NumericalError at the row's first step whose costs, summed in step
+    order, are not finite.
     """
     steps, p = controls.shape[1:3]
     Q, QN, R = (np.stack(w) for w in (weights.Q, weights.QN, weights.R))
@@ -150,17 +167,25 @@ def _costs(states, controls, weights, players=None):
     per_player = x_end
     for k in range(steps):
         per_player = per_player + x_run[:, k] + u_run[:, k]
-    if players is not None:
-        return per_player[:, 0]
-    # Shared-objective total: first controller's state weights, everyone's
-    # control effort.  Matches the per-player costs exactly when all state
-    # weights coincide, which both bundled presets satisfy.
-    total = x_end[:, 0]
-    for k in range(steps):
-        total = total + x_run[:, k, 0]
-        for i in range(p):
-            total = total + u_run[:, k, i]
-    return total, per_player
+    total = per_player[:, 0]
+    if players is None:
+        # Shared-objective total: first controller's state weights,
+        # everyone's control effort.  Matches the per-player costs exactly
+        # when all state weights coincide, as in both bundled presets.
+        total = x_end[:, 0]
+        for k in range(steps):
+            total = total + x_run[:, k, 0]
+            for i in range(p):
+                total = total + u_run[:, k, i]
+    finite = np.isfinite(per_player).all(axis=1) & np.isfinite(total)
+    if not finite.all():
+        row = int(np.argmin(finite))
+        terms = np.append((x_run[row] + u_run[row]).sum(axis=1),
+                          x_end[row].sum())
+        step = int(np.argmin(np.isfinite(np.cumsum(terms))))
+        raise NumericalError(f"closed loop diverges: non-finite state or "
+                             f"cost at step {step}", step, row)
+    return total if players is not None else (total, per_player)
 
 
 def _checked_x0(dp, schedule, weights, x0):
@@ -168,12 +193,8 @@ def _checked_x0(dp, schedule, weights, x0):
         raise DimensionError(
             f"schedule built for (M={schedule.M}, N={schedule.N}, "
             f"p={schedule.p}), plant is (M={dp.M}, N={dp.N}, p={dp.p})")
-    if weights.horizon != schedule.horizon:
-        raise DimensionError(
-            f"weights horizon {weights.horizon} != schedule horizon "
-            f"{schedule.horizon}")
     x0 = np.asarray(x0, dtype=float).reshape(-1)
-    check_compatible(dp, weights, x0)
+    check_compatible(dp, weights, x0, schedule.horizon)
     return x0
 
 
@@ -198,9 +219,7 @@ def evaluate_costs(trajectory, weights):
     """Recompute (total, per-player) costs from a trajectory."""
     if trajectory.states.shape[0] != trajectory.horizon + 1:
         raise DimensionError("trajectory state/control lengths disagree")
-    if weights.p != trajectory.p:
-        raise DimensionError(
-            f"{weights.p} weight sets for {trajectory.p} controllers")
+    check_compatible(trajectory, weights, horizon=trajectory.horizon)
     total, per_player = _costs(trajectory.states[None],
                                trajectory.controls[None], weights)
     return float(total[0]), tuple(per_player[0])
@@ -388,11 +407,6 @@ def nash_deviation_check(dp, schedule, weights, x0, trials=200,
 # trajectory files: CSV table plus a JSON sidecar with costs and metadata
 # ---------------------------------------------------------------------------
 
-def _fmt(x):
-    # repr of a Python float: shortest decimal that round-trips.
-    return repr(float(x))
-
-
 def trajectory_header(M, p, N):
     cols = ["k"]
     cols += [f"x_{m + 1}" for m in range(M)]
@@ -410,23 +424,16 @@ def write_trajectory_csv(trajectory, path, scheme=None, delays=None, seed=0):
     """
     path = Path(path)
     steps, p, N = trajectory.controls.shape
-    M = trajectory.states.shape[1]
-    lines = [",".join(trajectory_header(M, p, N))]
-    for k in range(steps):
-        cells = [str(k)]
-        cells += [_fmt(v) for v in trajectory.states[k]]
-        for i in range(p):
-            cells += [_fmt(v) for v in trajectory.controls[k, i]]
-        lines.append(",".join(cells))
-    cells = [str(steps)] + [_fmt(v) for v in trajectory.states[steps]]
-    cells += [""] * (p * N)
-    lines.append(",".join(cells))
-    path.write_text("\n".join(lines) + "\n")
+    header = trajectory_header(trajectory.M, p, N)
+    controls = trajectory.controls.reshape(steps, p * N).tolist()
+    controls.append([None] * (p * N))
+    write_csv([dict(zip(header, [k, *x, *u])) for k, (x, u)
+               in enumerate(zip(trajectory.states.tolist(), controls))], path)
 
     sidecar = {
         "total_cost": float(trajectory.total_cost),
         "per_player_cost": [float(v) for v in trajectory.per_player_cost],
-        "M": M,
+        "M": trajectory.M,
         "N": N,
         "p": p,
         "horizon": steps,
@@ -435,36 +442,28 @@ def write_trajectory_csv(trajectory, path, scheme=None, delays=None, seed=0):
         "seed": int(seed),
     }
     sidecar_path = path.with_suffix(".json")
-    sidecar_path.write_text(json.dumps(sidecar, indent=2) + "\n")
+    sidecar_path.write_text(dump_json(sidecar))
     return sidecar_path
 
 
 def _read_sidecar(path):
     """(M, N, p, horizon, per-player costs, total cost) from a sidecar."""
     try:
-        doc = json.loads(path.read_text())
+        data = path.read_bytes()
     except FileNotFoundError:
         raise SchemaError(str(path), "missing trajectory sidecar") from None
-    except (ValueError, RecursionError) as exc:
-        raise SchemaError(str(path), f"invalid JSON: {exc}") from None
-    doc = _expect_mapping(doc, str(path))
-
-    def field(key, parse):
-        if key not in doc:
-            raise SchemaError(f"{path}.{key}", "missing field")
-        return parse(doc[key], f"{path}.{key}")
-
-    sizes = []
-    for key in ("M", "N", "p", "horizon"):
-        value = field(key, _integer)
+    keys = ("M", "N", "p", "horizon")
+    doc = _fields(load_json(data, str(path)), str(path),
+                  (*keys, "per_player_cost", "total_cost"))
+    sizes = [_integer(doc[key], f"{path}.{key}") for key in keys]
+    for key, value in zip(keys, sizes):
         if value < 1:
             raise SchemaError(f"{path}.{key}", f"must be >= 1, got {value}")
-        sizes.append(value)
-    per_player = field("per_player_cost", _vector)
+    per_player = _vector(doc["per_player_cost"], f"{path}.per_player_cost")
     if len(per_player) != sizes[2]:
         raise SchemaError(f"{path}.per_player_cost",
                           f"{len(per_player)} entries for p={sizes[2]}")
-    return (*sizes, per_player, field("total_cost", _number))
+    return (*sizes, per_player, _number(doc["total_cost"], f"{path}.total_cost"))
 
 
 def read_trajectory_csv(path):
@@ -505,7 +504,7 @@ def read_trajectory_csv(path):
         values = []
         for column, cell in zip(header[1:width], cells[1:width]):
             try:
-                values.append(float(cell))
+                values.append(_number(float(cell), f"{where} column {column}"))
             except ValueError:
                 raise SchemaError(f"{where} column {column}",
                                   f"expected a number, got {cell!r}") from None

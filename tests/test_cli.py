@@ -1,4 +1,6 @@
+import copy
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,10 +15,16 @@ from delay_lqgame import (
     DiscretePlant,
     Scheme,
     SingularMatrixError,
+    compare_schemes,
     discretize,
     dump_config,
     load_config,
     preset_generic,
+    run_scheme,
+    sweep_delays,
+    write_comparison_csv,
+    write_sweep_csv,
+    write_trajectory_csv,
 )
 from delay_lqgame.cli import main
 
@@ -367,3 +375,220 @@ class TestFailureModes:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 64
+
+    def test_gains_of_another_horizon_exit_1(self, tmp_path, cfg_path,
+                                             capsys):
+        gains = tmp_path / "gains.json"
+        assert main(["synthesize", "--config", str(cfg_path),
+                     "--out", str(gains)]) == 0
+        doc = json.loads(cfg_path.read_text())
+        doc["weights"]["horizon"] = 40
+        other = _write_doc(tmp_path, doc, "other.json")
+        code = main(["simulate", "--config", str(other), "--gains",
+                     str(gains), "--out", str(tmp_path / "t.csv")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "delay-lqgame: validation error: horizon: 50 steps, the weights "
+            "expect 40\n")
+
+
+def _strict_json(text):
+    """json.loads that refuses NaN and Infinity, which are not JSON."""
+    def refuse(constant):
+        raise ValueError(f"non-finite constant {constant} in the output")
+    return json.loads(text, parse_constant=refuse)
+
+
+def _csv_rows(path):
+    """A table CSV as {column: value} rows, numbers parsed, empty cells
+    None."""
+    header, *lines = path.read_text().splitlines()
+    return [{column: (cell if column == "scheme" else
+                      float(cell) if cell else None)
+             for column, cell in zip(header.split(","), line.split(","))}
+            for line in lines]
+
+
+def _write_doc(tmp_path, doc, name="cfg.json"):
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return path
+
+
+class TestFiniteOutputs:
+    """Every file holds finite numbers only: an undefined sweep ratio is an
+    empty CSV cell and JSON null."""
+
+    def _undefined_ratio(self, tmp_path, doc):
+        cfg = _write_doc(tmp_path, doc)
+        csv_out, json_out = tmp_path / "sweep.csv", tmp_path / "sweep.json"
+        assert main(["sweep", "--config", str(cfg), "--out",
+                     str(csv_out)]) == 0
+        assert main(["sweep", "--config", str(cfg), "--format", "json",
+                     "--out", str(json_out)]) == 0
+        rows = _strict_json(json_out.read_text())
+        assert [row["ratio"] for row in rows] == [None] * len(rows)
+        assert _csv_rows(csv_out) == rows
+        for line in csv_out.read_text().splitlines()[1:]:
+            assert line.endswith(",")
+        return rows
+
+    def test_one_controller_has_no_ratio(self, tmp_path):
+        doc = {"plant": {"A": [[0.0, 1.0], [-3.0, -4.0]],
+                         "B": [[[0.0], [1.0]]], "delays": [0.01], "h": 0.05},
+               "weights": {"Q": [[[1.0, 0.0], [0.0, 1.0]]], "R": [[[1.0]]],
+                           "horizon": 5},
+               "x0": [1.0, 0.0], "sweep": {"delays_grid": [[0.0, 0.01]]}}
+        rows = self._undefined_ratio(tmp_path, doc)
+        assert [row["td1"] for row in rows] == [0.0, 0.01]
+
+    def test_zero_costs_have_no_ratio(self, tmp_path):
+        doc = json.loads(dump_config(preset_generic()))
+        doc["x0"] = [0.0, 0.0]
+        doc["sweep"]["delays_grid"] = [[0.0, 0.02], [0.0]]
+        rows = self._undefined_ratio(tmp_path, doc)
+        assert [row["j_total"] for row in rows] == [0.0, 0.0]
+
+    def test_every_json_output_is_strict_json(self, tmp_path, cfg_path):
+        gains = tmp_path / "gains.json"
+        assert main(["synthesize", "--config", str(cfg_path),
+                     "--out", str(gains)]) == 0
+        traj = tmp_path / "traj.csv"
+        assert main(["simulate", "--config", str(cfg_path),
+                     "--gains", str(gains), "--out", str(traj)]) == 0
+        for command in ("sweep", "compare"):
+            out = tmp_path / f"{command}.json"
+            assert main([command, "--config", str(cfg_path), "--format",
+                         "json", "--out", str(out)]) == 0
+            _strict_json(out.read_text())
+        for path in (cfg_path, gains, traj.with_suffix(".json")):
+            _strict_json(path.read_text())
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity",
+                                         "1e400"])
+    @pytest.mark.parametrize("key", ["A_coef", "B_coef"])
+    def test_non_finite_gains_entry_exits_1(self, tmp_path, cfg_path,
+                                            capsys, key, literal):
+        gains = tmp_path / "gains.json"
+        assert main(["synthesize", "--config", str(cfg_path),
+                     "--out", str(gains)]) == 0
+        doc = json.loads(gains.read_text())
+        entry = doc[key]
+        while isinstance(entry[0], list):
+            entry = entry[0]
+        entry[0] = "@"
+        gains.write_text(json.dumps(doc).replace('"@"', literal))
+        code = main(["simulate", "--config", str(cfg_path), "--gains",
+                     str(gains), "--out", str(tmp_path / "t.csv")])
+        assert code == 1
+        assert (f"<gains>.{key}: expected a finite number"
+                in capsys.readouterr().err)
+
+
+DIVERGING = {
+    "plant": {"A": [[50.0]], "B": [[[1.0]], [[1.0]]],
+              "delays": [0.049, 0.049], "h": 0.05},
+    "weights": {"Q": [[[1e6]], [[1e6]]], "R": [[[1e-6]], [[1e-6]]]},
+    "x0": [1.0],
+    "scheme": "delay_free_game",
+}
+
+
+class TestDivergence:
+    """The delay-free design runs away on the delayed plant.  With 200
+    steps only its cost overflows; with 500 its states do too.  Either way
+    the run exits 2 naming the first non-finite step, and writes nothing."""
+
+    @pytest.fixture(params=[200, 500])
+    def diverging(self, request, tmp_path):
+        doc = copy.deepcopy(DIVERGING)
+        doc["weights"]["horizon"] = request.param
+        return _write_doc(tmp_path, doc)
+
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    def test_exits_2_naming_step_scheme_and_delays(self, tmp_path, capsys,
+                                                   diverging, command):
+        out = tmp_path / "out.csv"
+        code = main([command, "--config", str(diverging), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert re.fullmatch(
+            r"delay-lqgame: numerical failure: closed loop diverges: "
+            r"non-finite state or cost at step \d+ for scheme "
+            r"delay_free_game at delays \(0\.049, 0\.049\)\n", err), err
+        assert not out.exists()
+        assert not out.with_suffix(".json").exists()
+
+    def test_replayed_gains_exit_2_naming_step(self, tmp_path, capsys,
+                                               diverging):
+        gains = tmp_path / "gains.json"
+        assert main(["synthesize", "--config", str(diverging),
+                     "--out", str(gains)]) == 0
+        code = main(["simulate", "--config", str(diverging), "--gains",
+                     str(gains), "--out", str(tmp_path / "out.csv")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert re.fullmatch(r"delay-lqgame: numerical failure: closed loop "
+                            r"diverges: non-finite state or cost at step "
+                            r"\d+\n", err), err
+
+    def test_one_stderr_line_without_warnings(self, diverging):
+        # A fresh interpreter with default warning filters, so a numpy
+        # overflow warning would show on stderr.
+        src = Path(__file__).resolve().parent.parent / "src"
+        out = subprocess.run([sys.executable, "-W", "default", "-m",
+                              "delay_lqgame", "simulate", "--config",
+                              str(diverging), "--out",
+                              str(diverging.with_name("out.csv"))],
+                             cwd=src, capture_output=True, text=True)
+        assert out.returncode == 2
+        assert len(out.stderr.splitlines()) == 1, out.stderr
+        assert "closed loop diverges" in out.stderr
+
+
+class TestTableCommands:
+    @pytest.mark.parametrize("preset", ["generic", "lfc"])
+    @pytest.mark.parametrize("command", ["sweep", "compare"])
+    def test_json_rows_equal_csv_rows(self, tmp_path, preset, command):
+        cfg = tmp_path / "cfg.json"
+        assert main(["preset", "--name", preset, "--out", str(cfg)]) == 0
+        csv_out, json_out = tmp_path / "t.csv", tmp_path / "t.json"
+        assert main([command, "--config", str(cfg), "--out",
+                     str(csv_out)]) == 0
+        assert main([command, "--config", str(cfg), "--format", "json",
+                     "--out", str(json_out)]) == 0
+        rows = _strict_json(json_out.read_text())
+        assert rows == _csv_rows(csv_out)
+        config = load_config(cfg.read_text())
+        points = len(config.sweep[0]) * len(config.sweep[1])
+        assert len(rows) == points * (3 if command == "compare" else 1)
+
+    def test_unshared_weights_warn_once_and_leave_outputs(self, tmp_path,
+                                                          cfg_path, capsys):
+        config = load_config(cfg_path.read_text())
+        weights = config.weights
+        weights = replace(weights, Q=(weights.Q[0], 2.0 * weights.Q[1]))
+        config = replace(config, weights=weights, x0=np.array(config.x0))
+        cfg = tmp_path / "unshared.json"
+        cfg.write_text(dump_config(config))
+        want = tmp_path / "want"
+        want.mkdir()
+        write_sweep_csv(sweep_delays(config), want / "sweep.csv")
+        write_comparison_csv(compare_schemes(config), want / "compare.csv")
+        result = run_scheme(config, config.scheme)
+        write_trajectory_csv(result.trajectory, want / "simulate.csv",
+                             scheme=result.scheme,
+                             delays=config.plant.delays)
+        for command in ("simulate", "sweep", "compare"):
+            out = tmp_path / f"{command}.csv"
+            assert main([command, "--config", str(cfg), "--out",
+                         str(out)]) == 0
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                "warning: controllers weight the state differently; "
+                "j_total uses controller 1's state weights with every "
+                "controller's control effort\n")
+            assert out.read_bytes() == (want / out.name).read_bytes()
+        assert ((tmp_path / "simulate.json").read_bytes()
+                == (want / "simulate.json").read_bytes())

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +14,7 @@ from delay_lqgame import (
     DiscretePlant,
     ExperimentConfig,
     GameWeights,
+    NumericalError,
     SchemaError,
     Scheme,
     ValidationError,
@@ -20,6 +25,8 @@ from delay_lqgame import (
     preset_generic,
     preset_lfc,
 )
+
+from delay_lqgame.model import dump_json, write_csv
 
 from conftest import random_stable_plant
 from oracles import exp_integral, simpson_exp_integral
@@ -135,6 +142,49 @@ class TestConfigDocuments:
         with pytest.raises(SchemaError, match="proposed"):
             load_config(json.dumps(doc))
 
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity",
+                                         "1e400"])
+    @pytest.mark.parametrize("field, path", [
+        (("plant", "A", 0, 0), r"plant\.A\[0\]\[0\]"),
+        (("plant", "delays", 0, "ca"), r"plant\.delays\[0\]\.ca"),
+        (("plant", "h"), r"plant\.h"),
+        (("weights", "R", 0, 0, 0), r"weights\.R\[0\]\[0\]\[0\]"),
+        (("x0", 0), r"x0\[0\]"),
+        (("sweep", "delays_grid", 0, 0), r"sweep\.delays_grid\[0\]\[0\]"),
+    ])
+    def test_non_finite_number_names_its_field(self, field, path, literal):
+        doc = json.loads(MINIMAL_DOC)
+        doc["plant"]["delays"] = [{"sc": 0.0, "ca": 0.0}]
+        doc["x0"] = [1.0]
+        doc["sweep"] = {"delays_grid": [[0.0]]}
+        *keys, last = field
+        parent = doc
+        for key in keys:
+            parent = parent[key]
+        parent[last] = "@"
+        text = json.dumps(doc).replace('"@"', literal)
+        with pytest.raises(SchemaError,
+                           match=f"^{path}: expected a finite number"):
+            load_config(text)
+
+    def test_missing_fields_are_named_in_schema_order(self):
+        # Not in a set's iteration order, which follows the string hash
+        # seed and so changed from one process to the next.
+        doc = json.loads(MINIMAL_DOC)
+        del doc["plant"]["A"], doc["plant"]["h"]
+        code = ("from delay_lqgame import SchemaError, load_config\n"
+                "try:\n"
+                f"    load_config({json.dumps(doc)!r})\n"
+                "except SchemaError as exc:\n"
+                "    print(exc)\n")
+        src = Path(__file__).resolve().parent.parent / "src"
+        messages = {subprocess.run(
+            [sys.executable, "-c", code], cwd=src, capture_output=True,
+            text=True, check=True,
+            env={**os.environ, "PYTHONHASHSEED": str(seed)}).stdout
+            for seed in range(1, 7)}
+        assert messages == {"plant.A: missing field\n"}
+
     def test_round_trip_is_identity(self, generic_config):
         reloaded = load_config(dump_config(generic_config))
         assert config_to_dict(reloaded) == config_to_dict(generic_config)
@@ -244,3 +294,29 @@ class TestDomainTypes:
     def test_non_finite_entries_rejected(self):
         with pytest.raises(DimensionError):
             DiscretePlant(Phi=[[np.nan]], Gamma0=([[1.0]],), Gamma1=([[0.0]],))
+
+
+class TestFileEncoders:
+    def test_csv_cells(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_csv([{"k": 0, "name": "proposed", "x": 0.1, "u": None},
+                   {"k": 1, "name": "single_delayed", "x": np.float64(-2.5),
+                    "u": 1e-300}], path)
+        assert path.read_text() == ("k,name,x,u\n0,proposed,0.1,\n"
+                                    "1,single_delayed,-2.5,1e-300\n")
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_csv_refuses_non_finite(self, tmp_path, value):
+        path = tmp_path / "t.csv"
+        with pytest.raises(NumericalError):
+            write_csv([{"x": 1.0}, {"x": value}], path)
+        assert not path.exists()
+
+    def test_json_writes_none_as_null(self):
+        assert dump_json({"ratio": None, "j": [0.5]}) == (
+            '{\n  "ratio": null,\n  "j": [\n    0.5\n  ]\n}\n')
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_json_refuses_non_finite(self, value):
+        with pytest.raises(NumericalError):
+            dump_json({"rows": [{"ratio": float(value)}]})

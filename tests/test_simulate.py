@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from delay_lqgame import (
     DimensionError,
     GainSchedule,
     GameWeights,
+    NumericalError,
     SchemaError,
     Scheme,
     Trajectory,
@@ -154,6 +156,39 @@ class TestEvaluateCosts:
         assert total == tr.total_cost
         np.testing.assert_array_equal(per_player, tr.per_player_cost)
 
+    def test_weights_of_another_plant_rejected(self, generic_dp,
+                                               generic_config,
+                                               generic_schedule, lfc_config):
+        tr = rollout(generic_dp, generic_schedule, generic_config.x0,
+                     generic_config.weights)
+        with pytest.raises(DimensionError, match="state weights are "
+                                                 "9-dimensional"):
+            evaluate_costs(tr, lfc_config.weights)
+
+    def test_weights_of_another_horizon_rejected(self, generic_dp,
+                                                 generic_config,
+                                                 generic_schedule):
+        tr = rollout(generic_dp, generic_schedule, generic_config.x0,
+                     generic_config.weights)
+        short = replace(generic_config.weights, horizon=10)
+        with pytest.raises(DimensionError, match="horizon: 50 steps"):
+            evaluate_costs(tr, short)
+
+    @pytest.mark.parametrize("array, index, value, step", [
+        ("states", 7, np.inf, 7),
+        ("states", 50, np.nan, 50),
+        ("controls", 4, np.nan, 4),
+        ("states", 3, 1e200, 3),    # finite, but its cost overflows
+    ])
+    def test_non_finite_cost_names_its_first_step(self, generic_config,
+                                                  array, index, value, step):
+        arrays = {"states": np.ones((51, 2)), "controls": np.ones((50, 2, 1))}
+        arrays[array][index] = value
+        tr = Trajectory(**arrays, per_player_cost=np.zeros(2), total_cost=0.0)
+        with pytest.raises(NumericalError,
+                           match=f"non-finite state or cost at step {step}$"):
+            evaluate_costs(tr, generic_config.weights)
+
 
 class TestSerialization:
     def test_round_trip_costs_exact(self, tmp_path, generic_dp,
@@ -214,6 +249,14 @@ def _filled_final_controls(lines):
     lines[-1] = lines[-1] + "1.0"
 
 
+def _non_finite_cell(value):
+    def mutate(lines):
+        cells = lines[6].split(",")
+        cells[3] = value
+        lines[6] = ",".join(cells)
+    return mutate
+
+
 class TestTrajectoryFileDefects:
     @pytest.fixture()
     def written(self, tmp_path, generic_dp, generic_config, generic_schedule):
@@ -231,6 +274,12 @@ class TestTrajectoryFileDefects:
         (_short_row, "line 7"),
         (_non_numeric_cell, "line 7 column x_2"),
         (_filled_final_controls, "line 52"),
+        pytest.param(_non_finite_cell("nan"),
+                     "line 7 column u_1_1: expected a finite", id="nan-cell"),
+        pytest.param(_non_finite_cell("-inf"),
+                     "line 7 column u_1_1: expected a finite", id="-inf-cell"),
+        pytest.param(_non_finite_cell("1e400"),
+                     "line 7 column u_1_1: expected a finite", id="1e400-cell"),
     ])
     def test_malformed_rows_name_file_and_line(self, written, mutate, where):
         lines = written.read_text().splitlines()
@@ -263,6 +312,18 @@ class TestTrajectoryFileDefects:
         del doc[key]
         sidecar.write_text(json.dumps(doc))
         with pytest.raises(SchemaError, match=f"traj.json.{key}: missing"):
+            read_trajectory_csv(written)
+
+    @pytest.mark.parametrize("key, value", [
+        ("total_cost", float("nan")), ("total_cost", float("inf")),
+        ("per_player_cost", [1.0, float("-inf")])])
+    def test_sidecar_non_finite_number(self, written, key, value):
+        sidecar = written.with_suffix(".json")
+        doc = json.loads(sidecar.read_text())
+        doc[key] = value
+        sidecar.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError, match=f"traj.json.{key}.*: expected "
+                                              f"a finite number"):
             read_trajectory_csv(written)
 
 
