@@ -8,8 +8,9 @@ finite, are written as their shortest round-trip decimals, and reruns of
 the same invocation rewrite identical bytes.
 
 Exit codes: 0 success, 1 configuration/validation failure or a path that
-cannot be read or written, 2 numerical failure (singular coupling, or a
-closed loop whose states or costs leave the finite range), 64 usage error.
+cannot be read or written, 2 numerical failure (singular coupling, a value
+recursion or a closed loop that leaves the finite range; a design or a
+rollout also names its scheme and delays), 64 usage error.
 """
 
 import argparse

@@ -15,13 +15,19 @@ class IntervalError(DelayGameError):
 
 class NumericalError(DelayGameError):
     """A computation failed numerically: a solve hit a singular system (the
-    subclasses), or a state or cost left the finite floating-point range,
-    first at ``step`` and, in a batch, in ``row`` (else None)."""
+    subclasses), or a value matrix, state or cost left the finite
+    floating-point range, first at ``step``.
+
+    In a batch, ``row`` is the failing row's index (else None); a scheme
+    command also names the row's scheme in the message and sets ``delays``
+    to its delay point (else None).
+    """
 
     def __init__(self, message, step=None, row=None):
         super().__init__(message)
         self.step = step
         self.row = row
+        self.delays = None
 
 
 class SingularMatrixError(NumericalError):
@@ -44,17 +50,15 @@ class CouplingSingularityError(SingularMatrixError):
 
     Carries the backward-recursion step index and, when the failure is
     attributable to one controller, its 1-based index (else None).  A
-    batched synthesis adds the failing plant's index in the batch, and a
-    delay grid the delays of that plant's point (else None).
+    batched synthesis adds the failing plant's index in the batch as
+    ``plant``, which is also its ``row``.
     """
 
-    def __init__(self, message, pivot, step, controller=None, plant=None,
-                 delays=None):
+    def __init__(self, message, pivot, step, controller=None, plant=None):
         super().__init__(message, pivot)
         self.step = int(step)
         self.controller = controller
-        self.plant = plant
-        self.delays = delays
+        self.plant = self.row = plant
 
 
 class ValidationError(DelayGameError):

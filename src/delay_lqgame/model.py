@@ -315,7 +315,8 @@ def check_compatible(plant, weights, x0=None, horizon=None):
     """Raise :class:`DimensionError` unless the weights, and x0 and the
     horizon when given, fit the plant (continuous or discretized) or the
     trajectory: one weight set per controller, M x M state weights, N x N
-    control weights, M entries of x0, the weights' horizon."""
+    control weights, M entries of x0, the weights' horizon.  A non-finite
+    x0 entry raises :class:`ValidationError`."""
     if weights.p != plant.p:
         raise DimensionError(
             f"{weights.p} weight sets for {plant.p} controllers")
@@ -330,6 +331,8 @@ def check_compatible(plant, weights, x0=None, horizon=None):
     if x0 is not None and x0.shape[0] != plant.M:
         raise DimensionError(
             f"x0 has length {x0.shape[0]}, expected {plant.M}")
+    if x0 is not None and not np.all(np.isfinite(x0)):
+        raise ValidationError("x0 contains non-finite entries")
     if horizon is not None and horizon != weights.horizon:
         raise DimensionError(f"horizon: {horizon} steps, the weights "
                              f"expect {weights.horizon}")
@@ -349,8 +352,6 @@ class ExperimentConfig:
         x0 = np.zeros(self.plant.M) if self.x0 is None else self.x0
         x0 = np.asarray(x0, dtype=float).reshape(-1)
         check_compatible(self.plant, self.weights, x0)
-        if x0.size and not np.all(np.isfinite(x0)):
-            raise ValidationError("x0 contains non-finite entries")
         scheme = self.scheme
         if not isinstance(scheme, Scheme):
             scheme = Scheme(scheme)

@@ -22,7 +22,7 @@ from itertools import product
 
 import numpy as np
 
-from .errors import CouplingSingularityError, NumericalError, ValidationError
+from .errors import NumericalError, ValidationError
 from .model import Scheme, discretize, write_csv
 from .simulate import Trajectory, _rollouts
 from .synthesis import GainSchedule, synthesize, synthesize_batch
@@ -59,6 +59,13 @@ def _lone_first(dp):
                    Gamma1=dp.Gamma1[:1] + rest)
 
 
+def _named(exc, scheme, delays):
+    """``exc`` of a failing batch row, named by the row's scheme and delays."""
+    exc.args = (f"{exc} for scheme {scheme} at delays {delays}",)
+    exc.delays = delays
+    return exc
+
+
 def _designs(config, scheme, points, plants=None):
     """The scheme's schedules, tagged with it, one per delay point.
 
@@ -66,8 +73,8 @@ def _designs(config, scheme, points, plants=None):
     when not given and the scheme needs them).  Each design runs the one
     recursion under the config's weights, in one batch, on the plant the
     scheme prescribes; the delay-free design does not depend on the point,
-    so it is synthesized once and shared.  A singular plant is named by its
-    delays.
+    so it is synthesized once and shared.  A failing design is named by its
+    scheme and delays.
     """
     count = len(points)
     if scheme is Scheme.DELAY_FREE_GAME:
@@ -85,12 +92,8 @@ def _designs(config, scheme, points, plants=None):
         schedules = (synthesize_batch(plants, config.weights)
                      if len(plants) > 1
                      else [synthesize(plants[0], config.weights)])
-    except CouplingSingularityError as exc:
-        delays = points[exc.plant]
-        raise CouplingSingularityError(
-            f"{exc} at delays {delays}", exc.pivot, exc.step,
-            controller=exc.controller, plant=exc.plant,
-            delays=delays) from None
+    except NumericalError as exc:
+        raise _named(exc, scheme, points[exc.row])
     schedules = [replace(s, scheme=scheme) for s in schedules]
     # The one delay-free design serves every point.
     return schedules if len(schedules) == count else schedules * count
@@ -101,16 +104,24 @@ def synthesize_for_scheme(config, scheme):
     return _designs(config, Scheme(scheme), [config.plant.delays])[0]
 
 
-def _evaluate(config, points, plants, schedules):
-    """Roll each schedule out on its point's true discretized plant, all
-    rows in one batched closed loop.  A diverging row is named by its
-    scheme and delays."""
+def _results(config, schemes, points):
+    """Every scheme at every delay point: rows point-major, schemes in the
+    order given.
+
+    Each point's true plant is discretized once and each scheme is one
+    ``_designs`` call over all points; every row is then rolled out on its
+    point's true plant in one batched closed loop.
+    """
+    plants = [discretize(config.plant.with_delays(point)) for point in points]
+    designs = [_designs(config, scheme, points, plants) for scheme in schemes]
+    rows = [(point, dp, schedule)
+            for point, dp, *schedules in zip(points, plants, *designs)
+            for schedule in schedules]
+    points, plants, schedules = zip(*rows)
     try:
         trajectories = _rollouts(plants, schedules, config.x0, config.weights)
     except NumericalError as exc:
-        raise NumericalError(
-            f"{exc} for scheme {schedules[exc.row].scheme} at delays "
-            f"{points[exc.row]}", exc.step, exc.row) from None
+        raise _named(exc, schedules[exc.row].scheme, points[exc.row])
     return [SchemeResult(scheme=schedule.scheme, delays=point,
                          schedule=schedule, trajectory=trajectory,
                          j_total=trajectory.total_cost,
@@ -122,37 +133,21 @@ def _evaluate(config, points, plants, schedules):
 
 def run_scheme(config, scheme):
     """Design under the scheme's assumptions, run on the true plant."""
-    points = [config.plant.delays]
-    plants = [discretize(config.plant)]
-    schedules = _designs(config, Scheme(scheme), points, plants)
-    return _evaluate(config, points, plants, schedules)[0]
-
-
-def _grid(config):
-    """Delay points in row-major grid order (just the config's delays
-    without a grid) and each point's true plant, discretized once."""
-    if config.sweep is None:
-        points = [config.plant.delays]
-    else:
-        points = [tuple(point) for point in product(*config.sweep)]
-    return points, [discretize(config.plant.with_delays(point))
-                    for point in points]
+    return _results(config, [Scheme(scheme)], [config.plant.delays])[0]
 
 
 def sweep_delays(config):
     """Proposed-scheme costs over the config's delay grid.
 
-    Points come in deterministic row-major grid order.  All points are
-    designed in one batched synthesis and rolled out in one batched
-    closed loop.  Grid values outside [0, h) are rejected before any
-    computation by config validation.
+    Points come in deterministic row-major grid order, all designed in one
+    batched synthesis and rolled out in one batched closed loop.  Config
+    validation rejects grid values outside [0, h) before any computation.
     """
     if config.sweep is None:
         raise ValidationError("sweep: config has no sweep grid")
-    points, plants = _grid(config)
-    schedules = _designs(config, Scheme.PROPOSED, points, plants)
     swept = []
-    for result in _evaluate(config, points, plants, schedules):
+    for result in _results(config, [Scheme.PROPOSED],
+                           list(product(*config.sweep))):
         j = result.j_players
         with np.errstate(all="ignore"):
             ratio = float(np.divide(j[0], j[1])) if len(j) > 1 else math.nan
@@ -166,17 +161,12 @@ def compare_schemes(config):
     """All three schemes at every grid point (or just the config's delays).
 
     Rows come back point-major: for each delay point, proposed first, then
-    the single-delayed and delay-free baselines.  Each point's true plant
-    is discretized once, and each scheme is one ``_designs`` call over all
-    points (the delay-free one synthesized once for the whole grid).  Every
-    row is then rolled out in one batched closed loop.
+    the single-delayed and delay-free baselines, the delay-free design
+    synthesized once for the whole grid.
     """
-    points, plants = _grid(config)
-    designs = [_designs(config, scheme, points, plants) for scheme in Scheme]
-    rows = [(point, dp, schedule)
-            for point, dp, *schedules in zip(points, plants, *designs)
-            for schedule in schedules]
-    return _evaluate(config, *zip(*rows))
+    points = ([config.plant.delays] if config.sweep is None
+              else list(product(*config.sweep)))
+    return _results(config, list(Scheme), points)
 
 
 # ---------------------------------------------------------------------------

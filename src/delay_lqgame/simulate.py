@@ -350,7 +350,7 @@ def _draw_deviations(seed, trials, p, steps, N, magnitude):
     zero = norm == 0.0
     deltas[zero] = np.eye(N)[0]
     norm[zero] = 1.0
-    return players, at, deltas * (float(magnitude) / norm)[:, None]
+    return players, at, deltas * (magnitude / norm)[:, None]
 
 
 def nash_deviation_check(dp, schedule, weights, x0, trials=200,
@@ -372,6 +372,9 @@ def nash_deviation_check(dp, schedule, weights, x0, trials=200,
     trials = int(trials)
     if trials < 0:
         raise ValidationError(f"trials: must be >= 0, got {trials}")
+    magnitude = float(magnitude)
+    if not np.isfinite(magnitude):
+        raise ValidationError(f"magnitude: must be finite, got {magnitude}")
     change = np.empty(trials)
     margin = np.empty(trials)
     per_block = max(DEVIATION_BLOCK - 1, 1)

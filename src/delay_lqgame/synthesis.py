@@ -46,6 +46,7 @@ from . import lin_ops
 from .errors import (
     CouplingSingularityError,
     DimensionError,
+    NumericalError,
     SingularMatrixError,
     ValidationError,
 )
@@ -104,6 +105,8 @@ def _embedded(weights, dim):
     return out
 
 
+# An overflowing value matrix is reported by the next step's solve.
+@np.errstate(over="ignore", invalid="ignore")
 def synthesize_batch(plants, weights, return_values=False):
     """Gain schedules, each tagged ``proposed``, for plants that share M, N,
     p and the weights.
@@ -116,7 +119,8 @@ def synthesize_batch(plants, weights, return_values=False):
     schedule equals a batch-of-1 call bit for bit.  Raises
     :class:`CouplingSingularityError` with the step, the controller whose
     block holds the smallest pivot, and the plant's index in the batch if
-    a system is singular.
+    a system is singular, and :class:`NumericalError` with the step and
+    the plant's index if the value recursion leaves the finite range.
 
     With ``return_values`` the value-matrix history is returned as a second
     output: values[k, b, i] is S_i(k) of plant b, k = 0..horizon.
@@ -159,6 +163,10 @@ def synthesize_batch(plants, weights, return_values=False):
         for b in range(batch):
             try:
                 U[k, b] = lin_ops.solve(G[b], W[b])
+            except DimensionError:
+                # Only non-finite entries fail the solve's input check.
+                raise NumericalError(f"value recursion leaves the finite "
+                                     f"range at step {k}", k, b) from None
             except SingularMatrixError as exc:
                 controller = exc.index // N + 1
                 which = f" of plant {b}" if batch > 1 else ""

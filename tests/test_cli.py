@@ -546,6 +546,40 @@ class TestDivergence:
         assert "closed loop diverges" in out.stderr
 
 
+OVERFLOWING = {
+    "plant": {"A": [[300.0, 0.0], [0.0, -1.0]],
+              "B": [[[0.0], [1.0]], [[0.0], [2.0]]],
+              "delays": [0.01, 0.02], "h": 0.05},
+    "weights": {"Q": [[[1.0, 0.0], [0.0, 1.0]]] * 2, "R": [[[1.0]]] * 2,
+                "horizon": 100},
+    "x0": [0.0, 1.0],
+}
+
+
+class TestValueOverflow:
+    """A 300/s mode drives the proposed design's value matrices past the
+    float range: the run exits 2 naming the step, the scheme and the
+    delays, with no numpy warning, and writes nothing."""
+
+    @pytest.mark.parametrize("command", ["synthesize", "simulate",
+                                         "compare"])
+    def test_exits_2_with_one_stderr_line(self, tmp_path, command):
+        cfg = _write_doc(tmp_path, OVERFLOWING)
+        out = tmp_path / "out.csv"
+        src = Path(__file__).resolve().parent.parent / "src"
+        run = subprocess.run([sys.executable, "-W", "default", "-m",
+                              "delay_lqgame", command, "--config", str(cfg),
+                              "--out", str(out)],
+                             cwd=src, capture_output=True, text=True)
+        assert run.returncode == 2
+        assert run.stderr == (
+            "delay-lqgame: numerical failure: value recursion leaves the "
+            "finite range at step 75 for scheme proposed at delays "
+            "(0.01, 0.02)\n")
+        assert not out.exists()
+        assert not out.with_suffix(".json").exists()
+
+
 class TestTableCommands:
     @pytest.mark.parametrize("preset", ["generic", "lfc"])
     @pytest.mark.parametrize("command", ["sweep", "compare"])

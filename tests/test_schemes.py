@@ -148,8 +148,8 @@ class TestCompareSchemes:
 
 
 def singular_on_row(monkeypatch, row):
-    """Patch the solve to fail for one plant of the first batch's first
-    step: solves run plant by plant within a step."""
+    """Patch the solve to fail at its call after ``row`` others: solves
+    run plant by plant within a step, and design by design."""
     solve = delay_lqgame.synthesis.lin_ops.solve
     calls = []
 
@@ -179,6 +179,31 @@ class TestSingularGridPoint:
         assert err.value.step == cfg.weights.horizon - 1
         assert err.value.controller == 1
         assert str(err.value).endswith("at delays (0.012, 0.004)")
+
+    @pytest.mark.parametrize("scheme, row, delays", [
+        (Scheme.SINGLE_DELAYED, 2, (0.012, 0.004)),
+        (Scheme.DELAY_FREE_GAME, 0, (0.0, 0.0)),
+    ])
+    def test_baseline_design_names_its_scheme(self, scheme, row, delays,
+                                              monkeypatch, generic_config):
+        cfg = small_grid_config(generic_config, [0.0, 0.012], [0.004, 0.02])
+        # compare designs proposed, then single_delayed, each over the four
+        # points in one batch, then the one delay-free plant.  Failing the
+        # baseline's first step at (0.012, 0.004) skips the earlier
+        # batches' solves, four per step; the delay-free design has one
+        # plant, at zero delays.
+        horizon = cfg.weights.horizon
+        skipped = {Scheme.SINGLE_DELAYED: 4 * horizon + 2,
+                   Scheme.DELAY_FREE_GAME: 8 * horizon}[scheme]
+        singular_on_row(monkeypatch, skipped)
+        with pytest.raises(CouplingSingularityError) as err:
+            compare_schemes(cfg)
+        assert err.value.delays == delays
+        assert err.value.row == err.value.plant == row
+        assert err.value.step == horizon - 1
+        assert err.value.controller == 1
+        assert str(err.value).endswith(
+            f"for scheme {scheme.value} at delays {delays}")
 
 
 def _seeded_grid_config(M, N, p, size, seed):

@@ -131,6 +131,13 @@ class TestRollout:
             rollout(dp1, generic_schedule, np.zeros(2),
                     generic_config.weights)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_x0_rejected(self, generic_dp, generic_config,
+                                    generic_schedule, bad):
+        with pytest.raises(ValidationError, match="x0 contains non-finite"):
+            rollout(generic_dp, generic_schedule, [bad, 0.0],
+                    generic_config.weights)
+
 
 class TestEvaluateCosts:
     def test_zero_trajectory(self, generic_config):
@@ -382,6 +389,23 @@ class TestNashDeviation:
             nash_deviation_check(generic_dp, generic_schedule,
                                  generic_config.weights, generic_config.x0,
                                  trials=-1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_x0_rejected(self, generic_dp, generic_config,
+                                    generic_schedule, bad):
+        with pytest.raises(ValidationError, match="x0 contains non-finite"):
+            nash_deviation_check(generic_dp, generic_schedule,
+                                 generic_config.weights, [bad, 0.0],
+                                 trials=5)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_magnitude_rejected(self, generic_dp, generic_config,
+                                           generic_schedule, bad):
+        with pytest.raises(ValidationError,
+                           match=f"magnitude: must be finite, got {bad}"):
+            nash_deviation_check(generic_dp, generic_schedule,
+                                 generic_config.weights, generic_config.x0,
+                                 trials=5, magnitude=bad)
 
 
 def _seeded_p3_case():

@@ -6,11 +6,13 @@ import pytest
 
 import delay_lqgame.synthesis
 from delay_lqgame import (
+    ContinuousPlant,
     CouplingSingularityError,
     DimensionError,
     DiscretePlant,
     GainSchedule,
     GameWeights,
+    NumericalError,
     Scheme,
     SingularMatrixError,
     ValidationError,
@@ -486,6 +488,20 @@ class TestBatch:
             synthesize_batch(plants, generic_config.weights)
         assert (err.value.plant, err.value.step, err.value.controller) == (
             2, 49, 2)
+
+    def test_overflow_named_by_step_and_plant(self, generic_dp):
+        # A 300/s mode grows the value matrices ~1e13-fold a step, so
+        # S(76) overflows and step 75's system is not finite.
+        unstable = ContinuousPlant(A=[[300.0, 0.0], [0.0, -1.0]],
+                                   B=([[0.0], [1.0]], [[0.0], [2.0]]),
+                                   delays=(0.01, 0.02), h=0.05)
+        with pytest.raises(NumericalError) as err:
+            synthesize_batch([generic_dp, discretize(unstable)],
+                             eye_weights(2, 2, 100))
+        assert type(err.value) is NumericalError
+        assert str(err.value) == ("value recursion leaves the finite range "
+                                  "at step 75")
+        assert (err.value.step, err.value.row) == (75, 1)
 
 
 class TestGainSchedule:
