@@ -63,9 +63,19 @@ class Trajectory:
 def _matvec(W, v):
     """W @ v over the last axis of v, broadcasting the leading axes.
 
-    numpy multiplies one (matrix, vector) pair at a time here, so every
-    row of a batch gets exactly the products an unbatched call would.
+    A product of more than one term (inner dimension above 1, as Phi x
+    and A_coef x) goes to np.matmul, which multiplies one (matrix, vector)
+    pair at a time, through BLAS or its own loop, so every row of a batch
+    gets exactly the products an unbatched call would.  A one-term product
+    (W one column wide, as every input product with N = 1) is an
+    elementwise multiply plus 0.0: matmul sums it onto zero, 0 + w*v,
+    so this is the same number, sign of zero included, without matmul's
+    dispatch per pair.  The tests hold both forms to the same bytes.
     """
+    if W.shape[-1] == 1:
+        product = W[..., 0] * v
+        product += 0.0
+        return product
     return np.matmul(W, v[..., None])[..., 0]
 
 
@@ -133,7 +143,15 @@ def _closed_loop(plants, schedules, x0, starts=None, offsets=None):
 
 
 def _quadratic(v, W):
-    """v' W v for each vector along the last axis of v."""
+    """v' W v for each vector along the last axis of v, formed as
+    np.matmul forms (v' W) v.
+
+    Vectors of more than one entry (the states' x'Qx) go to np.matmul;
+    one-entry vectors (the controls' u'Ru with N = 1) take the one-term
+    form of _matvec for both products, elementwise plus 0.0.
+    """
+    if W.shape[-1] == 1:
+        return (v[..., 0] * W[..., 0, 0] + 0.0) * v[..., 0] + 0.0
     return np.matmul(np.matmul(v[..., None, :], W), v[..., :, None])[..., 0, 0]
 
 
@@ -340,13 +358,44 @@ def _generator_from_words():
 
 def _draw_deviations(seed, trials, p, steps, N, magnitude):
     """(players, steps, deltas) of the given trials, trial t drawn from
-    the stream of default_rng((seed, t)), delta scaled to the magnitude."""
-    draws = [(rng.integers(p), rng.integers(steps), rng.normal(size=N))
-             for rng in map(_generator_from_words(),
-                            _seed_words(seed, trials))]
-    players, at, deltas = (np.array(column) for column in zip(*draws))
+    the stream of default_rng((seed, t)), delta scaled to the magnitude.
+
+    Trial t's integers(p), integers(steps), normal(size=N) are read off
+    its stream without calling integers.  With PCG64, integers(n) for
+    2 <= n < 2^32 (a player count or a horizon is far below 2^32 under
+    model.MAX_ENTRIES) takes one 32-bit draw w, the low half of a fresh
+    64-bit word, then the high half of the same word, and returns
+    Lemire's (w * n) >> 32; integers(1) takes none and returns 0.  So one
+    random_raw() word per trial holds both draws, mapped to [0, n) for
+    all trials at once.  numpy rejects w, and draws again, when the low
+    32 bits of w * n fall below (2^32 - n) mod n; such a trial is drawn
+    again with its own generator's integers and normal.  normal takes
+    whole words and starts at the word after the raw one (at the first
+    word when neither integer draw takes one), so it runs on each trial's
+    generator.
+    """
+    make = _generator_from_words()
+    words = _seed_words(seed, trials)
+    rngs = list(map(make, words))
+    players = np.zeros(len(rngs), dtype=np.int64)
+    at = np.zeros(len(rngs), dtype=np.int64)
+    kept = np.ones(len(rngs), dtype=bool)
+    bounded = [(column, n) for column, n in ((players, p), (at, steps))
+               if n > 1]
+    if bounded:
+        raw = np.array([rng.bit_generator.random_raw() for rng in rngs],
+                       dtype=np.uint64)
+        for (column, n), half in zip(bounded, (raw & _MASK32, raw >> 32)):
+            product = half * np.uint64(n)
+            column[:] = product >> 32
+            kept &= (product & _MASK32) >= (2**32 - n) % n
+    deltas = np.array([rng.normal(size=N) for rng in rngs])
+    for t in np.flatnonzero(~kept):
+        rng = make(words[t])
+        players[t], at[t] = rng.integers(p), rng.integers(steps)
+        deltas[t] = rng.normal(size=N)
     # Each row's delta @ delta, the same dot as for the row alone.
-    norm = np.sqrt(np.matmul(deltas[:, None], deltas[..., None])[:, 0, 0])
+    norm = np.sqrt(_matvec(deltas[:, None], deltas)[:, 0])
     zero = norm == 0.0
     deltas[zero] = np.eye(N)[0]
     norm[zero] = 1.0

@@ -437,11 +437,22 @@ def _seeded_p1_case():
     return dp, synthesize(dp, weights), weights, rng.normal(size=3)
 
 
+def _seeded_p2_n2_case():
+    # Coupled controllers of two inputs each: every product of the loop
+    # and of the costs has more than one term and goes to np.matmul.
+    rng = np.random.default_rng(11)
+    plant = random_stable_plant(rng, M=3, N=2, p=2)
+    weights = random_weights(rng, 3, N=2, p=2, horizon=20)
+    dp = discretize(plant)
+    return dp, synthesize(dp, weights), weights, rng.normal(size=3)
+
+
 ORACLE_CASES = {
     "generic": lambda: _preset_case(preset_generic),
     "lfc": lambda: _preset_case(preset_lfc),
     "p3": _seeded_p3_case,
     "perturbed": _perturbed_generic_case,
+    "p2n2": _seeded_p2_n2_case,
 }
 
 
@@ -477,6 +488,18 @@ class TestAgainstPerTrialOracle:
 
 
 DENSE_CASES = {**ORACLE_CASES, "p1": _seeded_p1_case}
+
+
+def _assert_draws_match(seed, trials, p, steps, N, magnitude=0.5):
+    players, at, deltas = simulate._draw_deviations(
+        seed, np.asarray(trials, dtype=np.uint64), p, steps, N, magnitude)
+    for row, t in enumerate(trials):
+        rng = np.random.default_rng((seed, int(t)))
+        assert players[row] == rng.integers(p), t
+        assert at[row] == rng.integers(steps), t
+        delta = rng.normal(size=N)
+        want = delta * (magnitude / np.linalg.norm(delta))
+        np.testing.assert_array_equal(deltas[row], want)
 
 
 class TestAgainstDenseCheck:
@@ -531,12 +554,91 @@ class TestAgainstDenseCheck:
             want = delta * (0.5 / np.linalg.norm(delta))
             np.testing.assert_array_equal(deltas[t], want)
 
+    @pytest.mark.parametrize("N", [1, 2])
+    @pytest.mark.parametrize("steps", [1, 2, 50])
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_draws_match_default_rng_streams_at_every_size(self, p, steps,
+                                                           N):
+        # A range of 1 takes no word from the stream, so with p = 1 the
+        # step takes the low half of the first word, and with p = steps = 1
+        # the normal draws start at the first word.
+        _assert_draws_match(5, range(60), p, steps, N)
+
+    def test_draws_match_default_rng_streams_when_numpy_draws_again(self):
+        # numpy rejects a step draw whose low product bits fall below
+        # (2^32 - steps) mod steps = 2^30, a quarter of all draws, and
+        # draws again; those trials take their own generator's draws.
+        steps = 3 * 2**30
+        trials = np.arange(64)
+        _assert_draws_match(9, trials, 2, steps, 2)
+        rejected = 0
+        for t in trials:
+            raw = np.random.default_rng((9, t)).bit_generator.random_raw()
+            rejected += (raw >> 32) * steps & 0xFFFFFFFF < 2**30
+        assert 8 <= rejected <= 32
+
+    def test_draws_match_default_rng_streams_past_2_32_trials(self):
+        _assert_draws_match(9, [2**32 - 1, 2**32, 2**32 + 7, 2**63 + 3,
+                                2**64 - 1], 3, 40, 2)
+
     def test_negative_seed_rejected(self, generic_dp, generic_config,
                                     generic_schedule):
         with pytest.raises(ValidationError, match="seed"):
             nash_deviation_check(generic_dp, generic_schedule,
                                  generic_config.weights, generic_config.x0,
                                  trials=1, seed=-1)
+
+
+# Signed zeros, subnormals, values near overflow, and tiny values whose
+# products underflow.
+_EDGES = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, 1.7e308,
+                   -1e308, 1.3e154, -1e154, 1e-160, -3e-170])
+
+
+def _edge_stack(rng, shape):
+    """Seeded values, about half of them drawn from _EDGES."""
+    values = rng.normal(size=shape) * 10.0 ** rng.integers(-30, 30, shape)
+    pick = rng.random(shape) < 0.5
+    values[pick] = rng.choice(_EDGES, size=int(pick.sum()))
+    return values
+
+
+class TestOneTermProducts:
+    """The elementwise form of a one-term product against np.matmul, byte
+    for byte, on the stack shapes the closed loop and the costs use."""
+
+    @pytest.mark.parametrize("W_shape, v_shape", [
+        ((40, 3, 3, 1, 1), (40, 1, 3, 1)),   # B_coef[k] u_prev, per row
+        ((1, 3, 3, 1, 1), (40, 1, 3, 1)),    # ... shared by every row
+        ((1, 3, 6, 1), (40, 3, 1)),          # Gamma0 u, Gamma1 u_prev
+        ((40, 1, 1), (40, 1)),               # delta . delta
+    ])
+    def test_matvec_equals_matmul_bytes(self, W_shape, v_shape):
+        rng = np.random.default_rng(31)
+        W, v = _edge_stack(rng, W_shape), _edge_stack(rng, v_shape)
+        with np.errstate(all="ignore"):
+            want = np.matmul(W, v[..., None])[..., 0]
+            got = simulate._matvec(W, v)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("v_shape, W_shape", [
+        ((40, 20, 3, 1), (3, 1, 1)),         # every player's u'Ru
+        ((40, 20, 1, 1), (40, 1, 1, 1, 1)),  # the deviator's alone
+    ])
+    def test_quadratic_equals_matmul_bytes(self, v_shape, W_shape):
+        rng = np.random.default_rng(32)
+        v, W = _edge_stack(rng, v_shape), _edge_stack(rng, W_shape)
+        with np.errstate(all="ignore"):
+            want = np.matmul(np.matmul(v[..., None, :], W),
+                             v[..., :, None])[..., 0, 0]
+            got = simulate._quadratic(v, W)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_stacks_hold_every_edge(self):
+        v = _edge_stack(np.random.default_rng(31), (40, 1, 3, 1))
+        assert set(_EDGES.view(np.uint64)) <= set(v.view(np.uint64).flat)
 
 
 class TestRandomizedRollouts:
