@@ -15,6 +15,7 @@ rollout also names its scheme and delays), 64 usage error.
 
 import argparse
 import hashlib
+import os
 import sys
 from pathlib import Path
 
@@ -49,7 +50,7 @@ from .schemes import (
     sweep_rows,
     synthesize_for_scheme,
 )
-from .simulate import rollout, write_trajectory_csv
+from .simulate import rollout, sidecar_path, write_trajectory_csv
 from .synthesis import GainSchedule
 
 GAINS_FORMAT = "delay-lqgame-gains/1"
@@ -170,7 +171,23 @@ def _cmd_synthesize(args):
     return 0
 
 
+def _check_sidecar(args):
+    """Reject a --out whose .json sidecar would overwrite --out itself or
+    an input file, before anything is read or written."""
+    out = Path(args.out)
+    if not out.name:
+        return  # no sidecar name; writing --out fails, naming the path
+    sidecar = sidecar_path(out)
+    for flag in ("out", "config", "gains"):
+        path = getattr(args, flag)
+        if path is not None and (os.path.realpath(path)
+                                 == os.path.realpath(sidecar)):
+            raise ValidationError(f"--out: its sidecar {sidecar} would "
+                                  f"overwrite --{flag} {path}")
+
+
 def _cmd_simulate(args):
+    _check_sidecar(args)
     config = _load_config_file(args.config)
     _warn_unshared_weights(config)
     if args.gains:

@@ -171,10 +171,6 @@ class DiscretePlant:
     def p(self):
         return len(self.Gamma0)
 
-    def select_controller(self, index):
-        """Single-controller plant keeping only the given controller's input."""
-        return DiscretePlant(self.Phi, (self.Gamma0[index],), (self.Gamma1[index],))
-
 
 def discretize(plant):
     """Zero-order-hold discretization with the delay split.
@@ -297,11 +293,6 @@ class GameWeights:
     @property
     def p(self):
         return len(self.Q)
-
-    def select_player(self, index):
-        """Weights restricted to one controller (same horizon)."""
-        return GameWeights((self.Q[index],), (self.QN[index],),
-                           (self.R[index],), self.horizon)
 
     def shares_state_cost(self):
         """True when every controller carries identical Q and QN."""

@@ -66,69 +66,68 @@ def _named(exc, scheme, delays):
     return exc
 
 
-def _designs(config, scheme, points, plants=None):
-    """The scheme's schedules, tagged with it, one per delay point.
+def _designs(config, schemes, points, plants=None):
+    """Every scheme's schedule at every delay point, point-major, tagged
+    with its scheme, all designed in one batch of the one recursion.
 
-    ``plants`` are the points' true discretized plants (discretized here
-    when not given and the scheme needs them).  Each design runs the one
-    recursion under the config's weights, in one batch, on the plant the
-    scheme prescribes; the delay-free design does not depend on the point,
-    so it is synthesized once and shared.  A failing design is named by its
-    scheme and delays.
+    The batch holds each scheme's rows, schemes in the order given:
+    ``proposed`` rows on the points' true plants (discretized here when not
+    given), ``single_delayed`` rows on them with controller 1's input
+    alone, and one ``delay_free_game`` row on the zero-delay plant, which
+    serves every point.  Each row is labelled with its scheme and delays,
+    which name a failing design; its ``.plant``/``.row`` is the row's index
+    in this batch.
     """
-    count = len(points)
-    if scheme is Scheme.DELAY_FREE_GAME:
-        free = config.plant.with_delays((0.0,) * config.plant.p)
-        points, plants = [free.delays], [discretize(free)]
-    elif plants is None:
-        plants = [discretize(config.plant.with_delays(point))
-                  for point in points]
-    if scheme is Scheme.SINGLE_DELAYED:
-        plants = [_lone_first(dp) for dp in plants]
+    labels, batch, at = [], [], []
+    for scheme in schemes:
+        if scheme is Scheme.DELAY_FREE_GAME:
+            zero = (0.0,) * config.plant.p
+            at.append([len(batch)] * len(points))
+            labels.append((scheme, zero))
+            batch.append(discretize(config.plant.with_delays(zero)))
+            continue
+        plants = plants or [discretize(config.plant.with_delays(point))
+                            for point in points]
+        at.append(range(len(batch), len(batch) + len(points)))
+        labels += [(scheme, point) for point in points]
+        batch += (plants if scheme is Scheme.PROPOSED
+                  else map(_lone_first, plants))
     try:
         # A lone plant goes through ``synthesize``, the batch-of-1 case of
         # the same recursion, so per-call tracing of that public entry
         # point (lqbench/tracing.py) still sees every single design.
-        schedules = (synthesize_batch(plants, config.weights)
-                     if len(plants) > 1
-                     else [synthesize(plants[0], config.weights)])
+        schedules = (synthesize_batch(batch, config.weights) if len(batch) > 1
+                     else [synthesize(batch[0], config.weights)])
     except NumericalError as exc:
-        raise _named(exc, scheme, points[exc.row])
-    schedules = [replace(s, scheme=scheme) for s in schedules]
-    # The one delay-free design serves every point.
-    return schedules if len(schedules) == count else schedules * count
+        raise _named(exc, *labels[exc.row])
+    return [replace(schedules[row], scheme=labels[row][0])
+            for rows in zip(*at) for row in rows]
 
 
 def synthesize_for_scheme(config, scheme):
     """Gain schedule for one scheme on the config's plant, tagged with it."""
-    return _designs(config, Scheme(scheme), [config.plant.delays])[0]
+    return _designs(config, [Scheme(scheme)], [config.plant.delays])[0]
 
 
 def _results(config, schemes, points):
-    """Every scheme at every delay point: rows point-major, schemes in the
-    order given.
-
-    Each point's true plant is discretized once and each scheme is one
-    ``_designs`` call over all points; every row is then rolled out on its
-    point's true plant in one batched closed loop.
-    """
+    """Every scheme at every delay point, point-major in the order given:
+    one ``_designs`` batch designs every row, and one batched closed loop
+    runs each on its point's true plant, discretized once."""
     plants = [discretize(config.plant.with_delays(point)) for point in points]
-    designs = [_designs(config, scheme, points, plants) for scheme in schemes]
-    rows = [(point, dp, schedule)
-            for point, dp, *schedules in zip(points, plants, *designs)
-            for schedule in schedules]
-    points, plants, schedules = zip(*rows)
+    schedules = _designs(config, schemes, points, plants)
+    labels = [(scheme, point) for point in points for scheme in schemes]
     try:
-        trajectories = _rollouts(plants, schedules, config.x0, config.weights)
+        trajectories = _rollouts([dp for dp in plants for _ in schemes],
+                                 schedules, config.x0, config.weights)
     except NumericalError as exc:
-        raise _named(exc, schedules[exc.row].scheme, points[exc.row])
-    return [SchemeResult(scheme=schedule.scheme, delays=point,
-                         schedule=schedule, trajectory=trajectory,
+        raise _named(exc, *labels[exc.row])
+    return [SchemeResult(scheme=scheme, delays=point, schedule=schedule,
+                         trajectory=trajectory,
                          j_total=trajectory.total_cost,
                          j_players=tuple(float(v) for v in
                                          trajectory.per_player_cost))
-            for point, schedule, trajectory
-            in zip(points, schedules, trajectories)]
+            for (scheme, point), schedule, trajectory
+            in zip(labels, schedules, trajectories)]
 
 
 def run_scheme(config, scheme):
@@ -161,8 +160,8 @@ def compare_schemes(config):
     """All three schemes at every grid point (or just the config's delays).
 
     Rows come back point-major: for each delay point, proposed first, then
-    the single-delayed and delay-free baselines, the delay-free design
-    synthesized once for the whole grid.
+    the single-delayed and delay-free baselines, every design in one
+    batched recursion and the delay-free one shared by the whole grid.
     """
     points = ([config.plant.delays] if config.sweep is None
               else list(product(*config.sweep)))

@@ -467,14 +467,24 @@ def trajectory_header(M, p, N):
     return cols
 
 
+def sidecar_path(path):
+    """The JSON sidecar of trajectory CSV ``path``: ``path`` with a .json
+    suffix."""
+    return Path(path).with_suffix(".json")
+
+
 def write_trajectory_csv(trajectory, path, scheme=None, delays=None, seed=0):
     """Write states/controls as CSV and costs/metadata as a .json sidecar.
 
     The final row carries x(N) with empty control cells.  Floats are
     rendered round-trip exactly, so identical trajectories produce
-    byte-identical files.
+    byte-identical files.  A ``path`` that is its own sidecar (one ending
+    in .json) raises :class:`ValidationError` before anything is written.
     """
     path = Path(path)
+    if path.name and sidecar_path(path) == path:
+        raise ValidationError(f"{path}: a trajectory CSV must not end in "
+                              ".json, its sidecar would overwrite it")
     steps, p, N = trajectory.controls.shape
     header = trajectory_header(trajectory.M, p, N)
     controls = trajectory.controls.reshape(steps, p * N).tolist()
@@ -493,9 +503,9 @@ def write_trajectory_csv(trajectory, path, scheme=None, delays=None, seed=0):
         "delays": [float(v) for v in delays] if delays is not None else None,
         "seed": int(seed),
     }
-    sidecar_path = path.with_suffix(".json")
-    sidecar_path.write_text(dump_json(sidecar))
-    return sidecar_path
+    sidecar_file = sidecar_path(path)
+    sidecar_file.write_text(dump_json(sidecar))
+    return sidecar_file
 
 
 def _read_sidecar(path):
@@ -532,7 +542,7 @@ def read_trajectory_csv(path):
         raise SchemaError(str(path), f"not a text file: {exc}") from None
     if not lines:
         raise SchemaError(str(path), "empty trajectory file")
-    M, N, p, steps, per_player, total = _read_sidecar(path.with_suffix(".json"))
+    M, N, p, steps, per_player, total = _read_sidecar(sidecar_path(path))
     # Sizes come from the sidecar, so they are checked against the file
     # before anything of that size is built.
     header = lines[0].split(",")

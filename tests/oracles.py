@@ -12,16 +12,18 @@ keeps the batched check's earlier layout (every trial a full row from step
 Views of package results live here too, because only the tests use
 them: ``exp_integral`` (an interval integral as a difference of the
 package's cumulative ones), ``coefficients`` and ``gain`` (a
-controller's stacked coefficient row and its negation), and
-``lifted_single_design`` (controller 1 designed alone on its own plant and
-weights, then lifted to p controllers with zeros: the former path of the
-``single_delayed`` baseline).
+controller's stacked coefficient row and its negation),
+``select_controller`` and ``select_player`` (one controller's plant and
+weights), and ``lifted_single_design`` (controller 1 designed alone on
+its own plant and weights, then lifted to p controllers with zeros: the
+former path of the ``single_delayed`` baseline).
 """
 
 import numpy as np
 
 from delay_lqgame.errors import IntervalError, ValidationError
 from delay_lqgame.lin_ops import exp_and_integral
+from delay_lqgame.model import DiscretePlant, GameWeights
 from delay_lqgame.simulate import (
     DEVIATION_BLOCK,
     NASH_TOLERANCE,
@@ -546,10 +548,21 @@ def gain(schedule, k, i):
     return -coefficients(schedule, k, i)
 
 
+def select_controller(dp, index):
+    """Single-controller plant keeping only the given controller's input."""
+    return DiscretePlant(dp.Phi, (dp.Gamma0[index],), (dp.Gamma1[index],))
+
+
+def select_player(weights, index):
+    """Weights restricted to one controller (same horizon)."""
+    return GameWeights((weights.Q[index],), (weights.QN[index],),
+                       (weights.R[index],), weights.horizon)
+
+
 def lifted_single_design(dp, weights):
     """Controller 1's schedule designed on its own plant and weights,
     lifted to dp's p controllers: every other coefficient is +0.0."""
-    alone = synthesize(dp.select_controller(0), weights.select_player(0))
+    alone = synthesize(select_controller(dp, 0), select_player(weights, 0))
     steps, _, N, M = alone.A_coef.shape
     A_coef = np.zeros((steps, dp.p, N, M))
     B_coef = np.zeros((steps, dp.p, dp.p, N, N))

@@ -144,11 +144,15 @@ class TestPipelines:
 
 class TestDeterminism:
     def test_sweep_reruns_byte_identical(self, tmp_path, cfg_path):
-        a = tmp_path / "a.csv"
-        b = tmp_path / "b.csv"
-        main(["sweep", "--config", str(cfg_path), "--out", str(a)])
-        main(["sweep", "--config", str(cfg_path), "--out", str(b)])
-        assert a.read_bytes() == b.read_bytes()
+        # compare too: its one batch holds every scheme's designs.
+        for command in ("sweep", "compare"):
+            for fmt in ("csv", "json"):
+                a = tmp_path / f"{command}-a.{fmt}"
+                b = tmp_path / f"{command}-b.{fmt}"
+                for out in (a, b):
+                    assert main([command, "--config", str(cfg_path),
+                                 "--format", fmt, "--out", str(out)]) == 0
+                assert a.read_bytes() == b.read_bytes()
 
     def test_synthesize_reruns_byte_identical(self, tmp_path, cfg_path):
         a = tmp_path / "a.json"
@@ -226,6 +230,27 @@ class TestFailureModes:
         assert out.returncode == 1
         assert out.stderr.splitlines() == [
             f"delay-lqgame: validation error: {message}"]
+
+    @pytest.mark.parametrize("out, gains", [
+        ("traj.json", False), ("cfg.csv", False), ("gains.csv", True),
+    ], ids=["sidecar-is-out", "sidecar-is-config", "sidecar-is-gains"])
+    def test_sidecar_overwriting_a_named_file_exits_1(
+            self, tmp_path, cfg_path, capsys, out, gains):
+        # The sidecar is --out with a .json suffix: traj.json's is itself,
+        # cfg.csv's the config and gains.csv's the gains file.
+        argv = ["simulate", "--config", str(cfg_path),
+                "--out", str(tmp_path / out)]
+        if gains:
+            assert main(["synthesize", "--config", str(cfg_path),
+                         "--out", str(tmp_path / "gains.json")]) == 0
+            argv += ["--gains", str(tmp_path / "gains.json")]
+        before = {f.name: f.read_bytes() for f in tmp_path.iterdir()}
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("delay-lqgame: validation error: --out: ")
+        assert {f.name: f.read_bytes() for f in tmp_path.iterdir()} == before
 
     @pytest.mark.parametrize("scheme, plants", [
         ("proposed", 1), ("single_delayed", 1), ("delay_free_game", 2)])

@@ -282,9 +282,11 @@ class TestSizeBudget:
         config = workdir / "big.json"
         config.write_text(text)
         err = io.StringIO()
+        # An --out whose .json sidecar is not the config, which simulate
+        # would reject before reading it.
         with contextlib.redirect_stderr(err):
             code = main([command, "--config", str(config),
-                         "--out", str(workdir / "big.out")])
+                         "--out", str(workdir / "out.csv")])
         assert code == 1
         assert named in err.getvalue()
         assert "Traceback" not in err.getvalue()

@@ -29,7 +29,7 @@ from delay_lqgame import (
 from delay_lqgame.model import dump_json, write_csv
 
 from conftest import random_stable_plant
-from oracles import exp_integral, simpson_exp_integral
+from oracles import exp_integral, select_controller, simpson_exp_integral
 
 MINIMAL_DOC = """
 {
@@ -287,7 +287,7 @@ class TestDomainTypes:
             ExperimentConfig(plant=plant, weights=weights, x0=[1.0, 2.0])
 
     def test_select_controller(self, generic_dp):
-        single = generic_dp.select_controller(1)
+        single = select_controller(generic_dp, 1)
         assert single.p == 1
         np.testing.assert_array_equal(single.Gamma0[0], generic_dp.Gamma0[1])
 

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from delay_lqgame import (
     discretize,
     run_scheme,
     sweep_delays,
+    synthesize_for_scheme,
     write_comparison_csv,
     write_sweep_csv,
 )
@@ -94,26 +96,34 @@ def _count_discretize(monkeypatch):
 
 
 class TestCompareSchemes:
-    def test_rows_equal_per_point_run_scheme(self, generic_config):
-        cfg = small_grid_config(generic_config, [0.0, 0.012], [0.004, 0.02])
+    @pytest.mark.parametrize("preset, grid1, grid2", [
+        ("generic", [0.0, 0.012], [0.004, 0.02]),
+        ("lfc", [0.0, 0.008], [0.004]),
+    ], ids=["generic", "lfc"])
+    def test_rows_equal_per_point_run_scheme(self, preset, grid1, grid2,
+                                             generic_config, lfc_config):
+        # compare designs every scheme at every point in one batch; each
+        # row must equal its point's lone run_scheme bit for bit.
+        config = {"generic": generic_config, "lfc": lfc_config}[preset]
+        cfg = small_grid_config(config, grid1, grid2)
         results = compare_schemes(cfg)
         order = (Scheme.PROPOSED, Scheme.SINGLE_DELAYED,
                  Scheme.DELAY_FREE_GAME)
         expected = [
             run_scheme(replace(cfg, plant=cfg.plant.with_delays(point),
                                x0=np.array(cfg.x0)), scheme)
-            for point in [(0.0, 0.004), (0.0, 0.02), (0.012, 0.004),
-                          (0.012, 0.02)]
+            for point in product(grid1, grid2)
             for scheme in order]
         assert len(results) == len(expected)
         for got, want in zip(results, expected):
             assert (got.scheme, got.delays) == (want.scheme, want.delays)
             assert got.j_total == want.j_total
             assert got.j_players == want.j_players
-            np.testing.assert_array_equal(got.trajectory.states,
-                                          want.trajectory.states)
-            np.testing.assert_array_equal(got.schedule.A_coef,
-                                          want.schedule.A_coef)
+            for g, w in ((got.trajectory.states, want.trajectory.states),
+                         (got.trajectory.controls, want.trajectory.controls),
+                         (got.schedule.A_coef, want.schedule.A_coef),
+                         (got.schedule.B_coef, want.schedule.B_coef)):
+                np.testing.assert_array_equal(g, w)
 
     def test_sweep_rows_equal_per_point_run_scheme(self, lfc_config):
         cfg = small_grid_config(lfc_config, lfc_config.sweep[0][:3],
@@ -149,7 +159,7 @@ class TestCompareSchemes:
 
 def singular_on_row(monkeypatch, row):
     """Patch the solve to fail at its call after ``row`` others: solves
-    run plant by plant within a step, and design by design."""
+    run plant by plant within a step."""
     solve = delay_lqgame.synthesis.lin_ops.solve
     calls = []
 
@@ -160,6 +170,43 @@ def singular_on_row(monkeypatch, row):
         return solve(A, B)
 
     monkeypatch.setattr(delay_lqgame.synthesis.lin_ops, "solve", failing)
+
+
+def _count_recursions(monkeypatch):
+    """Sizes of the batches handed to the recursion's two entry points."""
+    sizes = []
+
+    def counting(entry, size):
+        def call(plants, weights):
+            sizes.append(size(plants))
+            return entry(plants, weights)
+        return call
+
+    monkeypatch.setattr(delay_lqgame.schemes, "synthesize_batch", counting(
+        delay_lqgame.synthesis.synthesize_batch, len))
+    monkeypatch.setattr(delay_lqgame.schemes, "synthesize", counting(
+        delay_lqgame.synthesis.synthesize, lambda dp: 1))
+    return sizes
+
+
+class TestOneRecursionPerCommand:
+    def test_each_command_makes_one_recursion_call(self, monkeypatch,
+                                                    generic_config):
+        cfg = small_grid_config(generic_config, [0.0, 0.012], [0.004, 0.02])
+        sizes = _count_recursions(monkeypatch)
+        for scheme in Scheme:
+            run_scheme(cfg, scheme)
+            synthesize_for_scheme(cfg, scheme)
+        assert sizes == [1] * 6
+        # The four grid points; compare adds their single-delayed rows and
+        # the one delay-free row, with or without a grid.
+        no_grid = replace(cfg, sweep=None, x0=np.array(cfg.x0))
+        for command, config, rows in ((sweep_delays, cfg, 4),
+                                      (compare_schemes, cfg, 9),
+                                      (compare_schemes, no_grid, 3)):
+            sizes.clear()
+            command(config)
+            assert sizes == [rows]
 
 
 class TestSingularGridPoint:
@@ -181,27 +228,26 @@ class TestSingularGridPoint:
         assert str(err.value).endswith("at delays (0.012, 0.004)")
 
     @pytest.mark.parametrize("scheme, row, delays", [
-        (Scheme.SINGLE_DELAYED, 2, (0.012, 0.004)),
-        (Scheme.DELAY_FREE_GAME, 0, (0.0, 0.0)),
+        (Scheme.SINGLE_DELAYED, 6, (0.012, 0.004)),
+        (Scheme.DELAY_FREE_GAME, 8, (0.0, 0.0)),
     ])
     def test_baseline_design_names_its_scheme(self, scheme, row, delays,
                                               monkeypatch, generic_config):
         cfg = small_grid_config(generic_config, [0.0, 0.012], [0.004, 0.02])
-        # compare designs proposed, then single_delayed, each over the four
-        # points in one batch, then the one delay-free plant.  Failing the
-        # baseline's first step at (0.012, 0.004) skips the earlier
-        # batches' solves, four per step; the delay-free design has one
-        # plant, at zero delays.
+        # compare designs every scheme in one batch: proposed on rows 0-3,
+        # single_delayed on rows 4-7, both over the four points in grid
+        # order, then the one delay-free plant, at zero delays, on row 8.
+        # Failing a row at the first step skips the solves of the rows
+        # before it.
         horizon = cfg.weights.horizon
-        skipped = {Scheme.SINGLE_DELAYED: 4 * horizon + 2,
-                   Scheme.DELAY_FREE_GAME: 8 * horizon}[scheme]
-        singular_on_row(monkeypatch, skipped)
+        singular_on_row(monkeypatch, row)
         with pytest.raises(CouplingSingularityError) as err:
             compare_schemes(cfg)
         assert err.value.delays == delays
         assert err.value.row == err.value.plant == row
         assert err.value.step == horizon - 1
         assert err.value.controller == 1
+        assert f" of plant {row} " in str(err.value)
         assert str(err.value).endswith(
             f"for scheme {scheme.value} at delays {delays}")
 

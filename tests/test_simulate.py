@@ -31,6 +31,8 @@ from oracles import (
     dense_deviation_check,
     per_trial_deviation_check,
     quadratic_costs,
+    select_controller,
+    select_player,
 )
 
 
@@ -126,7 +128,7 @@ class TestRollout:
         with pytest.raises(DimensionError):
             rollout(generic_dp, generic_schedule, np.zeros(3),
                     generic_config.weights)
-        dp1 = generic_dp.select_controller(0)
+        dp1 = select_controller(generic_dp, 0)
         with pytest.raises(DimensionError):
             rollout(dp1, generic_schedule, np.zeros(2),
                     generic_config.weights)
@@ -224,6 +226,15 @@ class TestSerialization:
         assert lines[0] == "k,x_1,x_2,u_1_1,u_2_1"
         assert len(lines) == 52
         assert lines[-1].endswith(",,")
+
+    def test_path_that_is_its_own_sidecar_writes_nothing(
+            self, tmp_path, generic_dp, generic_config, generic_schedule):
+        tr = rollout(generic_dp, generic_schedule, generic_config.x0,
+                     generic_config.weights)
+        path = tmp_path / "traj.json"
+        with pytest.raises(ValidationError, match="traj.json: .* sidecar"):
+            write_trajectory_csv(tr, path)
+        assert list(tmp_path.iterdir()) == []
 
 
 def _delete_line(lines):
@@ -346,8 +357,8 @@ class TestNashDeviation:
 
     def test_single_controller_schedule_never_improves(self, generic_dp,
                                                        generic_config):
-        dp1 = generic_dp.select_controller(0)
-        w1 = generic_config.weights.select_player(0)
+        dp1 = select_controller(generic_dp, 0)
+        w1 = select_player(generic_config.weights, 0)
         sched = synthesize(dp1, w1)
         report = nash_deviation_check(dp1, sched, w1, [1.0, 0.0], trials=100,
                                       magnitude=1e-2)

@@ -31,6 +31,8 @@ from oracles import (
     delayed_best_response_game,
     finite_horizon_lqr,
     gain,
+    select_controller,
+    select_player,
     two_controller_game,
 )
 
@@ -64,7 +66,8 @@ class TestTwoController:
                            (generic_dp.Gamma0[0], np.zeros((2, 1))),
                            (generic_dp.Gamma1[0], np.zeros((2, 1))))
         two = synthesize(dp, w)
-        gains = regulator_gains(dp.select_controller(0), w.select_player(0))
+        gains = regulator_gains(select_controller(dp, 0),
+                                select_player(w, 0))
         np.testing.assert_allclose(two.A_coef[:, 0], -gains[:, :, :2],
                                    rtol=0, atol=1e-10)
         np.testing.assert_allclose(two.B_coef[:, 0, 0], -gains[:, :, 2:],
@@ -223,8 +226,8 @@ class TestSingleDelayed:
 
     def test_matches_augmented_regulator_oracle(self, generic_dp,
                                                 generic_config):
-        w1 = generic_config.weights.select_player(0)
-        dp1 = generic_dp.select_controller(0)
+        w1 = select_player(generic_config.weights, 0)
+        dp1 = select_controller(generic_dp, 0)
         sched = synthesize(dp1, w1)
         gains = regulator_gains(dp1, w1)
         for k in range(w1.horizon):
@@ -245,8 +248,8 @@ class TestSingleDelayed:
 
     def test_value_recursion_identity(self, generic_dp, generic_config):
         # S(k) = P11 - L'P22L, rebuilt from the published value history.
-        w1 = generic_config.weights.select_player(0)
-        dp1 = generic_dp.select_controller(0)
+        w1 = select_player(generic_config.weights, 0)
+        dp1 = select_controller(generic_dp, 0)
         sched, values = synthesize(dp1, w1, return_values=True)
         M, N = dp1.M, dp1.N
         C = np.zeros((M + N, M + N))
@@ -267,7 +270,8 @@ class TestSingleDelayed:
     def test_rejects_multi_controller_plant(self, generic_dp, generic_config):
         # One controller's weights cannot drive a two-controller plant.
         with pytest.raises(DimensionError, match="1 weight sets for 2"):
-            synthesize(generic_dp, generic_config.weights.select_player(0))
+            synthesize(generic_dp,
+                       select_player(generic_config.weights, 0))
 
 
 class TestDelayFreeGame:
@@ -332,7 +336,8 @@ class TestRecursionInvariants:
         dpz = DiscretePlant(dp.Phi, (dp.Gamma0[0], np.zeros((M, 1))),
                             (dp.Gamma1[0], np.zeros((M, 1))))
         two = synthesize(dpz, w)
-        gains = regulator_gains(dpz.select_controller(0), w.select_player(0))
+        gains = regulator_gains(select_controller(dpz, 0),
+                                select_player(w, 0))
         np.testing.assert_allclose(two.A_coef[:, 0], -gains[:, :, :M],
                                    rtol=0, atol=1e-10)
         # zero delays
@@ -463,7 +468,7 @@ class TestBatch:
 
     def test_mismatched_plant_rejected(self, generic_dp, generic_config):
         with pytest.raises(DimensionError):
-            synthesize_batch([generic_dp, generic_dp.select_controller(0)],
+            synthesize_batch([generic_dp, select_controller(generic_dp, 0)],
                              generic_config.weights)
 
     def test_singular_plant_named_by_batch_index(self, generic_config,
