@@ -14,7 +14,6 @@ rollout also names its scheme and delays), 64 usage error.
 """
 
 import argparse
-import hashlib
 import os
 import sys
 from pathlib import Path
@@ -33,6 +32,7 @@ from .model import (
     PRESETS,
     Scheme,
     _fields,
+    _integer,
     _number,
     _scheme,
     discretize,
@@ -63,6 +63,10 @@ def plant_hash(plant):
     It covers the inputs (A, B_i, delays, h), not their discretization, so
     a last-bit change in the exponentials does not orphan gains files.
     """
+    # Imported here: only the gains commands hash, and a CLI process
+    # otherwise pays for loading hashlib at start-up.
+    import hashlib
+
     digest = hashlib.sha256()
     digest.update(f"{GAINS_FORMAT};M={plant.M};N={plant.N};p={plant.p};"
                   .encode())
@@ -100,10 +104,15 @@ def _gains_array(doc, key, axes):
     return np.array(values, dtype=float).reshape(cells.shape)
 
 
+# The gains document's size fields, in the order of A_coef's axes.
+_SIZES = ("horizon", "p", "N", "M")
+
+
 def schedule_from_dict(doc, plant):
     if not isinstance(doc, dict) or doc.get("format") != GAINS_FORMAT:
         raise SchemaError("<gains>", f"not a {GAINS_FORMAT} document")
-    _fields(doc, "<gains>", ("scheme", "A_coef", "B_coef", "horizon", "p"))
+    _fields(doc, "<gains>", ("scheme", "A_coef", "B_coef") + _SIZES)
+    sizes = [_integer(doc[key], f"<gains>.{key}") for key in _SIZES]
     if doc.get("plant_hash") != plant_hash(plant):
         raise ValidationError(
             "plant-hash mismatch: the gain schedule was synthesized for a "
@@ -111,8 +120,10 @@ def schedule_from_dict(doc, plant):
     schedule = GainSchedule(_scheme(doc["scheme"], "<gains>.scheme"),
                             _gains_array(doc, "A_coef", 4),
                             _gains_array(doc, "B_coef", 5))
-    if schedule.horizon != doc["horizon"] or schedule.p != doc["p"]:
-        raise SchemaError("<gains>", "coefficient arrays disagree with metadata")
+    for key, size, actual in zip(_SIZES, sizes, schedule.A_coef.shape):
+        if size != actual:
+            raise SchemaError(f"<gains>.{key}", f"{size} disagrees with the "
+                              f"coefficient arrays' {actual}")
     return schedule
 
 

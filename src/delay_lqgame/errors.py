@@ -6,7 +6,14 @@ class DelayGameError(Exception):
 
 
 class DimensionError(DelayGameError):
-    """Operands have incompatible or non-conforming shapes."""
+    """Operands have incompatible or non-conforming shapes, or non-finite
+    entries.  A stacked solve sets ``row`` to the failing system's index
+    in the stack (else None).
+    """
+
+    def __init__(self, message, row=None):
+        super().__init__(message)
+        self.row = row
 
 
 class IntervalError(DelayGameError):
@@ -36,11 +43,12 @@ class SingularMatrixError(NumericalError):
     The offending pivot magnitude is kept on the exception so callers can
     report how close to singular the system was, and its position on the
     diagonal of the LU factor (when known) so they can say which unknowns
-    the near-dependency sits in.
+    the near-dependency sits in.  A stacked solve sets ``row`` to the
+    system's index in the stack.
     """
 
-    def __init__(self, message, pivot, index=None):
-        super().__init__(message)
+    def __init__(self, message, pivot, index=None, row=None):
+        super().__init__(message, row=row)
         self.pivot = float(pivot)
         self.index = index
 

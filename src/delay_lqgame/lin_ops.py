@@ -140,48 +140,80 @@ def exp_and_integral(A, t):
 
 
 def solve(A, B):
-    """Solve A @ X = B by LU with partial pivoting.
+    """Solve A @ X = B by LU with partial pivoting, for one system or a
+    stack of them.
 
-    Step k swaps up the first row holding the largest remaining |entry| of
+    A is (..., n, n) and B is (..., n, m) with the same leading axes; a
+    2-D pair is the stack of one.  Each system is eliminated on its own:
+    step k swaps up the first row holding the largest remaining |entry| of
     column k, the choice LAPACK's getrf makes, and eliminates below it in
-    A and B together.  Raises :class:`SingularMatrixError` when the
-    smallest pivot falls below PIVOT_RTOL times the largest entry of A,
-    reporting that pivot and its position on the diagonal of U (the column
-    of A it belongs to).  Otherwise back substitution on the same
-    factorization gives X.
+    A and B together; back substitution on the same factorization gives
+    X, returned as one array shaped like B.
+
+    Systems run in stack order, and the first that fails raises, with its
+    index in the stack (flattened over the leading axes) as ``.row``: a
+    system with a non-finite entry raises :class:`DimensionError`, and one
+    whose smallest pivot falls below PIVOT_RTOL times the largest entry
+    of its A raises :class:`SingularMatrixError`, reporting that pivot and
+    its position on the diagonal of U (the column of A it belongs to).
 
     The arithmetic runs on Python lists: the systems this package solves
-    have p*N rows, where per-call array overhead outweighs the flops.
+    have p*N rows, where per-call array overhead outweighs the flops.  So
+    the whole stack is checked and converted once, not system by system.
     """
-    A = as_matrix(A, "A")
-    B = as_matrix(B, "B")
-    _require_square(A, "A")
-    n = A.shape[0]
-    if B.shape[0] != n:
-        raise DimensionError(f"B has {B.shape[0]} rows, expected {n}")
-    rows = [a + b for a, b in zip(A.tolist(), B.tolist())]
-    scale = max(abs(v) for row in rows for v in row[:n])
+    A = np.asarray(A, dtype=float)
+    B = np.asarray(B, dtype=float)
+    if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
+        raise DimensionError(f"A must be square, got shape {A.shape}")
+    n = A.shape[-1]
+    if B.shape[:-1] != A.shape[:-1]:
+        raise DimensionError(f"B has shape {B.shape}, expected "
+                             f"{A.shape[:-1]} and a column count")
+    systems = np.concatenate((A, B), axis=-1).reshape(-1, n, n + B.shape[-1])
+    finite = np.isfinite(systems)
+    bad = (None if np.count_nonzero(finite) == finite.size
+           else int(np.argmin(finite.all(axis=(1, 2)))))
+    X = []
+    for row, rows in enumerate(systems.tolist()):
+        if row == bad:
+            raise DimensionError(f"A or B has non-finite entries in system "
+                                 f"{row}", row)
+        X.append(_lu_solve(rows, n, row))
+    return np.array(X).reshape(B.shape)
+
+
+def _lu_solve(rows, n, row):
+    """X of the system whose rows [A | B] are the lists ``rows`` (changed
+    in place), by :func:`solve`'s elimination; ``row`` names the system
+    in a raised :class:`SingularMatrixError`."""
+    scale = max(abs(v) for r in rows for v in r[:n])
     for k in range(n):
-        best = max(range(k, n), key=lambda r: abs(rows[r][k]))
+        best = k  # the first row holding the column's largest |entry|
+        for r in range(k + 1, n):
+            if abs(rows[r][k]) > abs(rows[best][k]):
+                best = r
         rows[k], rows[best] = rows[best], rows[k]
         top = rows[k]
-        if top[k] != 0.0:
+        pivot = top[k]
+        if pivot != 0.0:
             # An exactly zero column is left as it is; the check reports it.
             for r in range(k + 1, n):
-                factor = rows[r][k] / top[k]
+                factor = rows[r][k] / pivot
                 rows[r] = [v - factor * w for v, w in zip(rows[r], top)]
     pivots = [abs(rows[k][k]) for k in range(n)]
     smallest = min(pivots)
-    index = pivots.index(smallest)
     if smallest <= PIVOT_RTOL * scale:
+        index = pivots.index(smallest)
         raise SingularMatrixError(
             f"matrix is numerically singular (pivot {smallest:.3e} at "
-            f"position {index})", smallest, index)
+            f"position {index})", smallest, index, row)
     X = [None] * n
     for k in range(n - 1, -1, -1):
-        row = rows[k]
-        x = row[n:]
+        top = rows[k]
+        x = top[n:]
         for j in range(k + 1, n):
-            x = [v - row[j] * w for v, w in zip(x, X[j])]
-        X[k] = [v / row[k] for v in x]
-    return np.array(X).reshape(B.shape)
+            entry = top[j]
+            x = [v - entry * w for v, w in zip(x, X[j])]
+        pivot = top[k]
+        X[k] = [v / pivot for v in x]
+    return X

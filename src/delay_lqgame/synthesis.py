@@ -32,7 +32,8 @@ the system as D_i^T S_i, and the value update sees the step
 C_i = Abar + sum_{j != i} D_j U_j with every other controller's law
 applied.  Every product is one array operation over all controllers, and
 over a leading batch axis of plants that share M, N, p and the weights;
-only the small LU solve runs once per plant and step.
+so is the LU solve, one ``lin_ops.solve`` call per step on the stack of
+every plant's system.
 
 Known controllers are this recursion on a prepared plant: one controller
 gives the stacked-state delayed regulator, zero delays the delay-free game.
@@ -114,13 +115,15 @@ def synthesize_batch(plants, weights, return_values=False):
     Walks k = horizon-1 .. 0 with every plant on a leading batch axis.  Per
     step and plant the simultaneous equations over all coefficients
     {A_i, Bj_i} are stacked into one (p N) x (p N) system with a column per
-    column of [Phi | Gamma1_1 | ... | Gamma1_p] and solved directly.  A
-    plant's arithmetic does not depend on the batch around it, so each
-    schedule equals a batch-of-1 call bit for bit.  Raises
-    :class:`CouplingSingularityError` with the step, the controller whose
-    block holds the smallest pivot, and the plant's index in the batch if
-    a system is singular, and :class:`NumericalError` with the step and
-    the plant's index if the value recursion leaves the finite range.
+    column of [Phi | Gamma1_1 | ... | Gamma1_p], and one stacked solve per
+    step solves every plant's system directly.  A plant's arithmetic does
+    not depend on the batch around it, so each schedule equals a
+    batch-of-1 call bit for bit.  Raises :class:`CouplingSingularityError`
+    with the step, the controller whose block holds the smallest pivot,
+    and the plant's index in the batch if a system is singular, and
+    :class:`NumericalError` with the step and the plant's index if the
+    value recursion leaves the finite range; of a step's failing plants,
+    the first in the batch is named.
 
     With ``return_values`` the value-matrix history is returned as a second
     output: values[k, b, i] is S_i(k) of plant b, k = 0..horizon.
@@ -142,14 +145,20 @@ def synthesize_batch(plants, weights, return_values=False):
     Abar[:, 0, :M] = target
     # D_i^T for every controller i: (batch, p, N, dim).
     Dt = D.transpose(0, 2, 1).reshape(batch, p, N, dim)
+    # A controller axis, so D and target broadcast over controllers.
+    D, target = D[:, None], target[:, None]
     Q = _embedded(weights.Q, dim)
     R = np.zeros((n, n))
     for i, R_i in enumerate(weights.R):
         R[i * N:(i + 1) * N, i * N:(i + 1) * N] = R_i
-    # others[i] keeps every controller's rows of U but controller i's.
-    others = np.ones((p, n, 1))
+    # others[i] keeps every controller's columns of D but controller i's,
+    # so (D * others)[:, i] @ U routes every law but controller i's.  The
+    # columns are multiplied by 0.0: (d * 0.0) * u is the same zero as
+    # d * (u * 0.0), sign included, as if U's rows were zeroed instead.
+    others = np.ones((p, 1, n))
     for i in range(p):
-        others[i, i * N:(i + 1) * N] = 0.0
+        others[i, :, i * N:(i + 1) * N] = 0.0
+    D_others = D * others
     S = np.broadcast_to(_embedded(weights.QN, dim), (batch, p, dim, dim))
     # Each step builds fresh value matrices, so the history keeps
     # references; it is kept only when asked for, since it grows with the
@@ -158,32 +167,40 @@ def synthesize_batch(plants, weights, return_values=False):
     U = np.empty((steps, batch, n, dim))
     for k in range(steps - 1, -1, -1):
         T = Dt @ S
-        G = (T @ D[:, None]).reshape(batch, n, n) + R
-        W = -(T[..., :M] @ target[:, None]).reshape(batch, n, dim)
-        for b in range(batch):
-            try:
-                U[k, b] = lin_ops.solve(G[b], W[b])
-            except DimensionError:
-                # Only non-finite entries fail the solve's input check.
-                raise NumericalError(f"value recursion leaves the finite "
-                                     f"range at step {k}", k, b) from None
-            except SingularMatrixError as exc:
-                controller = exc.index // N + 1
-                which = f" of plant {b}" if batch > 1 else ""
-                raise CouplingSingularityError(
-                    f"stacked best-response system{which} is singular at "
-                    f"step {k} for controller {controller} "
-                    f"(pivot {exc.pivot:.3e})",
-                    exc.pivot, step=k, controller=controller,
-                    plant=b) from None
-        Ui = U[k].reshape(batch, p, N, dim)
+        G = (T @ D).reshape(batch, n, n)
+        G += R
+        W = (T[..., :M] @ target).reshape(batch, n, dim)
+        np.negative(W, out=W)
+        try:
+            Uk = lin_ops.solve(G, W)
+        except DimensionError as exc:
+            # Only non-finite entries fail the solve's input check.
+            raise NumericalError(f"value recursion leaves the finite range "
+                                 f"at step {k}", k, exc.row) from None
+        except SingularMatrixError as exc:
+            controller = exc.index // N + 1
+            which = f" of plant {exc.row}" if batch > 1 else ""
+            raise CouplingSingularityError(
+                f"stacked best-response system{which} is singular at step "
+                f"{k} for controller {controller} (pivot {exc.pivot:.3e})",
+                exc.pivot, step=k, controller=controller,
+                plant=exc.row) from None
+        U[k] = Uk
+        Ui = Uk.reshape(batch, p, N, dim)
         # E_i = D_i^T S_i D_i + R_i, the diagonal blocks of G.
         E = G.reshape(batch, p, N, p, N).diagonal(0, 1, 3)
         E = E.transpose(0, 3, 1, 2)
         # C_i: the step controller i sees with every other law applied.
-        C = Abar + D[:, None] @ (U[k, :, None] * others)
-        S = lin_ops.symmetrize(C.swapaxes(-1, -2) @ S @ C + Q
-                               - Ui.swapaxes(-1, -2) @ E @ Ui)
+        C = D_others @ Uk[:, None]
+        C += Abar
+        # S_i <- sym(C_i^T S_i C_i + Q_i - U_i^T E_i U_i), where
+        # sym(X) = (X + X^T) / 2, formed in place.
+        S = C.swapaxes(-1, -2) @ S
+        S = S @ C
+        S += Q
+        S -= Ui.swapaxes(-1, -2) @ E @ Ui
+        S += S.swapaxes(-1, -2)
+        S *= 0.5
         if return_values:
             values.append(S)
     # + 0.0 is exact but turns -0.0 into 0.0, so vanishing terms (the delay

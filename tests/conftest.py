@@ -4,7 +4,9 @@ import pytest
 from delay_lqgame import (
     ContinuousPlant,
     GameWeights,
+    SingularMatrixError,
     discretize,
+    lin_ops,
     preset_generic,
     preset_lfc,
 )
@@ -36,6 +38,16 @@ def random_weights(rng, M, N=1, p=2, horizon=50):
     QN = tuple(spd(M, rng.uniform(0.5, 2.0)) for _ in range(p))
     R = tuple(spd(N, 1.0) for _ in range(p))
     return GameWeights(Q=Q, QN=QN, R=R, horizon=horizon)
+
+
+def singular_solve(monkeypatch, row, index=0):
+    """Make the recursion's stacked solve report system ``row`` of the
+    stack singular at pivot position ``index``, as the real solve does.
+    The first call, the last step's, is the one that fails."""
+    def singular(A, B):
+        raise SingularMatrixError("forced", 0.0, index, row)
+
+    monkeypatch.setattr(lin_ops, "solve", singular)
 
 
 @pytest.fixture(scope="session")

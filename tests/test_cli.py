@@ -10,11 +10,9 @@ import pytest
 
 import delay_lqgame.cli
 import delay_lqgame.schemes
-import delay_lqgame.synthesis
 from delay_lqgame import (
     DiscretePlant,
     Scheme,
-    SingularMatrixError,
     compare_schemes,
     discretize,
     dump_config,
@@ -27,6 +25,8 @@ from delay_lqgame import (
     write_trajectory_csv,
 )
 from delay_lqgame.cli import main
+
+from conftest import singular_solve
 
 from dataclasses import replace
 
@@ -140,6 +140,31 @@ class TestPipelines:
         assert json.loads(gains.read_text())["scheme"] == scheme
         assert json.loads(traj.with_suffix(".json").read_text())["scheme"] \
             == scheme
+
+
+class TestImports:
+    def test_only_commands_that_hash_load_hashlib(self, tmp_path, cfg_path):
+        src = Path(__file__).resolve().parent.parent / "src"
+
+        def loaded(*argv):
+            run = subprocess.run([sys.executable, "-X", "importtime", "-m",
+                                  "delay_lqgame", *argv],
+                                 cwd=src, capture_output=True, text=True,
+                                 check=True)
+            return {line.rsplit("|", 1)[1].strip()
+                    for line in run.stderr.splitlines()
+                    if line.startswith("import time:")}
+
+        modules = loaded("compare", "--config", str(cfg_path),
+                         "--out", str(tmp_path / "t.csv"))
+        assert "delay_lqgame.cli" in modules
+        assert not {"hashlib", "_hashlib"} & modules
+        gains = tmp_path / "gains.json"
+        assert "hashlib" in loaded("synthesize", "--config", str(cfg_path),
+                                   "--out", str(gains))
+        # The generic plant's hash, which the gains format fixes.
+        assert json.loads(gains.read_text())["plant_hash"] == (
+            "f60e9e648bddbc470db59ef733ce3dff683119366ba8d2c32e8ee0e6e264e582")
 
 
 class TestDeterminism:
@@ -322,13 +347,31 @@ class TestFailureModes:
         assert "<gains>: invalid JSON" in err
 
     @pytest.mark.parametrize("key", ["scheme", "A_coef", "B_coef", "horizon",
-                                     "p"])
+                                     "p", "N", "M"])
     def test_gains_missing_key_exits_1(self, tmp_path, cfg_path, gains_doc,
                                        capsys, key):
         del gains_doc[key]
         err = self._simulate_with_gains(tmp_path, cfg_path,
                                         json.dumps(gains_doc), capsys)
         assert f"<gains>.{key}: missing field" in err
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("M", "x", "expected an integer, got str"),
+        ("N", True, "expected an integer, got bool"),
+        ("p", 2.0, "expected an integer, got float"),
+        ("horizon", 50.0, "expected an integer, got float"),
+        ("M", 3, "3 disagrees with the coefficient arrays' 2"),
+        ("N", 2, "2 disagrees with the coefficient arrays' 1"),
+        ("p", 1, "1 disagrees with the coefficient arrays' 2"),
+        ("horizon", 49, "49 disagrees with the coefficient arrays' 50"),
+    ])
+    def test_gains_bad_size_field_exits_1(self, tmp_path, cfg_path,
+                                          gains_doc, capsys, key, value,
+                                          message):
+        gains_doc[key] = value
+        err = self._simulate_with_gains(tmp_path, cfg_path,
+                                        json.dumps(gains_doc), capsys)
+        assert err == f"delay-lqgame: config error: <gains>.{key}: {message}\n"
 
     @pytest.mark.parametrize("key", ["A_coef", "B_coef"])
     def test_gains_wrong_rank_exits_1(self, tmp_path, cfg_path, gains_doc,
@@ -348,10 +391,7 @@ class TestFailureModes:
 
     def test_singular_coupling_exits_2_naming_step_and_controller(
             self, tmp_path, cfg_path, capsys, monkeypatch):
-        def explode(A, B):
-            raise SingularMatrixError("forced", 0.0, 1)
-
-        monkeypatch.setattr(delay_lqgame.synthesis.lin_ops, "solve", explode)
+        singular_solve(monkeypatch, 0, index=1)
         code = main(["synthesize", "--config", str(cfg_path),
                      "--out", str(tmp_path / "gains.json")])
         err = capsys.readouterr().err
@@ -362,18 +402,8 @@ class TestFailureModes:
 
     def test_singular_grid_point_exits_2_naming_its_delays(
             self, tmp_path, cfg_path, capsys, monkeypatch):
-        solve = delay_lqgame.synthesis.lin_ops.solve
-        calls = []
-
-        def singular_for_plant_one(A, B):
-            # The first step solves the 2x2 grid's plants in order.
-            calls.append(None)
-            if len(calls) == 2:
-                raise SingularMatrixError("forced", 0.0, 1)
-            return solve(A, B)
-
-        monkeypatch.setattr(delay_lqgame.synthesis.lin_ops, "solve",
-                            singular_for_plant_one)
+        # The stack holds the 2x2 grid's plants in row-major order.
+        singular_solve(monkeypatch, 1, index=1)
         code = main(["sweep", "--config", str(cfg_path),
                      "--out", str(tmp_path / "sweep.csv")])
         err = capsys.readouterr().err

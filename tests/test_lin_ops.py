@@ -11,6 +11,7 @@ from delay_lqgame import (
     IntervalError,
     SingularMatrixError,
     ValidationError,
+    compare_schemes,
     discretize,
     lin_ops,
     solve,
@@ -207,6 +208,78 @@ class TestSolve:
 
     def test_no_right_hand_side_columns(self):
         assert solve(np.eye(3), np.zeros((3, 0))).shape == (3, 0)
+
+
+def _bits(X):
+    return X.shape, X.tobytes()
+
+
+def _each_alone(A, B):
+    """The stack's systems solved one 2-D call at a time."""
+    n, m = B.shape[-2:]
+    X = [solve(a, b) for a, b in zip(A.reshape(-1, n, n), B.reshape(-1, n, m))]
+    return np.array(X).reshape(B.shape)
+
+
+class TestStackedSolve:
+    @pytest.mark.parametrize("preset", ["generic", "lfc"])
+    def test_every_preset_system_equals_its_2d_solve(self, monkeypatch,
+                                                     preset, generic_config,
+                                                     lfc_config):
+        config = generic_config if preset == "generic" else lfc_config
+        stacks = []
+
+        def recording(A, B):
+            X = solve(A, B)
+            stacks.append((A.copy(), B.copy(), X))
+            return X
+
+        monkeypatch.setattr(lin_ops, "solve", recording)
+        compare_schemes(config)
+        assert len(stacks) == config.weights.horizon
+        for A, B, X in stacks:
+            assert _bits(X) == _bits(_each_alone(A, B))
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    @pytest.mark.parametrize("lead", [(64,), (4, 3)])
+    def test_seeded_stacks_equal_their_2d_solves(self, n, lead):
+        rng = np.random.default_rng(100 + n)
+        A = rng.normal(size=lead + (n, n))
+        B = rng.normal(size=lead + (n, n + 7))
+        assert _bits(solve(A, B)) == _bits(_each_alone(A, B))
+
+    def test_2d_input_is_the_stack_of_one(self):
+        rng = np.random.default_rng(5)
+        A = rng.normal(size=(3, 3)) + 3.0 * np.eye(3)
+        B = rng.normal(size=(3, 4))
+        assert _bits(solve(A, B)) == _bits(solve(A[None], B[None])[0])
+
+    def _stack(self, singular, non_finite):
+        A = np.tile(np.eye(3), (5, 1, 1))
+        B = np.ones((5, 3, 2))
+        A[singular, :, 1] = 0.0
+        B[non_finite, 2, 0] = np.nan
+        return A, B
+
+    def test_singular_row_before_non_finite_row_wins(self):
+        with pytest.raises(SingularMatrixError) as err:
+            solve(*self._stack(singular=1, non_finite=3))
+        assert (err.value.row, err.value.index, err.value.pivot) == (1, 1,
+                                                                     0.0)
+
+    def test_non_finite_row_before_singular_row_wins(self):
+        with pytest.raises(DimensionError, match="non-finite") as err:
+            solve(*self._stack(singular=3, non_finite=1))
+        assert err.value.row == 1
+
+    def test_2d_failure_is_row_0(self):
+        with pytest.raises(SingularMatrixError) as err:
+            solve(np.zeros((2, 2)), np.eye(2))
+        assert err.value.row == 0
+
+    def test_leading_axes_must_match(self):
+        with pytest.raises(DimensionError):
+            solve(np.ones((3, 2, 2)), np.ones((2, 2, 1)))
 
 
 def _pivot_cases():

@@ -12,7 +12,6 @@ from delay_lqgame import (
     ExperimentConfig,
     GameWeights,
     Scheme,
-    SingularMatrixError,
     ValidationError,
     compare_schemes,
     discretize,
@@ -23,7 +22,7 @@ from delay_lqgame import (
     write_sweep_csv,
 )
 
-from conftest import random_stable_plant, random_weights
+from conftest import random_stable_plant, random_weights, singular_solve
 from oracles import lifted_single_design
 
 
@@ -157,21 +156,6 @@ class TestCompareSchemes:
         assert calls == [(0.0, 0.004), (0.012, 0.004)]
 
 
-def singular_on_row(monkeypatch, row):
-    """Patch the solve to fail at its call after ``row`` others: solves
-    run plant by plant within a step."""
-    solve = delay_lqgame.synthesis.lin_ops.solve
-    calls = []
-
-    def failing(A, B):
-        calls.append(None)
-        if len(calls) == row + 1:
-            raise SingularMatrixError("forced", 0.0, 0)
-        return solve(A, B)
-
-    monkeypatch.setattr(delay_lqgame.synthesis.lin_ops, "solve", failing)
-
-
 def _count_recursions(monkeypatch):
     """Sizes of the batches handed to the recursion's two entry points."""
     sizes = []
@@ -215,10 +199,10 @@ class TestSingularGridPoint:
                                    generic_config):
         cfg = small_grid_config(generic_config, [0.0, 0.012], [0.004, 0.02])
         # Both commands design the proposed scheme first, so the batch
-        # starts at the first solve.  The grid's third point, in row-major
-        # order, is (0.012, 0.004).
+        # starts with the grid's points.  The third, in row-major order,
+        # is (0.012, 0.004).
         run = sweep_delays if command == "sweep" else compare_schemes
-        singular_on_row(monkeypatch, 2)
+        singular_solve(monkeypatch, 2)
         with pytest.raises(CouplingSingularityError) as err:
             run(cfg)
         assert err.value.delays == (0.012, 0.004)
@@ -237,10 +221,8 @@ class TestSingularGridPoint:
         # compare designs every scheme in one batch: proposed on rows 0-3,
         # single_delayed on rows 4-7, both over the four points in grid
         # order, then the one delay-free plant, at zero delays, on row 8.
-        # Failing a row at the first step skips the solves of the rows
-        # before it.
         horizon = cfg.weights.horizon
-        singular_on_row(monkeypatch, row)
+        singular_solve(monkeypatch, row)
         with pytest.raises(CouplingSingularityError) as err:
             compare_schemes(cfg)
         assert err.value.delays == delays

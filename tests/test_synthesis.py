@@ -14,7 +14,6 @@ from delay_lqgame import (
     GameWeights,
     NumericalError,
     Scheme,
-    SingularMatrixError,
     ValidationError,
     discretize,
     synthesize,
@@ -22,7 +21,7 @@ from delay_lqgame import (
     synthesize_for_scheme,
 )
 
-from conftest import random_stable_plant, random_weights
+from conftest import random_stable_plant, random_weights, singular_solve
 from oracles import (
     augmented_delay_lqr,
     best_response_game,
@@ -391,10 +390,7 @@ class TestRecursionInvariants:
     def test_coupling_singularity_is_reported_with_context(self, generic_dp,
                                                            generic_config,
                                                            monkeypatch):
-        def explode(A, B):
-            raise SingularMatrixError("forced", 0.0, 0)
-
-        monkeypatch.setattr(delay_lqgame.synthesis.lin_ops, "solve", explode)
+        singular_solve(monkeypatch, 0)
         with pytest.raises(CouplingSingularityError) as err:
             synthesize(generic_dp, generic_config.weights)
         assert err.value.step == generic_config.weights.horizon - 1
@@ -411,7 +407,7 @@ class TestRecursionInvariants:
 
         def singular_in_block_two(A, B):
             A = np.array(A)
-            A[:, N] = 0.0
+            A[..., N] = 0.0
             return solve(A, B)
 
         monkeypatch.setattr(delay_lqgame.synthesis.lin_ops, "solve",
@@ -474,19 +470,7 @@ class TestBatch:
     def test_singular_plant_named_by_batch_index(self, generic_config,
                                                  monkeypatch):
         plants = _grid_plants(generic_config, ((0.0, 0.01), (0.0, 0.01)))
-        solve = delay_lqgame.synthesis.lin_ops.solve
-        calls = []
-
-        def singular_on_row_two(A, B):
-            # Calls run plant by plant within a step; the first step's
-            # third call is plant 2's.
-            calls.append(None)
-            if len(calls) == 3:
-                raise SingularMatrixError("forced", 0.0, 1)
-            return solve(A, B)
-
-        monkeypatch.setattr(delay_lqgame.synthesis.lin_ops, "solve",
-                            singular_on_row_two)
+        singular_solve(monkeypatch, 2, index=1)
         with pytest.raises(CouplingSingularityError,
                            match="of plant 2 is singular at step 49 for "
                                  "controller 2") as err:
