@@ -18,8 +18,6 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .errors import (
     DelayGameError,
     DimensionError,
@@ -31,9 +29,9 @@ from .errors import (
 from .model import (
     PRESETS,
     Scheme,
+    _array,
     _fields,
     _integer,
-    _number,
     _scheme,
     discretize,
     dump_config,
@@ -91,19 +89,6 @@ def schedule_to_dict(schedule, plant):
     }
 
 
-def _gains_array(doc, key, axes):
-    path = f"<gains>.{key}"
-    try:
-        cells = np.array(doc[key], dtype=object)
-    except ValueError as exc:
-        raise SchemaError(path, f"expected a numeric array: {exc}") from None
-    if cells.ndim != axes:
-        raise SchemaError(path, f"expected {axes} axes, got {cells.ndim}")
-    # The config reader's number rule: finite, no strings, no booleans.
-    values = [_number(v, path) for v in cells.flat]
-    return np.array(values, dtype=float).reshape(cells.shape)
-
-
 # The gains document's size fields, in the order of A_coef's axes.
 _SIZES = ("horizon", "p", "N", "M")
 
@@ -111,15 +96,16 @@ _SIZES = ("horizon", "p", "N", "M")
 def schedule_from_dict(doc, plant):
     if not isinstance(doc, dict) or doc.get("format") != GAINS_FORMAT:
         raise SchemaError("<gains>", f"not a {GAINS_FORMAT} document")
-    _fields(doc, "<gains>", ("scheme", "A_coef", "B_coef") + _SIZES)
+    _fields(doc, "<gains>", ("scheme", "plant_hash", "A_coef", "B_coef")
+            + _SIZES)
     sizes = [_integer(doc[key], f"<gains>.{key}") for key in _SIZES]
-    if doc.get("plant_hash") != plant_hash(plant):
+    if doc["plant_hash"] != plant_hash(plant):
         raise ValidationError(
             "plant-hash mismatch: the gain schedule was synthesized for a "
             "different plant")
     schedule = GainSchedule(_scheme(doc["scheme"], "<gains>.scheme"),
-                            _gains_array(doc, "A_coef", 4),
-                            _gains_array(doc, "B_coef", 5))
+                            _array(doc["A_coef"], "<gains>.A_coef", 4),
+                            _array(doc["B_coef"], "<gains>.B_coef", 5))
     for key, size, actual in zip(_SIZES, sizes, schedule.A_coef.shape):
         if size != actual:
             raise SchemaError(f"<gains>.{key}", f"{size} disagrees with the "

@@ -67,6 +67,21 @@ def _readonly(arr):
     return arr
 
 
+def _check_delays(delays, h, name):
+    """Raise DelayBoundError naming ``name[i]`` unless each delay is in [0, h)."""
+    for i, tau in enumerate(delays):
+        if not 0.0 <= tau < h:
+            raise DelayBoundError(f"delay-bound: {name}[{i}]={tau} must "
+                                  f"satisfy 0 <= tau < h={h}")
+
+
+def _check_budget(field, entries):
+    """Raise ValidationError naming field when entries pass MAX_ENTRIES."""
+    if entries > MAX_ENTRIES:
+        raise ValidationError(f"{field}: {entries} entries exceed the size "
+                              f"budget of {MAX_ENTRIES}")
+
+
 @dataclass(frozen=True)
 class ContinuousPlant:
     """Continuous-time LTI plant with per-controller input maps and delays.
@@ -103,10 +118,7 @@ class ContinuousPlant:
         if len(delays) != len(B):
             raise DimensionError(
                 f"{len(delays)} delays for {len(B)} controllers")
-        for i, tau in enumerate(delays):
-            if not (np.isfinite(tau) and 0.0 <= tau < h):
-                raise DelayBoundError(
-                    f"delay-bound: delay[{i}]={tau} must satisfy 0 <= tau < h={h}")
+        _check_delays(delays, h, "delay")
         object.__setattr__(self, "A", _readonly(A))
         object.__setattr__(self, "B", tuple(_readonly(b) for b in B))
         object.__setattr__(self, "delays", delays)
@@ -281,10 +293,7 @@ class GameWeights:
         if horizon < 1:
             raise ValidationError(f"horizon: must be >= 1, got {horizon}")
         dim = Q[0].shape[0] + len(R) * R[0].shape[0]
-        if horizon * dim**2 > MAX_ENTRIES:
-            raise ValidationError(
-                f"weights.horizon: {horizon} steps of {dim} x {dim} "
-                f"matrices exceed the size budget of {MAX_ENTRIES} entries")
+        _check_budget("weights.horizon", horizon * dim**2)
         object.__setattr__(self, "Q", tuple(_readonly(q) for q in Q))
         object.__setattr__(self, "QN", tuple(_readonly(q) for q in QN))
         object.__setattr__(self, "R", tuple(_readonly(r) for r in R))
@@ -355,18 +364,11 @@ class ExperimentConfig:
             for i, grid in enumerate(sweep):
                 if not grid:
                     raise ValidationError(f"sweep grid {i} is empty")
-                for v in grid:
-                    if not (0.0 <= v < self.plant.h):
-                        raise DelayBoundError(
-                            f"delay-bound: sweep grid value {v} must satisfy "
-                            f"0 <= tau < h={self.plant.h}")
+                _check_delays(grid, self.plant.h, f"sweep.delays_grid[{i}]")
             points = math.prod(len(grid) for grid in sweep)
             dim = self.plant.M + self.plant.p * self.plant.N
-            if points * self.weights.horizon * dim**2 > MAX_ENTRIES:
-                raise ValidationError(
-                    f"sweep.delays_grid: {points} grid points of "
-                    f"{self.weights.horizon} steps of {dim} x {dim} matrices "
-                    f"exceed the size budget of {MAX_ENTRIES} entries")
+            _check_budget("sweep.delays_grid",
+                          points * self.weights.horizon * dim**2)
         object.__setattr__(self, "x0", _readonly(x0))
         object.__setattr__(self, "scheme", scheme)
         object.__setattr__(self, "sweep", sweep)
@@ -412,32 +414,44 @@ def _scheme(value, path):
 
 
 def _integer(value, path):
+    """A size field (a horizon or a dimension): an integer >= 1."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise SchemaError(path, f"expected an integer, got {type(value).__name__}")
+    if value < 1:
+        raise SchemaError(path, f"must be >= 1, got {value}")
     return value
 
 
-def _vector(value, path):
-    if not isinstance(value, list):
-        raise SchemaError(path, "expected an array of numbers")
-    return [_number(v, f"{path}[{i}]") for i, v in enumerate(value)]
-
-
-def _matrix(value, path):
-    if not isinstance(value, list) or not value:
-        raise SchemaError(path, "expected a non-empty array of rows")
-    rows = [_vector(row, f"{path}[{i}]") for i, row in enumerate(value)]
-    width = len(rows[0])
-    for i, row in enumerate(rows):
-        if len(row) != width:
-            raise SchemaError(f"{path}[{i}]", f"row length {len(row)} != {width}")
-    return rows
-
-
-def _matrix_list(value, path):
-    if not isinstance(value, list) or not value:
-        raise SchemaError(path, "expected a non-empty array of matrices")
-    return [_matrix(m, f"{path}[{i}]") for i, m in enumerate(value)]
+def _array(value, path, axes):
+    """value, ``axes`` levels of non-empty lists of one length per level
+    around numbers that pass _number, as a float array.  Checked a level at
+    a time; a failure names the entry by index, as in ``path[1][0]``."""
+    level, shape = [value], []
+    for _ in range(axes):
+        width = len(level[0]) if isinstance(level[0], list) else 0
+        for k, entry in enumerate(level):
+            if not isinstance(entry, list):
+                problem = f"expected an array, got {type(entry).__name__}"
+            elif not entry:
+                problem = "expected a non-empty array"
+            elif len(entry) != width:
+                problem = f"length {len(entry)}, expected {width}"
+            else:
+                continue
+            index = np.unravel_index(k, shape)
+            raise SchemaError(path + "".join(f"[{i}]" for i in index), problem)
+        shape.append(width)
+        level = [leaf for entry in level for leaf in entry]
+    try:
+        if (set(map(type, level)) <= {float, int}
+                and all(map(math.isfinite, level))):
+            return np.array(level, dtype=float).reshape(shape)
+    except OverflowError:  # an integer past the float range
+        pass
+    # Some leaf departs from the number rule (or is a float subclass).
+    return np.array([_number(v, path + "".join(f"[{i}]" for i in index))
+                     for v, index in zip(level, np.ndindex(*shape))]
+                    ).reshape(shape)
 
 
 def _delay(value, path):
@@ -458,25 +472,25 @@ def config_from_dict(doc):
         raise SchemaError("plant.delays", "expected an array")
     delays = [_delay(v, f"plant.delays[{i}]") for i, v in enumerate(delays_doc)]
     plant = ContinuousPlant(
-        A=_matrix(plant_doc["A"], "plant.A"),
-        B=tuple(_matrix_list(plant_doc["B"], "plant.B")),
+        A=_array(plant_doc["A"], "plant.A", 2),
+        B=tuple(_array(plant_doc["B"], "plant.B", 3)),
         delays=tuple(delays),
         h=_number(plant_doc["h"], "plant.h"),
     )
 
     weights_doc = _fields(doc["weights"], "weights", ("Q", "R", "horizon"),
                           ("QN",))
-    Q = _matrix_list(weights_doc["Q"], "weights.Q")
-    QN = (_matrix_list(weights_doc["QN"], "weights.QN")
+    Q = _array(weights_doc["Q"], "weights.Q", 3)
+    QN = (_array(weights_doc["QN"], "weights.QN", 3)
           if "QN" in weights_doc else Q)
     weights = GameWeights(
         Q=tuple(Q),
         QN=tuple(QN),
-        R=tuple(_matrix_list(weights_doc["R"], "weights.R")),
+        R=tuple(_array(weights_doc["R"], "weights.R", 3)),
         horizon=_integer(weights_doc["horizon"], "weights.horizon"),
     )
 
-    x0 = _vector(doc["x0"], "x0") if "x0" in doc else None
+    x0 = _array(doc["x0"], "x0", 1) if "x0" in doc else None
 
     scheme = _scheme(doc.get("scheme", Scheme.PROPOSED.value), "scheme")
 
@@ -486,9 +500,8 @@ def config_from_dict(doc):
                         ())["delays_grid"]
         if not isinstance(grids, list):
             raise SchemaError("sweep.delays_grid", "expected an array of arrays")
-        sweep = tuple(
-            tuple(_vector(grid, f"sweep.delays_grid[{i}]"))
-            for i, grid in enumerate(grids))
+        sweep = tuple(_array(grid, f"sweep.delays_grid[{i}]", 1)
+                      for i, grid in enumerate(grids))
 
     return ExperimentConfig(plant=plant, weights=weights, x0=x0,
                             scheme=scheme, sweep=sweep)

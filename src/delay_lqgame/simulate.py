@@ -15,10 +15,10 @@ import numpy as np
 
 from .errors import DimensionError, NumericalError, SchemaError, ValidationError
 from .model import (
+    _array,
     _fields,
     _integer,
     _number,
-    _vector,
     check_compatible,
     dump_json,
     load_json,
@@ -518,10 +518,7 @@ def _read_sidecar(path):
     doc = _fields(load_json(data, str(path)), str(path),
                   (*keys, "per_player_cost", "total_cost"))
     sizes = [_integer(doc[key], f"{path}.{key}") for key in keys]
-    for key, value in zip(keys, sizes):
-        if value < 1:
-            raise SchemaError(f"{path}.{key}", f"must be >= 1, got {value}")
-    per_player = _vector(doc["per_player_cost"], f"{path}.per_player_cost")
+    per_player = _array(doc["per_player_cost"], f"{path}.per_player_cost", 1)
     if len(per_player) != sizes[2]:
         raise SchemaError(f"{path}.per_player_cost",
                           f"{len(per_player)} entries for p={sizes[2]}")
@@ -579,7 +576,7 @@ def read_trajectory_csv(path):
     return Trajectory(
         states=np.array(states),
         controls=np.reshape(controls, (steps, p, N)),
-        per_player_cost=np.array(per_player),
+        per_player_cost=per_player,
         total_cost=total,
     )
 

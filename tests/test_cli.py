@@ -347,7 +347,7 @@ class TestFailureModes:
         assert "<gains>: invalid JSON" in err
 
     @pytest.mark.parametrize("key", ["scheme", "A_coef", "B_coef", "horizon",
-                                     "p", "N", "M"])
+                                     "p", "N", "M", "plant_hash"])
     def test_gains_missing_key_exits_1(self, tmp_path, cfg_path, gains_doc,
                                        capsys, key):
         del gains_doc[key]
@@ -364,6 +364,7 @@ class TestFailureModes:
         ("N", 2, "2 disagrees with the coefficient arrays' 1"),
         ("p", 1, "1 disagrees with the coefficient arrays' 2"),
         ("horizon", 49, "49 disagrees with the coefficient arrays' 50"),
+        ("p", 0, "must be >= 1, got 0"),
     ])
     def test_gains_bad_size_field_exits_1(self, tmp_path, cfg_path,
                                           gains_doc, capsys, key, value,
@@ -376,10 +377,21 @@ class TestFailureModes:
     @pytest.mark.parametrize("key", ["A_coef", "B_coef"])
     def test_gains_wrong_rank_exits_1(self, tmp_path, cfg_path, gains_doc,
                                       capsys, key):
+        # One axis short: the first number sits where a row belongs.
         gains_doc[key] = gains_doc[key][0]
+        entry = "[0]" * {"A_coef": 3, "B_coef": 4}[key]
         err = self._simulate_with_gains(tmp_path, cfg_path,
                                         json.dumps(gains_doc), capsys)
-        assert f"<gains>.{key}: expected" in err
+        assert err == (f"delay-lqgame: config error: <gains>.{key}{entry}: "
+                       f"expected an array, got float\n")
+
+    def test_ragged_gains_exits_1_naming_the_row(self, tmp_path, cfg_path,
+                                                 gains_doc, capsys):
+        del gains_doc["A_coef"][3][1][0][-1]
+        err = self._simulate_with_gains(tmp_path, cfg_path,
+                                        json.dumps(gains_doc), capsys)
+        assert err == ("delay-lqgame: config error: <gains>.A_coef[3][1][0]: "
+                       "length 1, expected 2\n")
 
     def test_non_utf8_config_exits_1(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"
@@ -528,16 +540,17 @@ class TestFiniteOutputs:
         assert main(["synthesize", "--config", str(cfg_path),
                      "--out", str(gains)]) == 0
         doc = json.loads(gains.read_text())
-        entry = doc[key]
+        entry, index = doc[key], "[0]"
         while isinstance(entry[0], list):
-            entry = entry[0]
+            entry, index = entry[0], index + "[0]"
         entry[0] = "@"
         gains.write_text(json.dumps(doc).replace('"@"', literal))
         code = main(["simulate", "--config", str(cfg_path), "--gains",
                      str(gains), "--out", str(tmp_path / "t.csv")])
         assert code == 1
-        assert (f"<gains>.{key}: expected a finite number"
-                in capsys.readouterr().err)
+        assert capsys.readouterr().err == (
+            f"delay-lqgame: config error: <gains>.{key}{index}: expected a "
+            f"finite number, got {json.loads(literal)}\n")
 
 
 DIVERGING = {

@@ -19,6 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from delay_lqgame import (
+    DelayBoundError,
     DelayGameError,
     GameWeights,
     SchemaError,
@@ -207,7 +208,8 @@ def _gains_with(key, path, value):
 
 class TestGainsNumbers:
     """Gains entries follow the config reader's number rule: a string or a
-    boolean anywhere in A_coef or B_coef is a schema error naming the key."""
+    boolean anywhere in A_coef or B_coef is a schema error naming the
+    entry."""
 
     @fuzz
     @given(key=st.sampled_from(["A_coef", "B_coef"]), data=st.data(),
@@ -215,13 +217,17 @@ class TestGainsNumbers:
     def test_string_or_boolean_entry_rejected(self, key, data, value):
         path = data.draw(st.sampled_from(list(_leaf_paths(GAINS_DOC[key]))))
         doc = _gains_with(key, path, value)
-        with pytest.raises(SchemaError, match=f"<gains>.{key}: expected a "
-                                              f"number"):
+        with pytest.raises(SchemaError) as info:
             schedule_from_dict(doc, GENERIC.plant)
+        entry = f"<gains>.{key}" + "".join(f"[{i}]" for i in path)
+        assert info.value.path == entry
+        assert str(info.value) == (f"{entry}: expected a number, got "
+                                   f"{type(value).__name__}")
 
     @pytest.mark.parametrize("key", ["A_coef", "B_coef"])
     def test_cli_exits_1_naming_key(self, workdir, key):
-        doc = _gains_with(key, next(_leaf_paths(GAINS_DOC[key])), "1.5")
+        path = next(_leaf_paths(GAINS_DOC[key]))
+        doc = _gains_with(key, path, "1.5")
         config = workdir / "generic.json"
         config.write_text(dump_config(GENERIC))
         gains = workdir / "string_gains.json"
@@ -231,7 +237,134 @@ class TestGainsNumbers:
             code = main(["simulate", "--config", str(config), "--gains",
                          str(gains), "--out", str(workdir / "out.csv")])
         assert code == 1
-        assert f"<gains>.{key}: expected a number, got str" in err.getvalue()
+        entry = f"<gains>.{key}" + "".join(f"[{i}]" for i in path)
+        assert err.getvalue() == (f"delay-lqgame: config error: {entry}: "
+                                  f"expected a number, got str\n")
+
+
+# One array input of each document: its document (None: the sidecar of
+# TRAJECTORY), the key path to the array, the index of one number and of
+# one row of at least two entries (neither the first, so a reported index
+# comes from the entry's position), and what a row one entry short reads.
+SHORT = "length {short}, expected {full}"
+ARRAYS = {
+    "config plant.A": (CONFIG_DOCS[0], ("plant", "A"), (1, 0), (1,), SHORT),
+    "gains A_coef": (GAINS_DOC, ("A_coef",), (2, 1, 0, 1), (2, 1, 0),
+                     SHORT),
+    "gains B_coef": (GAINS_DOC, ("B_coef",), (2, 1, 1, 0, 0), (2, 1),
+                     SHORT),
+    # One axis: no sibling rows, so the length is checked against p.
+    "sidecar per_player_cost": (None, ("per_player_cost",), (1,), (),
+                                "{short} entries for p={full}"),
+}
+
+# (case, whether it replaces a number or a row, the JSON literal put there
+# (None: the row less its last entry), the message).
+ARRAY_CASES = [
+    ("string", "number", '"1.5"', "expected a number, got str"),
+    ("boolean", "number", "true", "expected a number, got bool"),
+    ("nan", "number", "NaN", "expected a finite number, got nan"),
+    ("1e400", "number", "1e400", "expected a finite number, got inf"),
+    ("short row", "row", None, None),
+    ("empty list", "row", "[]", "expected a non-empty array"),
+    ("number for list", "row", "1.0", "expected an array, got float"),
+    ("list for number", "number", "[1.0]", "expected a number, got list"),
+]
+
+
+class TestArrayRule:
+    """Config, gains and trajectory sidecar read their arrays under one
+    rule, and a departing entry is named by its index path."""
+
+    @pytest.fixture(scope="class")
+    def trajectory_csv(self, tmp_path_factory):
+        """A trajectory CSV whose sidecar a case replaces; TRAJECTORY's own
+        files stay beside it."""
+        path = tmp_path_factory.mktemp("array_rule") / "traj.csv"
+        write_trajectory_csv(TRAJECTORY, path)
+        bad = path.with_name("bad.csv")
+        bad.write_text(path.read_text())
+        return bad
+
+    def _bad(self, name, case, trajectory_csv):
+        """(document text, entry path, message) of one table case."""
+        doc, keys, number, row, short = ARRAYS[name]
+        sidecar = trajectory_csv.with_suffix(".json")
+        doc = copy.deepcopy(doc or json.loads(
+            trajectory_csv.with_name("traj.json").read_text()))
+        _, where, literal, message = case
+        index = number if where == "number" else row
+        *path, last = keys + index
+        parent = doc
+        for key in path:
+            parent = parent[key]
+        if literal is None:
+            full = len(parent[last])
+            literal = json.dumps(parent[last][:-1])
+            message = short.format(short=full - 1, full=full)
+        parent[last] = "@"
+        text = json.dumps(doc).replace('"@"', literal)
+        prefix = {"config": "", "gains": "<gains>.", "sidecar": f"{sidecar}."}
+        entry = (prefix[name.split()[0]] + ".".join(keys)
+                 + "".join(f"[{i}]" for i in index))
+        return text, entry, message
+
+    @pytest.mark.parametrize("case", ARRAY_CASES, ids=lambda c: c[0])
+    @pytest.mark.parametrize("name", list(ARRAYS))
+    def test_reader_names_the_entry(self, trajectory_csv, name, case):
+        text, entry, message = self._bad(name, case, trajectory_csv)
+        with pytest.raises(SchemaError) as info:
+            if name.startswith("config"):
+                load_config(text)
+            elif name.startswith("gains"):
+                schedule_from_dict(json.loads(text), GENERIC.plant)
+            else:
+                trajectory_csv.with_suffix(".json").write_text(text)
+                read_trajectory_csv(trajectory_csv)
+        assert info.value.path == entry
+        assert str(info.value) == f"{entry}: {message}"
+
+    @pytest.mark.parametrize("case", ARRAY_CASES, ids=lambda c: c[0])
+    @pytest.mark.parametrize("name", ["config plant.A", "gains A_coef",
+                                      "gains B_coef"])
+    def test_cli_exits_1_naming_the_entry(self, workdir, trajectory_csv,
+                                          name, case):
+        text, entry, message = self._bad(name, case, trajectory_csv)
+        config = workdir / "array_rule.json"
+        gains = workdir / "array_rule_gains.json"
+        if name.startswith("config"):
+            config.write_text(text)
+            argv = ["discretize", "--config", str(config)]
+        else:
+            config.write_text(dump_config(GENERIC))
+            gains.write_text(text)
+            argv = ["simulate", "--config", str(config), "--gains",
+                    str(gains), "--out", str(workdir / "array_rule_out.csv")]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            code = main(argv)
+        assert code == 1
+        assert err.getvalue() == (f"delay-lqgame: config error: {entry}: "
+                                  f"{message}\n")
+
+    def test_sweep_value_out_of_range_names_the_entry(self, workdir):
+        grid = CONFIG_DOCS[0]["sweep"]["delays_grid"]
+        grids = [grid[0], grid[1][:3] + [0.05] + grid[1][4:]]
+        text = _with(CONFIG_DOCS[0], "sweep", {"delays_grid": grids})
+        expected = ("delay-bound: sweep.delays_grid[1][3]=0.05 must satisfy "
+                    "0 <= tau < h=0.05")
+        with pytest.raises(DelayBoundError) as info:
+            load_config(text)
+        assert str(info.value) == expected
+        config = workdir / "sweep_range.json"
+        config.write_text(text)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["sweep", "--config", str(config),
+                         "--out", str(workdir / "sweep_range.csv")])
+        assert code == 1
+        assert err.getvalue() == f"delay-lqgame: validation error: {expected}\n"
 
 
 class TestSizeBudget:
