@@ -21,7 +21,7 @@ Configurations are JSON documents; see ``load_config`` for the schema.
 import enum
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import InitVar, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -75,6 +75,12 @@ def _check_delays(delays, h, name):
                                   f"satisfy 0 <= tau < h={h}")
 
 
+def _field(path, name):
+    """A field's name in messages: under its config document path, when
+    the object was read from one."""
+    return f"{path}.{name}" if path else name
+
+
 def _check_budget(field, entries):
     """Raise ValidationError naming field when entries pass MAX_ENTRIES."""
     if entries > MAX_ENTRIES:
@@ -90,35 +96,43 @@ class ContinuousPlant:
     B: tuple of p input matrices, all M x N.
     delays: total delay tau_i per controller, each in [0, h).
     h: sampling period, > 0.
+    path: the plant's config document path ("plant"), under which error
+      messages then name its fields; empty for a plant built in code.
     """
 
     A: np.ndarray
     B: tuple
     delays: tuple
     h: float
+    path: InitVar[str] = ""
 
-    def __post_init__(self):
-        A = lin_ops.as_matrix(self.A, "A")
+    def __post_init__(self, path):
+        A = lin_ops.as_matrix(self.A, _field(path, "A"))
         if A.shape[0] != A.shape[1]:
-            raise DimensionError(f"A must be square, got {A.shape}")
-        B = tuple(lin_ops.as_matrix(b, f"B[{i}]") for i, b in enumerate(self.B))
+            raise DimensionError(
+                f"{_field(path, 'A')} must be square, got {A.shape}")
+        B = tuple(lin_ops.as_matrix(b, _field(path, f"B[{i}]"))
+                  for i, b in enumerate(self.B))
         if not B:
             raise ValidationError("controller count: need at least one B matrix")
         for i, b in enumerate(B):
             if b.shape != B[0].shape:
-                raise DimensionError(
-                    f"B[{i}] has shape {b.shape}, expected {B[0].shape}")
+                raise DimensionError(f"{_field(path, f'B[{i}]')} has shape "
+                                     f"{b.shape}, expected {B[0].shape}")
             if b.shape[0] != A.shape[0]:
-                raise DimensionError(
-                    f"B[{i}] has {b.shape[0]} rows, expected {A.shape[0]}")
+                raise DimensionError(f"{_field(path, f'B[{i}]')} has "
+                                     f"{b.shape[0]} rows, expected "
+                                     f"{A.shape[0]}")
         h = float(self.h)
         if not (np.isfinite(h) and h > 0):
-            raise ValidationError(f"sampling period: h must be positive, got {h}")
+            raise ValidationError(f"sampling period: {_field(path, 'h')} "
+                                  f"must be positive, got {h}")
         delays = tuple(float(t) for t in self.delays)
         if len(delays) != len(B):
-            raise DimensionError(
-                f"{len(delays)} delays for {len(B)} controllers")
-        _check_delays(delays, h, "delay")
+            raise DimensionError(f"{path + '.delays: ' if path else ''}"
+                                 f"{len(delays)} delays for {len(B)} "
+                                 f"controllers")
+        _check_delays(delays, h, _field(path, "delays") if path else "delay")
         object.__setattr__(self, "A", _readonly(A))
         object.__setattr__(self, "B", tuple(_readonly(b) for b in B))
         object.__setattr__(self, "delays", delays)
@@ -259,6 +273,9 @@ class GameWeights:
     QN: terminal state weights, same shapes, PSD.
     R: control weights, one N x N positive-definite matrix per controller.
     horizon: number of control steps.
+    path: the weights' config document path ("weights"), under which
+      error messages then name their fields; empty for weights built in
+      code.
 
     The running weights are nominally positive definite; semi-definite ones
     (a single weighted output, say) are accepted because the recursion only
@@ -269,23 +286,28 @@ class GameWeights:
     QN: tuple
     R: tuple
     horizon: int
+    path: InitVar[str] = ""
 
-    def __post_init__(self):
-        Q = tuple(_checked_weight(q, f"Q[{i}]", definite=False)
-                  for i, q in enumerate(self.Q))
-        QN = tuple(_checked_weight(q, f"QN[{i}]", definite=False)
-                   for i, q in enumerate(self.QN))
-        R = tuple(_checked_weight(r, f"R[{i}]", definite=True)
-                  for i, r in enumerate(self.R))
+    def __post_init__(self, path):
+        Q, QN, R = (tuple(_checked_weight(w, _field(path, f"{name}[{i}]"),
+                                          definite=name == "R")
+                          for i, w in enumerate(getattr(self, name)))
+                    for name in ("Q", "QN", "R"))
         if not (len(Q) == len(QN) == len(R)) or not Q:
-            raise DimensionError("Q, QN, R must list one matrix per controller")
+            raise DimensionError(f"{_field(path, 'Q')}, {_field(path, 'QN')}"
+                                 f", {_field(path, 'R')} must list one "
+                                 f"matrix per controller")
+        where = f"{path}: " if path else ""
         for i in range(1, len(Q)):
             if Q[i].shape != Q[0].shape or QN[i].shape != Q[0].shape:
-                raise DimensionError("state weights must share one shape")
+                raise DimensionError(f"{where}state weights must share one "
+                                     f"shape")
             if R[i].shape != R[0].shape:
-                raise DimensionError("control weights must share one shape")
+                raise DimensionError(f"{where}control weights must share "
+                                     f"one shape")
         if QN[0].shape != Q[0].shape:
-            raise DimensionError("QN must match Q in shape")
+            raise DimensionError(f"{_field(path, 'QN')} must match "
+                                 f"{_field(path, 'Q')} in shape")
         if self.horizon != int(self.horizon):
             raise ValidationError(f"horizon: must be an integer, "
                                   f"got {self.horizon}")
@@ -476,6 +498,7 @@ def config_from_dict(doc):
         B=tuple(_array(plant_doc["B"], "plant.B", 3)),
         delays=tuple(delays),
         h=_number(plant_doc["h"], "plant.h"),
+        path="plant",
     )
 
     weights_doc = _fields(doc["weights"], "weights", ("Q", "R", "horizon"),
@@ -488,6 +511,7 @@ def config_from_dict(doc):
         QN=tuple(QN),
         R=tuple(_array(weights_doc["R"], "weights.R", 3)),
         horizon=_integer(weights_doc["horizon"], "weights.horizon"),
+        path="weights",
     )
 
     x0 = _array(doc["x0"], "x0", 1) if "x0" in doc else None

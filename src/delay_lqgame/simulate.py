@@ -8,6 +8,8 @@ exchange this step's inputs for use at k+1.
 """
 
 import functools
+import numbers
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -63,20 +65,35 @@ class Trajectory:
 def _matvec(W, v):
     """W @ v over the last axis of v, broadcasting the leading axes.
 
-    A product of more than one term (inner dimension above 1, as Phi x
-    and A_coef x) goes to np.matmul, which multiplies one (matrix, vector)
-    pair at a time, through BLAS or its own loop, so every row of a batch
-    gets exactly the products an unbatched call would.  A one-term product
-    (W one column wide, as every input product with N = 1) is an
-    elementwise multiply plus 0.0: matmul sums it onto zero, 0 + w*v,
-    so this is the same number, sign of zero included, without matmul's
-    dispatch per pair.  The tests hold both forms to the same bytes.
+    A product of more than one term goes to np.matmul, which multiplies
+    one (matrix, vector) pair at a time, through BLAS or its own loop, so
+    every row of a batch gets exactly the products an unbatched call
+    would.  A one-term product (W one column wide) is an elementwise
+    multiply plus 0.0: matmul sums it onto zero, 0 + w*v, so this is the
+    same number, sign of zero included.  The tests hold both forms to the
+    same bytes.
     """
     if W.shape[-1] == 1:
         product = W[..., 0] * v
         product += 0.0
         return product
     return np.matmul(W, v[..., None])[..., 0]
+
+
+def _row_last(a):
+    """a (rows, ...) as a view with the row axis moved last."""
+    return a.transpose(*range(1, a.ndim), 0)
+
+
+def _matmul_row_last(W, v):
+    """W @ v pair by pair through np.matmul, for v (..., n, rows) with
+    the row axis last; the result keeps the row axis last.
+
+    The vectors go to np.matmul row-major and contiguous, as an
+    unbatched call hands them over.
+    """
+    v = np.ascontiguousarray(v.transpose(v.ndim - 1, *range(v.ndim - 1)))
+    return _row_last(np.matmul(W, v[..., None])[..., 0])
 
 
 # A diverging loop overflows quietly; _costs then names the step.
@@ -93,53 +110,88 @@ def _closed_loop(plants, schedules, x0, starts=None, offsets=None):
     base) up to step starts[b], where offsets[b] (p, N) is added to its
     inputs; every law stays in place afterwards.  Until then the row is
     the base row bit for bit, so step k runs only the rows with
-    starts <= k, and the others' history is copied from row 0 as it goes.
+    starts <= k, each taking the base row's state and last inputs as it
+    joins; its entries before its start are left unset.
 
-    Sums run player by player in a fixed order, so each row's arithmetic
-    does not depend on the batch: a row equals the same plant and schedule
-    run alone, and a row that joins late equals one run from step 0 with
-    its offset at its start step.
+    The row axis is last in every elementwise product, sum and store, so
+    each call runs one inner loop per row block, not one per row.  The
+    states stay row-major, so products of more than one term (Phi x,
+    A_coef x, and every input product with N > 1) go to np.matmul pair
+    by pair, as unbatched.  A one-term product (every input product with
+    N = 1) is an elementwise multiply; matmul's 0 + w*v differs from it
+    only in the sign of a zero, so each state sum gets that 0.0 once, as
+    it is stored.  An input sum needs none: its first term, a matmul dot,
+    is never -0.0, and so neither is the sum.
+
+    Sums add their terms one at a time in a fixed order, so each row's
+    arithmetic does not depend on the batch: a row equals the same plant
+    and schedule run alone, and a row that joins late equals one run from
+    step 0 with its offset at its start step.
     """
     steps, p = schedules[0].horizon, schedules[0].p
     rows = len(schedules) if starts is None else len(starts)
+    M, N = plants[0].M, plants[0].N
+    # Row-major operands of np.matmul: Phi is (rows or 1, M, M) and
+    # A_coef[k] (rows or 1, p, N, M).
     Phi = np.stack([dp.Phi for dp in plants])
-    Gamma0 = np.stack([dp.Gamma0 for dp in plants])
-    Gamma1 = np.stack([dp.Gamma1 for dp in plants])
-    # Step axis first, so A_coef[k] is (rows or 1, p, N, M).
     A_coef = np.stack([s.A_coef for s in schedules], axis=1)
-    B_coef = np.stack([s.B_coef for s in schedules], axis=1)
-    M, N = Phi.shape[-1], Gamma0.shape[-1]
+    # Gamma[:, 0] is Gamma0 and Gamma[:, 1] Gamma1, side by side.
+    Gamma = np.stack([np.stack((dp.Gamma0, dp.Gamma1), axis=1)
+                      for dp in plants])
+    if N == 1:
+        # Row-last operands of the elementwise products: B_coef[k] is
+        # (p, p, 1, rows or 1), Gamma (p, 2, M, rows or 1).
+        product = np.multiply
+        B_coef = np.stack([s.B_coef for s in schedules], axis=-1)[..., 0, :]
+        Gamma = _row_last(Gamma[..., 0])
+        zero = 0.0
+    else:
+        product = _matmul_row_last
+        B_coef = np.stack([s.B_coef for s in schedules], axis=1)
+        zero = -0.0  # v + -0.0 is v, sign of zero included
+    if offsets is not None:
+        offsets = offsets.transpose(1, 2, 0)
     # joined[k]: the leading rows that run at step k.
     joined = ([rows] * steps if starts is None else
               np.searchsorted(starts, np.arange(steps), side="right").tolist())
-    states = np.empty((rows, steps + 1, M))
-    controls = np.empty((rows, steps, p, N))
-    states[:, 0] = x0
+    states = np.empty((steps + 1, rows, M))
+    # inputs[k + 1] holds u(k), and inputs[0] is u(-1) = 0.
+    inputs = np.empty((steps + 1, p, N, rows))
+    states[0] = x0
+    inputs[0] = 0.0
     ran = 0
     for k in range(steps):
         first, ran = ran, joined[k]
-        # Rows joining at this step find the base row's state and last
-        # inputs in their history.
-        x = states[:ran, k]
-        u_prev = controls[:ran, k - 1] if k else np.zeros((ran, p, N))
-        u = _matvec(A_coef[k], x[:, None])
-        coupled = _matvec(B_coef[k], u_prev[:, None])
+        if 0 < first < ran:
+            states[k, first:ran] = states[k, 0]
+            inputs[k, ..., first:ran] = inputs[k, ..., :1]
+        x = states[k, :ran]
+        u_prev = inputs[k, ..., :ran]
+        # u_i = A_coef_i x + sum_j B_coef_ij u_j(k - 1), j in order, formed
+        # in place in the inputs.
+        u = inputs[k + 1, ..., :ran]
+        if N == 1:
+            # A dot's one number is stored by np.matmul itself, so it can
+            # go straight into the row-last u.
+            np.matmul(A_coef[k], x[:, None, :, None],
+                      out=u.transpose(2, 0, 1)[..., None])
+        else:
+            u[...] = _row_last(np.matmul(A_coef[k],
+                                         x[:, None, :, None])[..., 0])
+        coupled = product(B_coef[k], u_prev[None])
         for j in range(p):
-            u = u + coupled[:, :, j]
-        if offsets is not None:
-            u[first:ran] += offsets[first:ran]
-        now = _matvec(Gamma0, u)
-        before = _matvec(Gamma1, u_prev)
-        x = _matvec(Phi, x)
-        for i in range(p):
-            x = x + now[:, i] + before[:, i]
-        controls[:ran, k] = u
-        states[:ran, k + 1] = x
-        if ran < rows:
-            # Rows yet to join hold the base row's history.
-            controls[ran:, k] = u[0]
-            states[ran:, k + 1] = x[0]
-    return states, controls
+            u += coupled[:, j]
+        if offsets is not None and first < ran:
+            u[..., first:ran] += offsets[..., first:ran]
+        # x(k+1) = Phi x + sum_i (Gamma0_i u_i + Gamma1_i u_i(k - 1)),
+        # the terms in that order.
+        terms = product(Gamma, inputs[k:k + 2, ..., :ran][::-1]
+                        .transpose(1, 0, 2, 3)).reshape(2 * p, M, ran)
+        x = np.matmul(Phi, x[..., None])[..., 0].T + terms[0]
+        for term in terms[1:]:
+            x += term
+        np.add(x.T, zero, out=states[k + 1, :ran])
+    return states.transpose(1, 0, 2), inputs[1:].transpose(3, 0, 1, 2)
 
 
 def _quadratic(v, W):
@@ -155,55 +207,96 @@ def _quadratic(v, W):
     return np.matmul(np.matmul(v[..., None, :], W), v[..., :, None])[..., 0, 0]
 
 
+def _running_sum(terms):
+    """terms[0] + terms[1] + ... in that order, one sum per column.
+
+    np.add.accumulate adds strictly in sequence, where np.add.reduce may
+    sum pairwise.
+    """
+    return np.add.accumulate(terms, axis=0)[-1]
+
+
+def _divergence(terms, row):
+    """NumericalError at the row's first step whose costs, summed in step
+    order, are not finite; terms is (2 horizon + 1, players, rows), laid
+    out as _costs sums them."""
+    own = terms[..., row]
+    per_step = np.append((own[1::2] + own[2::2]).sum(axis=1), own[0].sum())
+    step = int(np.argmin(np.isfinite(np.cumsum(per_step))))
+    return NumericalError(f"closed loop diverges: non-finite state or "
+                          f"cost at step {step}", step, row)
+
+
 @np.errstate(over="ignore", invalid="ignore")
-def _costs(states, controls, weights, players=None):
+def _costs(states, controls, weights, players=None, starts=None):
     """Batched (total, per-player) costs of (rows, ...) trajectories.
 
-    Given players, only row b's cost to controller players[b] is formed,
-    with that controller's weights, and returned alone, shaped (rows,).
-
-    Each cost is a running sum in step order, terminal term first, so a
+    Each cost is a running sum in step order, terminal term first:
+    x(N)'QN x(N), then x(k)'Q x(k) and u(k)'R u(k) for each step k.  The
+    terms are stacked in that order and summed as one accumulate, so a
     batch of one equals a plain step-by-step sum bit for bit, and a cost
     formed alone equals its entry among all the per-player costs.
+
+    Given players and starts, the rows are a block of the deviation check
+    as _closed_loop runs it: row 0 is the base, and row b follows it up
+    to step starts[b].  Returns the base row's per-player costs and, for
+    every later row, its cost to controller players[b] alone.  Such a
+    row's terms up to its start are the base row's, so only its later
+    x'Qx and its u'Ru from its start on are formed.
 
     A non-finite cost (as any non-finite state or control makes it) raises
     NumericalError at the row's first step whose costs, summed in step
     order, are not finite.
     """
     steps, p = controls.shape[1:3]
-    Q, QN, R = (np.stack(w) for w in (weights.Q, weights.QN, weights.R))
-    u = controls
-    if players is not None:
-        # Each row's own controller, as a controller axis of length one.
-        u = controls[np.arange(len(players)), :, players][:, :, None]
-        Q = Q[players, None, None]
-        QN = QN[players, None]
-        R = R[players, None, None]
-    x_run = _quadratic(states[:, :steps, None], Q)
-    x_end = _quadratic(states[:, steps, None], QN)
-    u_run = _quadratic(u, R)
-    per_player = x_end
-    for k in range(steps):
-        per_player = per_player + x_run[:, k] + u_run[:, k]
-    total = per_player[:, 0]
+    Q, QN, R = (np.stack(w)[:, None] for w in (weights.Q, weights.QN,
+                                               weights.R))
+    # Step-major views: xs is (steps + 1, rows, M), us (steps, p, rows, N).
+    xs = states.transpose(1, 0, 2)
+    us = controls.transpose(1, 2, 0, 3)
+    costed = slice(None) if players is None else slice(1)
+    rows = xs[:, costed].shape[1]
+    terms = np.empty((2 * steps + 1, p, rows))
+    terms[0] = _quadratic(xs[steps, costed], QN)
+    terms[1::2] = _quadratic(xs[:steps, None, costed], Q)
+    terms[2::2] = _quadratic(us[:, :, costed], R)
+    per_player = _running_sum(terms)
     if players is None:
         # Shared-objective total: first controller's state weights,
         # everyone's control effort.  Matches the per-player costs exactly
         # when all state weights coincide, as in both bundled presets.
-        total = x_end[:, 0]
-        for k in range(steps):
-            total = total + x_run[:, k, 0]
-            for i in range(p):
-                total = total + u_run[:, k, i]
-    finite = np.isfinite(per_player).all(axis=1) & np.isfinite(total)
+        shared = np.empty((steps, 1 + p, rows))
+        shared[:, 0] = terms[1::2, 0]
+        shared[:, 1:] = terms[2::2]
+        total = _running_sum(np.concatenate((terms[:1, 0],
+                                             shared.reshape(-1, rows))))
+        finite = np.isfinite(per_player).all(axis=0) & np.isfinite(total)
+        if not finite.all():
+            raise _divergence(terms, int(np.argmin(finite)))
+        return total, per_player.T.copy()
+    if not np.isfinite(per_player).all():
+        raise _divergence(terms, 0)
+    own = terms[:, players[1:], 0]
+    # later[k, b]: row b's state at step k is its own, not the base row's.
+    later = np.arange(steps + 1)[:, None] > starts
+    later[:, 0] = False
+    # Line k * rows + b: row b's state at step k (a view of the loop's).
+    lines = xs.reshape(-1, xs.shape[2])
+    for i in range(p):
+        mine = later & (players == i)
+        at = np.flatnonzero(mine)
+        end = np.searchsorted(at, steps * len(players))
+        x = lines.take(at, axis=0)
+        own[1::2][mine[:steps, 1:]] = _quadratic(x[:end], Q[i, 0])
+        own[0][mine[steps, 1:]] = _quadratic(x[end:], QN[i, 0])
+        # u(k) is the row's own from its start, where x(k + 1) is.
+        pick = mine[1:, 1:]
+        own[2::2][pick] = _quadratic(us[:, i, 1:][pick], R[i, 0])
+    cost = _running_sum(own)
+    finite = np.isfinite(cost)
     if not finite.all():
-        row = int(np.argmin(finite))
-        terms = np.append((x_run[row] + u_run[row]).sum(axis=1),
-                          x_end[row].sum())
-        step = int(np.argmin(np.isfinite(np.cumsum(terms))))
-        raise NumericalError(f"closed loop diverges: non-finite state or "
-                             f"cost at step {step}", step, row)
-    return total if players is not None else (total, per_player)
+        raise _divergence(own[:, None], int(np.argmin(finite)))
+    return per_player[:, 0], cost
 
 
 def _checked_x0(dp, schedule, weights, x0):
@@ -314,9 +407,6 @@ def _pool_state(entropy):
 def _seed_words(seed, trials):
     """SeedSequence((seed, t)).generate_state(4, np.uint64) for every t in
     trials, hashed together as array operations, shaped (trials, 4)."""
-    seed = int(seed)
-    if seed < 0:
-        raise ValidationError(f"seed: must be >= 0, got {seed}")
     head = []  # numpy's split of an int into uint32 words, low word first
     while seed or not head:
         head.append(seed & _MASK32)
@@ -399,7 +489,27 @@ def _draw_deviations(seed, trials, p, steps, N, magnitude):
     zero = norm == 0.0
     deltas[zero] = np.eye(N)[0]
     norm[zero] = 1.0
-    return players, at, deltas * (magnitude / norm)[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        deltas *= (magnitude / norm)[:, None]
+    if not np.isfinite(deltas).all():
+        raise ValidationError(f"magnitude: {magnitude} overflows the "
+                              f"scaled deviations")
+    return players, at, deltas
+
+
+def _non_negative_int(value, name):
+    """value as an int >= 0; a bool, a float or any other non-integer
+    raises ValidationError naming the argument."""
+    if isinstance(value, (bool, np.bool_)):
+        raise ValidationError(f"{name}: expected an integer, got {value}")
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{name}: expected an integer, got "
+                              f"{value!r}") from None
+    if value < 0:
+        raise ValidationError(f"{name}: must be >= 0, got {value}")
+    return value
 
 
 def nash_deviation_check(dp, schedule, weights, x0, trials=200,
@@ -418,9 +528,12 @@ def nash_deviation_check(dp, schedule, weights, x0, trials=200,
     step and each joins the loop there; only its deviator's cost is formed.
     """
     x0 = _checked_x0(dp, schedule, weights, x0)
-    trials = int(trials)
-    if trials < 0:
-        raise ValidationError(f"trials: must be >= 0, got {trials}")
+    trials = _non_negative_int(trials, "trials")
+    seed = _non_negative_int(seed, "seed")
+    if (isinstance(magnitude, (bool, np.bool_))
+            or not isinstance(magnitude, numbers.Real)):
+        raise ValidationError(f"magnitude: expected a number, got "
+                              f"{magnitude!r}")
     magnitude = float(magnitude)
     if not np.isfinite(magnitude):
         raise ValidationError(f"magnitude: must be finite, got {magnitude}")
@@ -429,22 +542,20 @@ def nash_deviation_check(dp, schedule, weights, x0, trials=200,
     per_block = max(DEVIATION_BLOCK - 1, 1)
     for first in range(0, trials, per_block):
         stop = min(first + per_block, trials)
-        block = np.arange(first, stop)
         players, steps, deltas = _draw_deviations(
-            seed, block, dp.p, schedule.horizon, dp.N, magnitude)
+            seed, np.arange(first, stop), dp.p, schedule.horizon, dp.N,
+            magnitude)
         order = np.argsort(steps, kind="stable")
-        players = players[order]
-        offsets = np.zeros((len(block) + 1, dp.p, dp.N))
-        offsets[np.arange(1, len(block) + 1), players] = deltas[order]
-        states, controls = _closed_loop(
-            [dp], [schedule], x0, starts=np.append(0, steps[order]),
-            offsets=offsets)
-        if first == 0:
-            base = _costs(states[:1], controls[:1], weights)[1][0]
-        own = _costs(states[1:], controls[1:], weights, players)
-        change[first:stop] = own - base[players]
-        margin[first:stop] = (change[first:stop]
-                              + NASH_TOLERANCE * (1.0 + base[players]))
+        players = np.append(0, players[order])
+        starts = np.append(0, steps[order])
+        offsets = np.zeros((len(starts), dp.p, dp.N))
+        offsets[np.arange(1, len(starts)), players[1:]] = deltas[order]
+        states, controls = _closed_loop([dp], [schedule], x0, starts,
+                                        offsets)
+        base, own = _costs(states, controls, weights, players, starts)
+        base = base[players[1:]]
+        change[first:stop] = own - base
+        margin[first:stop] = change[first:stop] + NASH_TOLERANCE * (1.0 + base)
     min_margin = margin.min(initial=np.inf)
     return DeviationReport(
         passed=bool(min_margin >= 0.0),

@@ -203,6 +203,46 @@ class TestFailureModes:
         assert main(["discretize", "--config", str(cfg)]) == 1
         assert "bogus" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("path, value, message", [
+        (("plant", "A"), [[0.0, 1.0, 0.0], [-3.0, -4.0, 0.0]],
+         "validation error: plant.A must be square, got (2, 3)"),
+        (("plant", "B"), [[[0.0]], [[1.0]]],
+         "validation error: plant.B[0] has 1 rows, expected 2"),
+        (("plant", "h"), -0.05,
+         "validation error: sampling period: plant.h must be positive, "
+         "got -0.05"),
+        (("plant", "delays"), [0.01],
+         "validation error: plant.delays: 1 delays for 2 controllers"),
+        (("plant", "delays"), [0.01, 0.05],
+         "validation error: delay-bound: plant.delays[1]=0.05 must "
+         "satisfy 0 <= tau < h=0.05"),
+        (("weights", "Q"), [[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]] * 2,
+         "validation error: weights.Q[0] must be square, got (2, 3)"),
+        (("weights", "QN", 1), [[1.0, 1.0], [0.0, 1.0]],
+         "validation error: weight symmetry: weights.QN[1] is asymmetric "
+         "by 1.000e+00"),
+        (("weights", "R", 1), [[-1.0]],
+         "validation error: weight definiteness: weights.R[1] must be "
+         "positive definite (min eigenvalue -1.000e+00)"),
+        (("weights", "R"), [[[1.0]]],
+         "validation error: weights.Q, weights.QN, weights.R must list one "
+         "matrix per controller"),
+        (("weights", "QN"), [np.eye(3).tolist()] * 2,
+         "validation error: weights: state weights must share one shape"),
+    ])
+    def test_semantic_error_exits_1_naming_the_document_path(
+            self, tmp_path, capsys, path, value, message):
+        doc = json.loads(dump_config(preset_generic()))
+        *keys, last = path
+        parent = doc
+        for key in keys:
+            parent = parent[key]
+        parent[last] = value
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["discretize", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == f"delay-lqgame: {message}\n"
+
     def test_plant_hash_mismatch_exits_1(self, tmp_path, cfg_path, capsys):
         gains = tmp_path / "gains.json"
         main(["synthesize", "--config", str(cfg_path), "--out", str(gains)])
@@ -233,7 +273,7 @@ class TestFailureModes:
         (("plant", "A", 0, 0), 1e308,
          "matrix exponential: e^(A t) at t = 0.05 overflows"),
         (("weights", "Q", 0), [[1.7e308, 0.0], [0.0, 1.7e308]],
-         "weight range: Q[0] overflows"),
+         "weight range: weights.Q[0] overflows"),
     ])
     def test_overflow_exits_1_with_one_stderr_line(self, tmp_path, path,
                                                    value, message):

@@ -228,6 +228,26 @@ class TestWeights:
             GameWeights(Q=(np.eye(1),), QN=(np.eye(1),), R=(np.eye(1),),
                         horizon=0)
 
+    def test_weights_built_in_code_name_no_document_path(self):
+        eye = np.eye(2)
+        with pytest.raises(ValidationError, match=r"^weight symmetry: "
+                                                  r"QN\[1\] is asymmetric"):
+            GameWeights(Q=(eye, eye), QN=(eye, np.triu(np.ones((2, 2)))),
+                        R=(np.eye(1),) * 2, horizon=3)
+        with pytest.raises(ValidationError, match=r"^weight definiteness: "
+                                                  r"R\[1\] must be positive"):
+            GameWeights(Q=(eye, eye), QN=(eye, eye),
+                        R=(np.eye(1), -np.eye(1)), horizon=3)
+
+    def test_plant_built_in_code_names_no_document_path(self):
+        with pytest.raises(DimensionError,
+                           match=r"^B\[0\] has 1 rows, expected 2$"):
+            ContinuousPlant(A=np.eye(2), B=(np.ones((1, 1)),) * 2,
+                            delays=(0.0, 0.0), h=0.1)
+        with pytest.raises(DelayBoundError, match=r"^delay-bound: delay\[1\]"):
+            ContinuousPlant(A=np.eye(2), B=(np.ones((2, 1)),) * 2,
+                            delays=(0.0, 0.1), h=0.1)
+
 
 class TestPresets:
     def test_generic_parameters(self, generic_config):

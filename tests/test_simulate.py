@@ -1,4 +1,5 @@
 import json
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from delay_lqgame import (
     DimensionError,
+    DiscretePlant,
     GainSchedule,
     GameWeights,
     NumericalError,
@@ -27,6 +29,7 @@ from delay_lqgame import (
 
 from conftest import random_stable_plant, random_weights
 from oracles import (
+    _dense_closed_loop,
     closed_loop,
     dense_deviation_check,
     per_trial_deviation_check,
@@ -418,6 +421,59 @@ class TestNashDeviation:
                                  generic_config.weights, generic_config.x0,
                                  trials=5, magnitude=bad)
 
+    @pytest.mark.parametrize("name, bad", [
+        ("trials", 2.7), ("trials", True), ("trials", float("nan")),
+        ("trials", 3.0), ("trials", "3"), ("seed", 1.5), ("seed", True),
+        ("seed", np.float64(2.0)), ("seed", np.True_),
+    ])
+    def test_non_integer_count_rejected(self, generic_dp, generic_config,
+                                        generic_schedule, name, bad):
+        kwargs = {"trials": 5, "seed": 0, name: bad}
+        with pytest.raises(ValidationError,
+                           match=f"^{name}: expected an integer, got "):
+            nash_deviation_check(generic_dp, generic_schedule,
+                                 generic_config.weights, generic_config.x0,
+                                 **kwargs)
+
+    @pytest.mark.parametrize("bad", ["abc", "0.01", None, 1 + 2j, True])
+    def test_non_number_magnitude_rejected(self, generic_dp, generic_config,
+                                           generic_schedule, bad):
+        with pytest.raises(ValidationError,
+                           match="^magnitude: expected a number, got "):
+            nash_deviation_check(generic_dp, generic_schedule,
+                                 generic_config.weights, generic_config.x0,
+                                 trials=5, magnitude=bad)
+
+    def test_numpy_integers_accepted(self, generic_dp, generic_config,
+                                     generic_schedule):
+        args = (generic_dp, generic_schedule, generic_config.weights,
+                generic_config.x0)
+        got = nash_deviation_check(*args, trials=np.int64(9),
+                                   seed=np.uint32(4))
+        assert type(got.trials) is int
+        assert got == nash_deviation_check(*args, trials=9, seed=4)
+
+    def test_overflowing_magnitude_rejected_without_warning(
+            self, generic_dp, generic_config, generic_schedule):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="^magnitude: 1e"):
+                nash_deviation_check(generic_dp, generic_schedule,
+                                     generic_config.weights,
+                                     generic_config.x0, trials=50,
+                                     magnitude=1e308)
+
+    def test_diverging_trial_names_its_step_and_row(self, generic_dp,
+                                                    generic_config,
+                                                    generic_schedule):
+        # Offsets of 1e200 are finite, but their u'Ru overflows.
+        with pytest.raises(NumericalError) as err:
+            nash_deviation_check(generic_dp, generic_schedule,
+                                 generic_config.weights, generic_config.x0,
+                                 trials=20, magnitude=1e200, seed=3)
+        assert err.value.step is not None and err.value.row is not None
+        assert str(err.value).endswith(f"at step {err.value.step}")
+
 
 def _seeded_p3_case():
     rng = np.random.default_rng(2026)
@@ -616,13 +672,15 @@ def _edge_stack(rng, shape):
 
 class TestOneTermProducts:
     """The elementwise form of a one-term product against np.matmul, byte
-    for byte, on the stack shapes the closed loop and the costs use."""
+    for byte: _matvec and _quadratic on stacks of the shapes they take,
+    and the closed loop's sums of one-term products, whose 0.0 comes once
+    per sum."""
 
     @pytest.mark.parametrize("W_shape, v_shape", [
-        ((40, 3, 3, 1, 1), (40, 1, 3, 1)),   # B_coef[k] u_prev, per row
+        ((40, 3, 3, 1, 1), (40, 1, 3, 1)),   # a matrix per row and pair
         ((1, 3, 3, 1, 1), (40, 1, 3, 1)),    # ... shared by every row
-        ((1, 3, 6, 1), (40, 3, 1)),          # Gamma0 u, Gamma1 u_prev
-        ((40, 1, 1), (40, 1)),               # delta . delta
+        ((1, 3, 6, 1), (40, 3, 1)),          # one column per controller
+        ((40, 1, 1), (40, 1)),               # delta . delta of the draws
     ])
     def test_matvec_equals_matmul_bytes(self, W_shape, v_shape):
         rng = np.random.default_rng(31)
@@ -646,6 +704,39 @@ class TestOneTermProducts:
             got = simulate._quadratic(v, W)
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("distinct", [False, True])
+    def test_loop_sums_equal_matmul_bytes(self, distinct):
+        # The loop adds raw one-term products and its 0.0 once per sum;
+        # the dense oracle sums matmul's 0 + w*v for every product.
+        rng = np.random.default_rng(33)
+        M, p, steps = 3, 3, 8
+        plants = [DiscretePlant(_edge_stack(rng, (M, M)),
+                                tuple(_edge_stack(rng, (p, M, 1))),
+                                tuple(_edge_stack(rng, (p, M, 1))))
+                  for _ in range(4 if distinct else 1)]
+        schedules = [GainSchedule(Scheme.PROPOSED,
+                                  _edge_stack(rng, (steps, p, 1, M)),
+                                  _edge_stack(rng, (steps, p, p, 1, 1)))
+                     for _ in plants]
+        x0 = _edge_stack(rng, M)
+        with np.errstate(all="ignore"):
+            if distinct:
+                got = simulate._closed_loop(plants, schedules, x0)
+                want = _dense_closed_loop(plants, schedules, x0)
+            else:
+                starts = np.array([0, 0, 3, 7])
+                offsets = _edge_stack(rng, (4, p, 1))
+                offsets[0] = 0.0
+                got = simulate._closed_loop(plants, schedules, x0, starts,
+                                            offsets)
+                dense = np.zeros((steps, 4, p, 1))
+                dense[starts, np.arange(4)] = offsets
+                want = _dense_closed_loop(plants, schedules, x0, dense)
+        for row in range(len(got[0])):
+            start = 0 if distinct else starts[row]
+            for have, expect in zip(got, want):
+                _assert_same_bytes(have[row, start:], expect[row, start:])
 
     def test_stacks_hold_every_edge(self):
         v = _edge_stack(np.random.default_rng(31), (40, 1, 3, 1))
@@ -671,3 +762,74 @@ class TestRandomizedRollouts:
                         + dp.Gamma1[i] @ u_prev[i])
             assert np.abs(tr.states[k + 1] - want).max() <= 1e-10
             u_prev = tr.controls[k]
+
+
+def _signed_zero_case(M, p, N, seed):
+    """A seeded plant with -0.0 in x0 and in the gains, and a batch of
+    distinct plants of the same sizes, all at horizon 6."""
+    rng = np.random.default_rng(seed)
+    weights = random_weights(rng, M, N=N, p=p, horizon=6)
+    plants = [discretize(random_stable_plant(rng, M=M, N=N, p=p))
+              for _ in range(3)]
+    schedules = []
+    for dp in plants:
+        sched = synthesize(dp, weights)
+        A, B = sched.A_coef.copy(), sched.B_coef.copy()
+        A[::2, 0, 0, 0] = -0.0
+        B[1::2, 0, -1] = -0.0
+        schedules.append(GainSchedule(sched.scheme, A, B))
+    x0 = rng.normal(size=M)
+    x0[0] = -0.0
+    return plants, schedules, weights, x0
+
+
+def _assert_same_bytes(got, want):
+    assert got.shape == want.shape
+    assert np.ascontiguousarray(got).tobytes() == want.tobytes()
+
+
+class TestLoopSweep:
+    """The batched loop and the check over every layout the loop takes:
+    one- and many-term state products (M), one to three controllers (p),
+    one-term and matmul input products (N)."""
+
+    @pytest.mark.parametrize("N", [1, 2])
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("M", [1, 2, 5, 9])
+    def test_rows_equal_oracle_loop_bytes(self, M, p, N):
+        plants, schedules, weights, x0 = _signed_zero_case(M, p, N,
+                                                           100 * M + 10 * p + N)
+        dp, sched = plants[0], schedules[0]
+        # Rows of distinct plants, each run alone by the oracle.
+        for tr, plant, schedule in zip(
+                simulate._rollouts(plants, schedules, x0, weights), plants,
+                schedules):
+            states, controls = closed_loop(plant, schedule, x0)
+            _assert_same_bytes(tr.states, states)
+            _assert_same_bytes(tr.controls, controls)
+        # Rows that join a base row at their deviation step.
+        players, steps, deltas = simulate._draw_deviations(
+            6, np.arange(40), p, sched.horizon, N, 0.5)
+        assert {0, sched.horizon - 1} <= set(steps.tolist())
+        order = np.argsort(steps, kind="stable")
+        starts = np.append(0, steps[order])
+        offsets = np.zeros((41, p, N))
+        offsets[np.arange(1, 41), players[order]] = deltas[order]
+        states, controls = simulate._closed_loop([dp], [sched], x0, starts,
+                                                 offsets)
+        want = closed_loop(dp, sched, x0)
+        _assert_same_bytes(states[0], want[0])
+        _assert_same_bytes(controls[0], want[1])
+        for row, t in enumerate(order, start=1):
+            want = closed_loop(dp, sched, x0,
+                               deviation=(players[t], steps[t], deltas[t]))
+            _assert_same_bytes(states[row, steps[t]:], want[0][steps[t]:])
+            _assert_same_bytes(controls[row, steps[t]:], want[1][steps[t]:])
+        # The check, with its deviator costs from the deviation step on,
+        # against the dense form that costs every row from step 0.
+        for seed in (6, 7):
+            assert (nash_deviation_check(dp, sched, weights, x0, trials=40,
+                                         magnitude=0.5, seed=seed)
+                    == dense_deviation_check(dp, sched, weights, x0,
+                                             trials=40, magnitude=0.5,
+                                             seed=seed))
