@@ -77,8 +77,9 @@ class DelayBoundError(ValidationError):
     """A delay falls outside [0, h)."""
 
 
-class SchemaError(DelayGameError):
-    """A configuration document is malformed; carries the field path."""
+class SchemaError(ValidationError):
+    """A document field or an API argument breaks its value rule; carries
+    the field path, which leads the message."""
 
     def __init__(self, path, message):
         super().__init__(f"{path}: {message}")

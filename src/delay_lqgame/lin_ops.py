@@ -18,19 +18,24 @@ from .errors import (
 PIVOT_RTOL = 1e-12
 
 
-def as_matrix(a, name="matrix"):
-    """Coerce to a finite 2-D float64 array, validating on the way in."""
-    arr = np.asarray(a, dtype=float)
+def as_float(a, name):
+    """a as a float64 array; what numpy cannot convert raises DimensionError."""
+    try:
+        return np.asarray(a, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DimensionError(f"{name}: not an array of numbers ({exc})") from None
+
+
+def as_matrix(a, name="matrix", square=False):
+    """Coerce to a finite 2-D (square, if asked) float64 array."""
+    arr = as_float(a, name)
     if arr.ndim != 2:
         raise DimensionError(f"{name} must be 2-D, got ndim={arr.ndim}")
     if arr.size and not np.all(np.isfinite(arr)):
         raise DimensionError(f"{name} contains non-finite entries")
+    if square and arr.shape[0] != arr.shape[1]:
+        raise DimensionError(f"{name} must be square, got {arr.shape}")
     return arr
-
-
-def _require_square(A, name):
-    if A.shape[0] != A.shape[1]:
-        raise DimensionError(f"{name} must be square, got shape {A.shape}")
 
 
 def symmetrize(A):
@@ -112,8 +117,7 @@ def mat_exp(A, t=1.0):
     Pade scaling and squaring (Higham 2005): degree 3, 5, 7, 9 or 13
     chosen by the 1-norm of A*t, then repeated squaring.
     """
-    A = as_matrix(A, "A")
-    _require_square(A, "A")
+    A = as_matrix(A, "A", square=True)
     t = float(t)
     if not np.isfinite(t):
         raise IntervalError(f"t must be finite, got {t}")
@@ -129,8 +133,7 @@ def exp_and_integral(A, t):
     Both are blocks of one exponential of the augmented matrix
     [[A, I], [0, 0]] t: the top-left and the top-right one.
     """
-    A = as_matrix(A, "A")
-    _require_square(A, "A")
+    A = as_matrix(A, "A", square=True)
     m = A.shape[0]
     aug = np.zeros((2 * m, 2 * m))
     aug[:m, :m] = A
@@ -161,8 +164,8 @@ def solve(A, B):
     have p*N rows, where per-call array overhead outweighs the flops.  So
     the whole stack is checked and converted once, not system by system.
     """
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
+    A = as_float(A, "A")
+    B = as_float(B, "B")
     if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
         raise DimensionError(f"A must be square, got shape {A.shape}")
     n = A.shape[-1]

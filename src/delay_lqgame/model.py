@@ -21,6 +21,8 @@ Configurations are JSON documents; see ``load_config`` for the schema.
 import enum
 import json
 import math
+import numbers
+import operator
 from dataclasses import InitVar, dataclass, field, replace
 from pathlib import Path
 
@@ -35,11 +37,14 @@ from .errors import (
     ValidationError,
 )
 
-# Asymmetry up to this (absolute) size is treated as serialization noise
-# and symmetrized away; anything larger is rejected.
+# Asymmetry up to this size, relative to the weight's largest entry (or
+# absolute below 1), is treated as serialization noise and symmetrized
+# away; anything larger is rejected.  A semi-definite weight may dip to
+# the same floor below zero.
 SYMMETRY_ATOL = 1e-12
 
-# Tolerance for the Gamma0 + Gamma1 split-conservation check.
+# Tolerance of the Gamma0 + Gamma1 split-conservation check, relative to
+# the undelayed input matrix's largest entry (or absolute below 1).
 SPLIT_CONSERVATION_ATOL = 1e-9
 
 # Size budget: the most float64 entries (80 MB) that a config may ask one
@@ -88,6 +93,53 @@ def _check_budget(field, entries):
                               f"budget of {MAX_ENTRIES}")
 
 
+# ---------------------------------------------------------------------------
+# value rules, one per kind, shared by the document readers and the Python
+# API; each raises SchemaError naming the field path
+# ---------------------------------------------------------------------------
+
+def _number(value, path):
+    """value as a float: a finite real number (numpy scalars too), not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise SchemaError(path, f"expected a number, got {type(value).__name__}")
+    try:
+        number = float(value)
+    except OverflowError:
+        raise SchemaError(path, "number out of floating-point range") from None
+    if not math.isfinite(number):
+        raise SchemaError(path, f"expected a finite number, got {number}")
+    return number
+
+
+def _integer(value, path, minimum=1):
+    """value as an int >= minimum: an int or a numpy integer, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise SchemaError(path, f"expected an integer, got {type(value).__name__}")
+    value = operator.index(value)
+    if value < minimum:
+        raise SchemaError(path, f"must be >= {minimum}, got {value}")
+    return value
+
+
+def _scheme(value, path):
+    """value as a Scheme: a member or its name."""
+    try:
+        return Scheme(value)
+    except ValueError:
+        choices = ", ".join(s.value for s in Scheme)
+        raise SchemaError(path, f"must be one of: {choices}") from None
+
+
+def _entries(value, path):
+    """value's entries (matrices, delays or grids) as a tuple; a value that
+    has none, such as a number or None, raises SchemaError."""
+    try:
+        return tuple(value)
+    except TypeError:
+        raise SchemaError(path, f"expected a sequence, got "
+                                f"{type(value).__name__}") from None
+
+
 @dataclass(frozen=True)
 class ContinuousPlant:
     """Continuous-time LTI plant with per-controller input maps and delays.
@@ -107,12 +159,10 @@ class ContinuousPlant:
     path: InitVar[str] = ""
 
     def __post_init__(self, path):
-        A = lin_ops.as_matrix(self.A, _field(path, "A"))
-        if A.shape[0] != A.shape[1]:
-            raise DimensionError(
-                f"{_field(path, 'A')} must be square, got {A.shape}")
+        h = _number(self.h, _field(path, "h"))
+        A = lin_ops.as_matrix(self.A, _field(path, "A"), square=True)
         B = tuple(lin_ops.as_matrix(b, _field(path, f"B[{i}]"))
-                  for i, b in enumerate(self.B))
+                  for i, b in enumerate(_entries(self.B, _field(path, "B"))))
         if not B:
             raise ValidationError("controller count: need at least one B matrix")
         for i, b in enumerate(B):
@@ -123,16 +173,16 @@ class ContinuousPlant:
                 raise DimensionError(f"{_field(path, f'B[{i}]')} has "
                                      f"{b.shape[0]} rows, expected "
                                      f"{A.shape[0]}")
-        h = float(self.h)
-        if not (np.isfinite(h) and h > 0):
+        if not h > 0:
             raise ValidationError(f"sampling period: {_field(path, 'h')} "
                                   f"must be positive, got {h}")
-        delays = tuple(float(t) for t in self.delays)
+        where = _field(path, "delays")
+        delays = tuple(_number(t, f"{where}[{i}]")
+                       for i, t in enumerate(_entries(self.delays, where)))
         if len(delays) != len(B):
-            raise DimensionError(f"{path + '.delays: ' if path else ''}"
-                                 f"{len(delays)} delays for {len(B)} "
-                                 f"controllers")
-        _check_delays(delays, h, _field(path, "delays") if path else "delay")
+            raise DimensionError(f"{where}: {len(delays)} delays for "
+                                 f"{len(B)} controllers")
+        _check_delays(delays, h, where if path else "delay")
         object.__setattr__(self, "A", _readonly(A))
         object.__setattr__(self, "B", tuple(_readonly(b) for b in B))
         object.__setattr__(self, "delays", delays)
@@ -152,7 +202,7 @@ class ContinuousPlant:
 
     def with_delays(self, delays):
         """Copy of this plant with the delay vector replaced."""
-        return replace(self, delays=tuple(float(t) for t in delays))
+        return replace(self, delays=delays)
 
 
 @dataclass(frozen=True)
@@ -164,13 +214,10 @@ class DiscretePlant:
     Gamma1: tuple
 
     def __post_init__(self):
-        Phi = lin_ops.as_matrix(self.Phi, "Phi")
-        if Phi.shape[0] != Phi.shape[1]:
-            raise DimensionError(f"Phi must be square, got {Phi.shape}")
-        G0 = tuple(lin_ops.as_matrix(g, f"Gamma0[{i}]")
-                   for i, g in enumerate(self.Gamma0))
-        G1 = tuple(lin_ops.as_matrix(g, f"Gamma1[{i}]")
-                   for i, g in enumerate(self.Gamma1))
+        Phi = lin_ops.as_matrix(self.Phi, "Phi", square=True)
+        G0, G1 = (tuple(lin_ops.as_matrix(g, f"{name}[{i}]")
+                        for i, g in enumerate(getattr(self, name)))
+                  for name in ("Gamma0", "Gamma1"))
         if not G0 or len(G0) != len(G1):
             raise DimensionError("Gamma0 and Gamma1 must pair up per controller")
         shape = G0[0].shape
@@ -226,8 +273,9 @@ def discretize(plant):
             Gamma1.append(np.zeros_like(B_i))
         else:
             Gamma1.append(shift @ (exp_pair(tau)[1] @ B_i))
-        drift = np.abs(Gamma0[-1] + Gamma1[-1] - total @ B_i).max()
-        if drift > SPLIT_CONSERVATION_ATOL:
+        undelayed = total @ B_i
+        drift = np.abs(Gamma0[-1] + Gamma1[-1] - undelayed).max()
+        if drift > SPLIT_CONSERVATION_ATOL * max(1.0, np.abs(undelayed).max()):
             raise ValidationError(
                 f"delay-split conservation: Gamma0 + Gamma1 deviates from the "
                 f"undelayed input matrix by {drift:.3e}")
@@ -235,14 +283,13 @@ def discretize(plant):
 
 
 def _checked_weight(W, name, definite):
-    W = lin_ops.as_matrix(W, name)
-    if W.shape[0] != W.shape[1]:
-        raise DimensionError(f"{name} must be square, got {W.shape}")
+    W = lin_ops.as_matrix(W, name, square=True)
     # Entries near the float limit can overflow in the skew, the
     # symmetrization or the eigenvalues; each is checked before use.
+    floor = SYMMETRY_ATOL * max(1.0, np.abs(W).max(initial=0.0))
     with np.errstate(over="ignore", invalid="ignore"):
-        skew = np.abs(W - W.T).max() if W.size else 0.0
-        if skew > SYMMETRY_ATOL:
+        skew = np.abs(W - W.T).max(initial=0.0)
+        if skew > floor:
             raise ValidationError(
                 f"weight symmetry: {name} is asymmetric by {skew:.3e}")
         W = lin_ops.symmetrize(W)
@@ -252,7 +299,6 @@ def _checked_weight(W, name, definite):
     if not np.all(np.isfinite(eigs)):
         raise ValidationError(f"weight range: {name} has non-finite "
                               f"eigenvalues")
-    floor = SYMMETRY_ATOL * max(1.0, np.abs(W).max())
     if definite:
         if eigs.min() <= 0.0:
             raise ValidationError(
@@ -289,9 +335,11 @@ class GameWeights:
     path: InitVar[str] = ""
 
     def __post_init__(self, path):
+        horizon = _integer(self.horizon, _field(path, "horizon"))
         Q, QN, R = (tuple(_checked_weight(w, _field(path, f"{name}[{i}]"),
                                           definite=name == "R")
-                          for i, w in enumerate(getattr(self, name)))
+                          for i, w in enumerate(
+                              _entries(getattr(self, name), _field(path, name))))
                     for name in ("Q", "QN", "R"))
         if not (len(Q) == len(QN) == len(R)) or not Q:
             raise DimensionError(f"{_field(path, 'Q')}, {_field(path, 'QN')}"
@@ -308,12 +356,6 @@ class GameWeights:
         if QN[0].shape != Q[0].shape:
             raise DimensionError(f"{_field(path, 'QN')} must match "
                                  f"{_field(path, 'Q')} in shape")
-        if self.horizon != int(self.horizon):
-            raise ValidationError(f"horizon: must be an integer, "
-                                  f"got {self.horizon}")
-        horizon = int(self.horizon)
-        if horizon < 1:
-            raise ValidationError(f"horizon: must be >= 1, got {horizon}")
         dim = Q[0].shape[0] + len(R) * R[0].shape[0]
         _check_budget("weights.horizon", horizon * dim**2)
         object.__setattr__(self, "Q", tuple(_readonly(q) for q in Q))
@@ -338,26 +380,30 @@ def check_compatible(plant, weights, x0=None, horizon=None):
     horizon when given, fit the plant (continuous or discretized) or the
     trajectory: one weight set per controller, M x M state weights, N x N
     control weights, M entries of x0, the weights' horizon.  A non-finite
-    x0 entry raises :class:`ValidationError`."""
+    x0 entry raises :class:`ValidationError`.  Messages lead with the
+    field's document path: weights.Q, weights.R, x0 or horizon.  Returns
+    x0, when given, as a flat float vector."""
+    if x0 is not None:
+        x0 = lin_ops.as_float(x0, "x0").reshape(-1)
     if weights.p != plant.p:
         raise DimensionError(
-            f"{weights.p} weight sets for {plant.p} controllers")
+            f"weights.Q: {weights.p} weight sets for {plant.p} controllers")
     if weights.Q[0].shape[0] != plant.M:
         raise DimensionError(
-            f"state weights are {weights.Q[0].shape[0]}-dimensional, "
-            f"plant has {plant.M} states")
+            f"weights.Q: state weights are {weights.Q[0].shape[0]}-"
+            f"dimensional, plant has {plant.M} states")
     if weights.R[0].shape[0] != plant.N:
         raise DimensionError(
-            f"control weights are {weights.R[0].shape[0]}-dimensional, "
-            f"controls have {plant.N}")
+            f"weights.R: control weights are {weights.R[0].shape[0]}-"
+            f"dimensional, controls have {plant.N}")
     if x0 is not None and x0.shape[0] != plant.M:
-        raise DimensionError(
-            f"x0 has length {x0.shape[0]}, expected {plant.M}")
+        raise DimensionError(f"x0: length {x0.shape[0]}, expected {plant.M}")
     if x0 is not None and not np.all(np.isfinite(x0)):
         raise ValidationError("x0 contains non-finite entries")
     if horizon is not None and horizon != weights.horizon:
         raise DimensionError(f"horizon: {horizon} steps, the weights "
                              f"expect {weights.horizon}")
+    return x0
 
 
 @dataclass(frozen=True)
@@ -371,26 +417,28 @@ class ExperimentConfig:
     sweep: tuple = None
 
     def __post_init__(self):
-        x0 = np.zeros(self.plant.M) if self.x0 is None else self.x0
-        x0 = np.asarray(x0, dtype=float).reshape(-1)
-        check_compatible(self.plant, self.weights, x0)
-        scheme = self.scheme
-        if not isinstance(scheme, Scheme):
-            scheme = Scheme(scheme)
+        for name, kind in (("plant", ContinuousPlant), ("weights", GameWeights)):
+            if not isinstance(getattr(self, name), kind):
+                raise SchemaError(name, f"expected a {kind.__name__}")
+        scheme = _scheme(self.scheme, "scheme")
+        x0 = check_compatible(self.plant, self.weights, np.zeros(self.plant.M)
+                              if self.x0 is None else self.x0)
         sweep = self.sweep
         if sweep is not None:
-            sweep = tuple(tuple(float(v) for v in grid) for grid in sweep)
+            where = "sweep.delays_grid"
+            sweep = tuple(tuple(_number(v, f"{where}[{i}][{j}]") for j, v
+                                in enumerate(_entries(grid, f"{where}[{i}]")))
+                          for i, grid in enumerate(_entries(sweep, where)))
             if len(sweep) != self.plant.p:
                 raise DimensionError(
                     f"sweep needs {self.plant.p} delay grids, got {len(sweep)}")
             for i, grid in enumerate(sweep):
                 if not grid:
                     raise ValidationError(f"sweep grid {i} is empty")
-                _check_delays(grid, self.plant.h, f"sweep.delays_grid[{i}]")
+                _check_delays(grid, self.plant.h, f"{where}[{i}]")
             points = math.prod(len(grid) for grid in sweep)
             dim = self.plant.M + self.plant.p * self.plant.N
-            _check_budget("sweep.delays_grid",
-                          points * self.weights.horizon * dim**2)
+            _check_budget(where, points * self.weights.horizon * dim**2)
         object.__setattr__(self, "x0", _readonly(x0))
         object.__setattr__(self, "scheme", scheme)
         object.__setattr__(self, "sweep", sweep)
@@ -412,35 +460,6 @@ def _fields(value, path, required, optional=None):
     missing = [key for key in required if key not in value]
     if missing:
         raise SchemaError(f"{path}.{missing[0]}", "missing field")
-    return value
-
-
-def _number(value, path):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError(path, f"expected a number, got {type(value).__name__}")
-    try:
-        number = float(value)
-    except OverflowError:
-        raise SchemaError(path, "number out of floating-point range") from None
-    if not math.isfinite(number):
-        raise SchemaError(path, f"expected a finite number, got {number}")
-    return number
-
-
-def _scheme(value, path):
-    try:
-        return Scheme(value)
-    except ValueError:
-        choices = ", ".join(s.value for s in Scheme)
-        raise SchemaError(path, f"must be one of: {choices}") from None
-
-
-def _integer(value, path):
-    """A size field (a horizon or a dimension): an integer >= 1."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SchemaError(path, f"expected an integer, got {type(value).__name__}")
-    if value < 1:
-        raise SchemaError(path, f"must be >= 1, got {value}")
     return value
 
 
@@ -477,11 +496,12 @@ def _array(value, path, axes):
 
 
 def _delay(value, path):
-    # Either a total delay or a {sc, ca} pair summed on ingestion.
+    # Either a total delay, which the plant checks, or a {sc, ca} pair
+    # summed on ingestion.
     if isinstance(value, dict):
         _fields(value, path, ("ca", "sc"), ())
         return _number(value["sc"], f"{path}.sc") + _number(value["ca"], f"{path}.ca")
-    return _number(value, path)
+    return value
 
 
 def config_from_dict(doc):
@@ -497,7 +517,7 @@ def config_from_dict(doc):
         A=_array(plant_doc["A"], "plant.A", 2),
         B=tuple(_array(plant_doc["B"], "plant.B", 3)),
         delays=tuple(delays),
-        h=_number(plant_doc["h"], "plant.h"),
+        h=plant_doc["h"],
         path="plant",
     )
 
@@ -510,13 +530,11 @@ def config_from_dict(doc):
         Q=tuple(Q),
         QN=tuple(QN),
         R=tuple(_array(weights_doc["R"], "weights.R", 3)),
-        horizon=_integer(weights_doc["horizon"], "weights.horizon"),
+        horizon=weights_doc["horizon"],
         path="weights",
     )
 
     x0 = _array(doc["x0"], "x0", 1) if "x0" in doc else None
-
-    scheme = _scheme(doc.get("scheme", Scheme.PROPOSED.value), "scheme")
 
     sweep = None
     if "sweep" in doc:
@@ -528,7 +546,8 @@ def config_from_dict(doc):
                       for i, grid in enumerate(grids))
 
     return ExperimentConfig(plant=plant, weights=weights, x0=x0,
-                            scheme=scheme, sweep=sweep)
+                            scheme=doc.get("scheme", Scheme.PROPOSED),
+                            sweep=sweep)
 
 
 def load_config(text):

@@ -23,7 +23,7 @@ from itertools import product
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .model import Scheme, discretize, write_csv
+from .model import Scheme, _scheme, discretize, write_csv
 from .simulate import Trajectory, _rollouts
 from .synthesis import GainSchedule, synthesize, synthesize_batch
 
@@ -106,7 +106,8 @@ def _designs(config, schemes, points, plants=None):
 
 def synthesize_for_scheme(config, scheme):
     """Gain schedule for one scheme on the config's plant, tagged with it."""
-    return _designs(config, [Scheme(scheme)], [config.plant.delays])[0]
+    return _designs(config, [_scheme(scheme, "scheme")],
+                    [config.plant.delays])[0]
 
 
 def _results(config, schemes, points):
@@ -132,7 +133,8 @@ def _results(config, schemes, points):
 
 def run_scheme(config, scheme):
     """Design under the scheme's assumptions, run on the true plant."""
-    return _results(config, [Scheme(scheme)], [config.plant.delays])[0]
+    return _results(config, [_scheme(scheme, "scheme")],
+                    [config.plant.delays])[0]
 
 
 def sweep_delays(config):

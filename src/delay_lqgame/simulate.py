@@ -8,8 +8,6 @@ exchange this step's inputs for use at k+1.
 """
 
 import functools
-import numbers
-import operator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -246,7 +244,7 @@ def _costs(states, controls, weights, players=None, starts=None):
 
     A non-finite cost (as any non-finite state or control makes it) raises
     NumericalError at the row's first step whose costs, summed in step
-    order, are not finite.
+    order, are not finite; its ``row`` is the row's index in the batch.
     """
     steps, p = controls.shape[1:3]
     Q, QN, R = (np.stack(w)[:, None] for w in (weights.Q, weights.QN,
@@ -276,7 +274,9 @@ def _costs(states, controls, weights, players=None, starts=None):
         return total, per_player.T.copy()
     if not np.isfinite(per_player).all():
         raise _divergence(terms, 0)
-    own = terms[:, players[1:], 0]
+    # Column b: row b's terms to players[b], the base row's (player 0's)
+    # in column 0.
+    own = terms[:, players, 0]
     # later[k, b]: row b's state at step k is its own, not the base row's.
     later = np.arange(steps + 1)[:, None] > starts
     later[:, 0] = False
@@ -287,16 +287,16 @@ def _costs(states, controls, weights, players=None, starts=None):
         at = np.flatnonzero(mine)
         end = np.searchsorted(at, steps * len(players))
         x = lines.take(at, axis=0)
-        own[1::2][mine[:steps, 1:]] = _quadratic(x[:end], Q[i, 0])
-        own[0][mine[steps, 1:]] = _quadratic(x[end:], QN[i, 0])
+        own[1::2][mine[:steps]] = _quadratic(x[:end], Q[i, 0])
+        own[0][mine[steps]] = _quadratic(x[end:], QN[i, 0])
         # u(k) is the row's own from its start, where x(k + 1) is.
-        pick = mine[1:, 1:]
-        own[2::2][pick] = _quadratic(us[:, i, 1:][pick], R[i, 0])
+        pick = mine[1:]
+        own[2::2][pick] = _quadratic(us[:, i][pick], R[i, 0])
     cost = _running_sum(own)
     finite = np.isfinite(cost)
     if not finite.all():
         raise _divergence(own[:, None], int(np.argmin(finite)))
-    return per_player[:, 0], cost
+    return per_player[:, 0], cost[1:]
 
 
 def _checked_x0(dp, schedule, weights, x0):
@@ -304,9 +304,7 @@ def _checked_x0(dp, schedule, weights, x0):
         raise DimensionError(
             f"schedule built for (M={schedule.M}, N={schedule.N}, "
             f"p={schedule.p}), plant is (M={dp.M}, N={dp.N}, p={dp.p})")
-    x0 = np.asarray(x0, dtype=float).reshape(-1)
-    check_compatible(dp, weights, x0, schedule.horizon)
-    return x0
+    return check_compatible(dp, weights, x0, schedule.horizon)
 
 
 def _rollouts(plants, schedules, x0, weights):
@@ -497,21 +495,6 @@ def _draw_deviations(seed, trials, p, steps, N, magnitude):
     return players, at, deltas
 
 
-def _non_negative_int(value, name):
-    """value as an int >= 0; a bool, a float or any other non-integer
-    raises ValidationError naming the argument."""
-    if isinstance(value, (bool, np.bool_)):
-        raise ValidationError(f"{name}: expected an integer, got {value}")
-    try:
-        value = operator.index(value)
-    except TypeError:
-        raise ValidationError(f"{name}: expected an integer, got "
-                              f"{value!r}") from None
-    if value < 0:
-        raise ValidationError(f"{name}: must be >= 0, got {value}")
-    return value
-
-
 def nash_deviation_check(dp, schedule, weights, x0, trials=200,
                          magnitude=1e-2, seed=0):
     """Probe the no-improvement property of the synthesized equilibrium.
@@ -526,17 +509,12 @@ def nash_deviation_check(dp, schedule, weights, x0, trials=200,
     DEVIATION_BLOCK rows led by the undeviated base row.  A trial's row is
     the base row until its deviation step, so the rows are sorted by that
     step and each joins the loop there; only its deviator's cost is formed.
+    A diverging trial's NumericalError has its trial number as ``row``.
     """
     x0 = _checked_x0(dp, schedule, weights, x0)
-    trials = _non_negative_int(trials, "trials")
-    seed = _non_negative_int(seed, "seed")
-    if (isinstance(magnitude, (bool, np.bool_))
-            or not isinstance(magnitude, numbers.Real)):
-        raise ValidationError(f"magnitude: expected a number, got "
-                              f"{magnitude!r}")
-    magnitude = float(magnitude)
-    if not np.isfinite(magnitude):
-        raise ValidationError(f"magnitude: must be finite, got {magnitude}")
+    trials = _integer(trials, "trials", minimum=0)
+    seed = _integer(seed, "seed", minimum=0)
+    magnitude = _number(magnitude, "magnitude")
     change = np.empty(trials)
     margin = np.empty(trials)
     per_block = max(DEVIATION_BLOCK - 1, 1)
@@ -552,7 +530,12 @@ def nash_deviation_check(dp, schedule, weights, x0, trials=200,
         offsets[np.arange(1, len(starts)), players[1:]] = deltas[order]
         states, controls = _closed_loop([dp], [schedule], x0, starts,
                                         offsets)
-        base, own = _costs(states, controls, weights, players, starts)
+        try:
+            base, own = _costs(states, controls, weights, players, starts)
+        except NumericalError as exc:
+            if exc.row:  # a trial's row in the step-sorted block
+                exc.row = first + int(order[exc.row - 1])
+            raise
         base = base[players[1:]]
         change[first:stop] = own - base
         margin[first:stop] = change[first:stop] + NASH_TOLERANCE * (1.0 + base)

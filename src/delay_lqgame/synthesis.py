@@ -51,7 +51,7 @@ from .errors import (
     SingularMatrixError,
     ValidationError,
 )
-from .model import Scheme, check_compatible
+from .model import Scheme, _scheme, check_compatible
 
 
 @dataclass(frozen=True)
@@ -68,8 +68,8 @@ class GainSchedule:
     B_coef: np.ndarray
 
     def __post_init__(self):
-        A = np.asarray(self.A_coef, dtype=float)
-        B = np.asarray(self.B_coef, dtype=float)
+        A = lin_ops.as_float(self.A_coef, "A_coef")
+        B = lin_ops.as_float(self.B_coef, "B_coef")
         if A.ndim != 4:
             raise DimensionError(f"A_coef must have 4 axes, got {A.ndim}")
         steps, p, N, M = A.shape
@@ -78,6 +78,7 @@ class GainSchedule:
                 f"B_coef shape {B.shape} does not match A_coef {A.shape}")
         if not (np.all(np.isfinite(A)) and np.all(np.isfinite(B))):
             raise ValidationError("gain schedule contains non-finite entries")
+        object.__setattr__(self, "scheme", _scheme(self.scheme, "scheme"))
         object.__setattr__(self, "A_coef", A)
         object.__setattr__(self, "B_coef", B)
 

@@ -229,6 +229,11 @@ class TestFailureModes:
          "matrix per controller"),
         (("weights", "QN"), [np.eye(3).tolist()] * 2,
          "validation error: weights: state weights must share one shape"),
+        (("weights",), {"Q": [np.eye(2).tolist()] * 4, "R": [[[1.0]]] * 4,
+                        "horizon": 50},
+         "validation error: weights.Q: 4 weight sets for 2 controllers"),
+        (("x0",), [1.0, -0.8, 0.0],
+         "validation error: x0: length 3, expected 2"),
     ])
     def test_semantic_error_exits_1_naming_the_document_path(
             self, tmp_path, capsys, path, value, message):

@@ -19,8 +19,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from delay_lqgame import (
+    ContinuousPlant,
     DelayBoundError,
     DelayGameError,
+    ExperimentConfig,
     GameWeights,
     SchemaError,
     ValidationError,
@@ -185,6 +187,56 @@ class TestScheduleFromDict:
     def test_mutated_gains(self, doc):
         _parses_or_raises_package_error(schedule_from_dict, doc,
                                         GENERIC.plant)
+
+
+# numpy scalars as a caller may pass them, finite or not.
+NUMPY_SCALARS = (st.floats().map(np.float64)
+                 | st.floats(width=32).map(np.float32)
+                 | st.integers(-2**63, 2**63 - 1).map(np.int64)
+                 | st.booleans().map(np.bool_)
+                 | st.text(max_size=4).map(np.str_))
+ARGUMENTS = st.recursive(
+    SCALARS | NUMPY_SCALARS,
+    lambda children: (st.lists(children, max_size=4)
+                      | st.dictionaries(st.text(max_size=8), children,
+                                        max_size=4)),
+    max_leaves=12)
+
+
+def _constructor_args(config):
+    """{constructor: its keyword arguments} that rebuild config's parts."""
+    plant, w = config.plant, config.weights
+    return {
+        ContinuousPlant: dict(A=plant.A, B=plant.B, delays=plant.delays,
+                              h=plant.h),
+        GameWeights: dict(Q=w.Q, QN=w.QN, R=w.R, horizon=w.horizon),
+        ExperimentConfig: dict(plant=plant, weights=w, x0=config.x0,
+                               scheme=config.scheme, sweep=config.sweep),
+    }
+
+
+FIELDS = [(kind, name) for kind, args in _constructor_args(GENERIC).items()
+          for name in args]
+
+
+class TestConstructorArguments:
+    """Any value, in any one field of a public constructor, builds the
+    object or raises a DelayGameError."""
+
+    @fuzz
+    @given(field=st.sampled_from(FIELDS), value=ARGUMENTS)
+    @example(field=(ContinuousPlant, "h"), value=True)
+    @example(field=(GameWeights, "horizon"), value=np.float64(5.0))
+    @example(field=(ExperimentConfig, "sweep"), value=[[0.0, "x"], [0.0]])
+    def test_any_value_in_any_field(self, field, value):
+        kind, name = field
+        args = _constructor_args(GENERIC)[kind]
+        args[name] = value
+        _parses_or_raises_package_error(lambda: kind(**args))
+
+    def test_unchanged_fields_build(self):
+        for kind, args in _constructor_args(GENERIC).items():
+            assert _parses_or_raises_package_error(lambda: kind(**args))
 
 
 def _leaf_paths(doc, prefix=()):

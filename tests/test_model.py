@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from delay_lqgame import (
     ContinuousPlant,
     DelayBoundError,
+    DelayGameError,
     DimensionError,
     DiscretePlant,
     ExperimentConfig,
@@ -24,9 +26,12 @@ from delay_lqgame import (
     load_config,
     preset_generic,
     preset_lfc,
+    run_scheme,
+    synthesize_for_scheme,
 )
 
 from delay_lqgame.model import dump_json, write_csv
+from delay_lqgame.synthesis import GainSchedule
 
 from conftest import random_stable_plant
 from oracles import exp_integral, select_controller, simpson_exp_integral
@@ -90,6 +95,17 @@ class TestDiscretize:
     def test_negative_delay_rejected(self):
         with pytest.raises(DelayBoundError):
             ContinuousPlant(A=[[0.0]], B=([[1.0]],), delays=(-0.1,), h=1.0)
+
+    def test_conservation_tolerance_scales_with_the_input_matrix(self):
+        # The generic plant in larger input units: Gamma0 + Gamma1 drifts
+        # by ~2e-9 in absolute terms, a few ulps of its ~5e8 entries.
+        plant = replace(preset_generic().plant,
+                        B=tuple(1e10 * b for b in preset_generic().plant.B))
+        dp = discretize(plant)
+        total = exp_integral(plant.A, 0.0, plant.h)
+        for i in range(plant.p):
+            np.testing.assert_allclose(dp.Gamma0[i] + dp.Gamma1[i],
+                                       total @ plant.B[i], rtol=1e-9)
 
 
 class TestConfigDocuments:
@@ -223,6 +239,17 @@ class TestWeights:
             GameWeights(Q=(np.eye(2),), QN=(np.eye(2),),
                         R=(np.zeros((1, 1)),), horizon=3)
 
+    def test_symmetry_tolerance_scales_with_the_weight(self):
+        # X X' with entries near 1e8, one entry moved up by one ulp (a
+        # few 1e-8): serialization noise at that scale, symmetrized away.
+        X = 1e4 * np.random.default_rng(5).normal(size=(3, 3))
+        Q = X @ X.T
+        Q[0, 1] = np.nextafter(Q[0, 1], np.inf)
+        assert np.abs(Q - Q.T).max() > 1e-12
+        w = GameWeights(Q=(Q,), QN=(Q,), R=(np.eye(1),), horizon=3)
+        np.testing.assert_array_equal(w.Q[0], w.Q[0].T)
+        np.testing.assert_allclose(w.Q[0], X @ X.T, rtol=1e-15)
+
     def test_nonpositive_horizon_rejected(self):
         with pytest.raises(ValidationError, match="horizon"):
             GameWeights(Q=(np.eye(1),), QN=(np.eye(1),), R=(np.eye(1),),
@@ -314,6 +341,85 @@ class TestDomainTypes:
     def test_non_finite_entries_rejected(self):
         with pytest.raises(DimensionError):
             DiscretePlant(Phi=[[np.nan]], Gamma0=([[1.0]],), Gamma1=([[0.0]],))
+
+
+def _plant(**changes):
+    generic = preset_generic().plant
+    args = dict(A=generic.A, B=generic.B, delays=generic.delays, h=generic.h)
+    return ContinuousPlant(**{**args, **changes})
+
+
+def _weights(**changes):
+    generic = preset_generic().weights
+    args = dict(Q=generic.Q, QN=generic.QN, R=generic.R,
+                horizon=generic.horizon)
+    return GameWeights(**{**args, **changes})
+
+
+def _config(**changes):
+    generic = preset_generic()
+    args = dict(plant=generic.plant, weights=generic.weights, x0=generic.x0,
+                sweep=generic.sweep)
+    return ExperimentConfig(**{**args, **changes})
+
+
+class TestApiArguments:
+    """Every malformed argument of the public constructors and entry
+    points raises a DelayGameError whose message leads with the field."""
+
+    @pytest.mark.parametrize("build, field", [
+        pytest.param(lambda: _plant(A="x"), "A: ", id="A-string"),
+        pytest.param(lambda: _plant(A=[[0.0, 1.0], [-3.0]]), "A: ",
+                     id="A-ragged"),
+        pytest.param(lambda: _plant(B=([[0.0], ["x"]], [[0.0], [1.0]])),
+                     "B[0]: ", id="B-string-entry"),
+        pytest.param(lambda: _plant(h=None), "h: ", id="h-None"),
+        pytest.param(lambda: _plant(h="0.05"), "h: ", id="h-string"),
+        pytest.param(lambda: _plant(h=True), "h: ", id="h-bool"),
+        pytest.param(lambda: _plant(delays=None), "delays: ",
+                     id="delays-None"),
+        pytest.param(lambda: _plant(delays=(np.nan, 0.01)), "delays[0]: ",
+                     id="delays-nan"),
+        pytest.param(lambda: _weights(Q=("x", "x")), "Q[0]: ",
+                     id="Q-strings"),
+        pytest.param(lambda: _weights(horizon="5"), "horizon: ",
+                     id="horizon-string"),
+        pytest.param(lambda: _weights(horizon=True), "horizon: ",
+                     id="horizon-bool"),
+        pytest.param(lambda: _weights(horizon=np.inf), "horizon: ",
+                     id="horizon-inf"),
+        pytest.param(lambda: _config(x0=["a", 1]), "x0: ", id="x0-string"),
+        pytest.param(lambda: _config(sweep=((0.0, "x"), (0.0,))),
+                     "sweep.delays_grid[0][1]: ", id="sweep-string"),
+        pytest.param(lambda: _config(sweep=((0.0,), (np.nan,))),
+                     "sweep.delays_grid[1][0]: ", id="sweep-nan"),
+        pytest.param(lambda: _config(scheme="x"), "scheme: ",
+                     id="config-scheme"),
+        pytest.param(lambda: synthesize_for_scheme(preset_generic(), "x"),
+                     "scheme: ", id="synthesize_for_scheme"),
+        pytest.param(lambda: run_scheme(preset_generic(), "x"), "scheme: ",
+                     id="run_scheme"),
+        pytest.param(lambda: GainSchedule(Scheme.PROPOSED, "x", "y"),
+                     "A_coef: ", id="GainSchedule-strings"),
+    ])
+    def test_malformed_argument_names_its_field(self, build, field):
+        with pytest.raises(DelayGameError) as err:
+            build()
+        assert str(err.value).startswith(field)
+
+    def test_numpy_scalars_and_scheme_names_are_accepted(self):
+        plant = _plant(h=np.float32(0.05), delays=np.array([0.01, 0.0]))
+        assert type(plant.h) is float and plant.h == float(np.float32(0.05))
+        assert plant.delays == (0.01, 0.0)
+        assert type(plant.delays[0]) is float
+        weights = _weights(horizon=np.int64(50))
+        assert type(weights.horizon) is int and weights.horizon == 50
+        assert _config(scheme="single_delayed").scheme is Scheme.SINGLE_DELAYED
+
+    def test_schema_error_is_a_validation_error(self):
+        with pytest.raises(ValidationError):
+            _weights(horizon=2.0)
+        assert issubclass(SchemaError, ValidationError)
 
 
 class TestFileEncoders:

@@ -416,7 +416,7 @@ class TestNashDeviation:
     def test_non_finite_magnitude_rejected(self, generic_dp, generic_config,
                                            generic_schedule, bad):
         with pytest.raises(ValidationError,
-                           match=f"magnitude: must be finite, got {bad}"):
+                           match=f"magnitude: expected a finite number, got {bad}"):
             nash_deviation_check(generic_dp, generic_schedule,
                                  generic_config.weights, generic_config.x0,
                                  trials=5, magnitude=bad)
@@ -473,6 +473,9 @@ class TestNashDeviation:
                                  trials=20, magnitude=1e200, seed=3)
         assert err.value.step is not None and err.value.row is not None
         assert str(err.value).endswith(f"at step {err.value.step}")
+        # Trial 2 is the first to deviate at step 1; no trial deviates at
+        # step 0, so it leads the step-sorted block.
+        assert err.value.row == 2
 
 
 def _seeded_p3_case():
