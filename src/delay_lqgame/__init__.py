@@ -1,106 +1,78 @@
 """Distributed LQ-game controller synthesis and simulation for sampled
-plants with per-controller input delays."""
+plants with per-controller input delays.
 
-from .errors import (
-    CouplingSingularityError,
-    DelayBoundError,
-    DelayGameError,
-    DimensionError,
-    IntervalError,
-    NumericalError,
-    SchemaError,
-    SingularMatrixError,
-    ValidationError,
-)
-from .lin_ops import (
-    solve,
-    symmetrize,
-)
-from .model import (
-    ContinuousPlant,
-    DiscretePlant,
-    ExperimentConfig,
-    GameWeights,
-    PRESETS,
-    Scheme,
-    config_from_dict,
-    config_to_dict,
-    discretize,
-    dump_config,
-    load_config,
-    preset_generic,
-    preset_lfc,
-)
-from .schemes import (
-    SchemeResult,
-    SweepPoint,
-    compare_schemes,
-    run_scheme,
-    sweep_delays,
-    synthesize_for_scheme,
-    write_comparison_csv,
-    write_sweep_csv,
-)
-from .simulate import (
-    DeviationReport,
-    NASH_TOLERANCE,
-    Trajectory,
-    evaluate_costs,
-    nash_deviation_check,
-    read_trajectory_csv,
-    rollout,
-    write_trajectory_csv,
-)
-from .synthesis import (
-    GainSchedule,
-    synthesize,
-    synthesize_batch,
-)
+Public names are imported from their modules on first use (PEP 562), so
+importing the package, or one command's modules, loads no other module.
+"""
+
+import importlib
+
+# Each public name and the module that defines it.
+_HOMES = {
+    "errors": (
+        "CouplingSingularityError",
+        "DelayBoundError",
+        "DelayGameError",
+        "DimensionError",
+        "IntervalError",
+        "NumericalError",
+        "SchemaError",
+        "SingularMatrixError",
+        "ValidationError",
+    ),
+    "lin_ops": ("solve", "symmetrize"),
+    "model": (
+        "ContinuousPlant",
+        "DiscretePlant",
+        "ExperimentConfig",
+        "GainSchedule",
+        "GameWeights",
+        "PRESETS",
+        "Scheme",
+        "config_from_dict",
+        "config_to_dict",
+        "discretize",
+        "dump_config",
+        "load_config",
+        "preset_generic",
+        "preset_lfc",
+    ),
+    "schemes": (
+        "SchemeResult",
+        "SweepPoint",
+        "compare_schemes",
+        "run_scheme",
+        "sweep_delays",
+        "synthesize_for_scheme",
+        "write_comparison_csv",
+        "write_sweep_csv",
+    ),
+    "simulate": (
+        "Trajectory",
+        "evaluate_costs",
+        "read_trajectory_csv",
+        "rollout",
+        "write_trajectory_csv",
+    ),
+    "deviation": ("DeviationReport", "NASH_TOLERANCE", "nash_deviation_check"),
+    "synthesis": ("synthesize", "synthesize_batch"),
+}
+_MODULE_OF = {name: module for module, names in _HOMES.items()
+              for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ContinuousPlant",
-    "CouplingSingularityError",
-    "DelayBoundError",
-    "DelayGameError",
-    "DeviationReport",
-    "DimensionError",
-    "DiscretePlant",
-    "ExperimentConfig",
-    "GainSchedule",
-    "GameWeights",
-    "IntervalError",
-    "NASH_TOLERANCE",
-    "NumericalError",
-    "PRESETS",
-    "SchemaError",
-    "Scheme",
-    "SchemeResult",
-    "SingularMatrixError",
-    "SweepPoint",
-    "Trajectory",
-    "ValidationError",
-    "compare_schemes",
-    "config_from_dict",
-    "config_to_dict",
-    "discretize",
-    "dump_config",
-    "evaluate_costs",
-    "load_config",
-    "nash_deviation_check",
-    "preset_generic",
-    "preset_lfc",
-    "read_trajectory_csv",
-    "rollout",
-    "run_scheme",
-    "solve",
-    "sweep_delays",
-    "symmetrize",
-    "synthesize",
-    "synthesize_batch",
-    "synthesize_for_scheme",
-    "write_comparison_csv",
-    "write_sweep_csv",
-    "write_trajectory_csv",
-]
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -28,6 +28,7 @@ from .errors import (
 )
 from .model import (
     PRESETS,
+    GainSchedule,
     Scheme,
     _array,
     _fields,
@@ -40,16 +41,11 @@ from .model import (
     load_json,
     write_csv,
 )
-from .schemes import (
-    compare_schemes,
-    comparison_rows,
-    run_scheme,
-    sweep_delays,
-    sweep_rows,
-    synthesize_for_scheme,
-)
-from .simulate import rollout, sidecar_path, write_trajectory_csv
-from .synthesis import GainSchedule
+
+# Each handler imports the layers its command runs when it runs, so a
+# process loads only those: synthesize the recursion and no rollout,
+# simulate --gains the rollout and no recursion, and no command the
+# deviation check.
 
 GAINS_FORMAT = "delay-lqgame-gains/1"
 
@@ -162,6 +158,8 @@ def _cmd_discretize(args):
 
 
 def _cmd_synthesize(args):
+    from .schemes import synthesize_for_scheme
+
     config = _load_config_file(args.config)
     schedule = synthesize_for_scheme(config, args.scheme or config.scheme)
     _write_text(dump_json(schedule_to_dict(schedule, config.plant)), args.out)
@@ -171,6 +169,8 @@ def _cmd_synthesize(args):
 def _check_sidecar(args):
     """Reject a --out whose .json sidecar would overwrite --out itself or
     an input file, before anything is read or written."""
+    from .simulate import sidecar_path
+
     out = Path(args.out)
     if not out.name:
         return  # no sidecar name; writing --out fails, naming the path
@@ -184,6 +184,8 @@ def _check_sidecar(args):
 
 
 def _cmd_simulate(args):
+    from .simulate import rollout, write_trajectory_csv
+
     _check_sidecar(args)
     config = _load_config_file(args.config)
     _warn_unshared_weights(config)
@@ -193,6 +195,8 @@ def _cmd_simulate(args):
         trajectory = rollout(discretize(config.plant), schedule, config.x0,
                              config.weights)
     else:
+        from .schemes import run_scheme
+
         # One discretization of the true plant serves design and rollout.
         result = run_scheme(config, args.scheme or config.scheme)
         schedule, trajectory = result.schedule, result.trajectory
@@ -202,10 +206,13 @@ def _cmd_simulate(args):
 
 
 def _cmd_table(args):
-    """sweep and compare: the table args.rows makes of args.run(config)."""
+    """sweep and compare: the table that the schemes function named by
+    args.rows makes of the results of the one named by args.run."""
+    from . import schemes
+
     config = _load_config_file(args.config)
     _warn_unshared_weights(config)
-    rows = args.rows(args.run(config))
+    rows = getattr(schemes, args.rows)(getattr(schemes, args.run)(config))
     if args.format == "json":
         _write_text(dump_json(rows), args.out)
     else:
@@ -262,9 +269,9 @@ def _build_parser():
                      help="seed recorded in the sidecar metadata")
 
     for name, run, rows, help_text in (
-            ("sweep", sweep_delays, sweep_rows,
+            ("sweep", "sweep_delays", "sweep_rows",
              "evaluate the proposed scheme over the config's delay grid"),
-            ("compare", compare_schemes, comparison_rows,
+            ("compare", "compare_schemes", "comparison_rows",
              "evaluate all three schemes per delay point")):
         cmd = add(name, _cmd_table, help_text)
         cmd.set_defaults(run=run, rows=rows)

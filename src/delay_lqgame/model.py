@@ -140,6 +140,16 @@ def _entries(value, path):
                                 f"{type(value).__name__}") from None
 
 
+def _instance(value, kind, path):
+    """value, checked to be an instance of the class kind: the rule for the
+    built objects (plants, weights, schedules, configs) that the Python
+    API takes as arguments."""
+    if not isinstance(value, kind):
+        raise SchemaError(path, f"expected a {kind.__name__}, got "
+                                f"{type(value).__name__}")
+    return value
+
+
 @dataclass(frozen=True)
 class ContinuousPlant:
     """Continuous-time LTI plant with per-controller input maps and delays.
@@ -216,7 +226,8 @@ class DiscretePlant:
     def __post_init__(self):
         Phi = lin_ops.as_matrix(self.Phi, "Phi", square=True)
         G0, G1 = (tuple(lin_ops.as_matrix(g, f"{name}[{i}]")
-                        for i, g in enumerate(getattr(self, name)))
+                        for i, g in enumerate(_entries(getattr(self, name),
+                                                       name)))
                   for name in ("Gamma0", "Gamma1"))
         if not G0 or len(G0) != len(G1):
             raise DimensionError("Gamma0 and Gamma1 must pair up per controller")
@@ -375,14 +386,61 @@ class GameWeights:
             for i in range(self.p))
 
 
+@dataclass(frozen=True)
+class GainSchedule:
+    """Time-indexed feedback coefficients for every controller.
+
+    A_coef[k, i] is the N x M state coefficient of controller i at step k;
+    B_coef[k, i, j] is its N x N coefficient on u_j(k-1).  The stacked gain
+    L_i(k) = -[A_i | B1_i | ... | Bp_i] at step k is never stored.
+    """
+
+    scheme: Scheme
+    A_coef: np.ndarray
+    B_coef: np.ndarray
+
+    def __post_init__(self):
+        A = lin_ops.as_float(self.A_coef, "A_coef")
+        B = lin_ops.as_float(self.B_coef, "B_coef")
+        if A.ndim != 4:
+            raise DimensionError(f"A_coef must have 4 axes, got {A.ndim}")
+        steps, p, N, M = A.shape
+        if B.shape != (steps, p, p, N, N):
+            raise DimensionError(
+                f"B_coef shape {B.shape} does not match A_coef {A.shape}")
+        if not (np.all(np.isfinite(A)) and np.all(np.isfinite(B))):
+            raise ValidationError("gain schedule contains non-finite entries")
+        object.__setattr__(self, "scheme", _scheme(self.scheme, "scheme"))
+        object.__setattr__(self, "A_coef", A)
+        object.__setattr__(self, "B_coef", B)
+
+    @property
+    def horizon(self):
+        return self.A_coef.shape[0]
+
+    @property
+    def p(self):
+        return self.A_coef.shape[1]
+
+    @property
+    def N(self):
+        return self.A_coef.shape[2]
+
+    @property
+    def M(self):
+        return self.A_coef.shape[3]
+
+
 def check_compatible(plant, weights, x0=None, horizon=None):
     """Raise :class:`DimensionError` unless the weights, and x0 and the
     horizon when given, fit the plant (continuous or discretized) or the
     trajectory: one weight set per controller, M x M state weights, N x N
     control weights, M entries of x0, the weights' horizon.  A non-finite
-    x0 entry raises :class:`ValidationError`.  Messages lead with the
+    x0 entry raises :class:`ValidationError`, and weights that are not
+    :class:`GameWeights` a :class:`SchemaError`.  Messages lead with the
     field's document path: weights.Q, weights.R, x0 or horizon.  Returns
     x0, when given, as a flat float vector."""
+    _instance(weights, GameWeights, "weights")
     if x0 is not None:
         x0 = lin_ops.as_float(x0, "x0").reshape(-1)
     if weights.p != plant.p:
@@ -417,9 +475,8 @@ class ExperimentConfig:
     sweep: tuple = None
 
     def __post_init__(self):
-        for name, kind in (("plant", ContinuousPlant), ("weights", GameWeights)):
-            if not isinstance(getattr(self, name), kind):
-                raise SchemaError(name, f"expected a {kind.__name__}")
+        _instance(self.plant, ContinuousPlant, "plant")
+        _instance(self.weights, GameWeights, "weights")
         scheme = _scheme(self.scheme, "scheme")
         x0 = check_compatible(self.plant, self.weights, np.zeros(self.plant.M)
                               if self.x0 is None else self.x0)

@@ -23,9 +23,16 @@ from itertools import product
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .model import Scheme, _scheme, discretize, write_csv
-from .simulate import Trajectory, _rollouts
-from .synthesis import GainSchedule, synthesize, synthesize_batch
+from .model import (
+    ExperimentConfig,
+    GainSchedule,
+    Scheme,
+    _instance,
+    _scheme,
+    discretize,
+    write_csv,
+)
+from .synthesis import synthesize, synthesize_batch
 
 
 @dataclass(frozen=True)
@@ -35,7 +42,7 @@ class SchemeResult:
     scheme: Scheme
     delays: tuple
     schedule: GainSchedule
-    trajectory: Trajectory
+    trajectory: "simulate.Trajectory"
     j_total: float
     j_players: tuple
 
@@ -106,6 +113,7 @@ def _designs(config, schemes, points, plants=None):
 
 def synthesize_for_scheme(config, scheme):
     """Gain schedule for one scheme on the config's plant, tagged with it."""
+    _instance(config, ExperimentConfig, "config")
     return _designs(config, [_scheme(scheme, "scheme")],
                     [config.plant.delays])[0]
 
@@ -113,7 +121,12 @@ def synthesize_for_scheme(config, scheme):
 def _results(config, schemes, points):
     """Every scheme at every delay point, point-major in the order given:
     one ``_designs`` batch designs every row, and one batched closed loop
-    runs each on its point's true plant, discretized once."""
+    runs each on its point's true plant, discretized once.
+
+    The rollout layer is imported here, so designing alone (the
+    ``synthesize`` command) does not load it."""
+    from .simulate import _rollouts
+
     plants = [discretize(config.plant.with_delays(point)) for point in points]
     schedules = _designs(config, schemes, points, plants)
     labels = [(scheme, point) for point in points for scheme in schemes]
@@ -133,6 +146,7 @@ def _results(config, schemes, points):
 
 def run_scheme(config, scheme):
     """Design under the scheme's assumptions, run on the true plant."""
+    _instance(config, ExperimentConfig, "config")
     return _results(config, [_scheme(scheme, "scheme")],
                     [config.plant.delays])[0]
 
@@ -144,6 +158,7 @@ def sweep_delays(config):
     batched synthesis and rolled out in one batched closed loop.  Config
     validation rejects grid values outside [0, h) before any computation.
     """
+    _instance(config, ExperimentConfig, "config")
     if config.sweep is None:
         raise ValidationError("sweep: config has no sweep grid")
     swept = []
@@ -165,6 +180,7 @@ def compare_schemes(config):
     the single-delayed and delay-free baselines, every design in one
     batched recursion and the delay-free one shared by the whole grid.
     """
+    _instance(config, ExperimentConfig, "config")
     points = ([config.plant.delays] if config.sweep is None
               else list(product(*config.sweep)))
     return _results(config, list(Scheme), points)

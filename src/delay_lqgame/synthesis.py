@@ -39,8 +39,6 @@ Known controllers are this recursion on a prepared plant: one controller
 gives the stacked-state delayed regulator, zero delays the delay-free game.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import lin_ops
@@ -51,52 +49,14 @@ from .errors import (
     SingularMatrixError,
     ValidationError,
 )
-from .model import Scheme, _scheme, check_compatible
-
-
-@dataclass(frozen=True)
-class GainSchedule:
-    """Time-indexed feedback coefficients for every controller.
-
-    A_coef[k, i] is the N x M state coefficient of controller i at step k;
-    B_coef[k, i, j] is its N x N coefficient on u_j(k-1).  The stacked gain
-    L_i(k) = -[A_i | B1_i | ... | Bp_i] at step k is never stored.
-    """
-
-    scheme: Scheme
-    A_coef: np.ndarray
-    B_coef: np.ndarray
-
-    def __post_init__(self):
-        A = lin_ops.as_float(self.A_coef, "A_coef")
-        B = lin_ops.as_float(self.B_coef, "B_coef")
-        if A.ndim != 4:
-            raise DimensionError(f"A_coef must have 4 axes, got {A.ndim}")
-        steps, p, N, M = A.shape
-        if B.shape != (steps, p, p, N, N):
-            raise DimensionError(
-                f"B_coef shape {B.shape} does not match A_coef {A.shape}")
-        if not (np.all(np.isfinite(A)) and np.all(np.isfinite(B))):
-            raise ValidationError("gain schedule contains non-finite entries")
-        object.__setattr__(self, "scheme", _scheme(self.scheme, "scheme"))
-        object.__setattr__(self, "A_coef", A)
-        object.__setattr__(self, "B_coef", B)
-
-    @property
-    def horizon(self):
-        return self.A_coef.shape[0]
-
-    @property
-    def p(self):
-        return self.A_coef.shape[1]
-
-    @property
-    def N(self):
-        return self.A_coef.shape[2]
-
-    @property
-    def M(self):
-        return self.A_coef.shape[3]
+from .model import (
+    DiscretePlant,
+    GainSchedule,
+    Scheme,
+    _entries,
+    _instance,
+    check_compatible,
+)
 
 
 def _embedded(weights, dim):
@@ -129,11 +89,12 @@ def synthesize_batch(plants, weights, return_values=False):
     With ``return_values`` the value-matrix history is returned as a second
     output: values[k, b, i] is S_i(k) of plant b, k = 0..horizon.
     """
-    plants = list(plants)
+    plants = _entries(plants, "plants")
     if not plants:
         raise ValidationError("synthesize: no plants given")
-    for dp in plants:
-        check_compatible(dp, weights)
+    for b, dp in enumerate(plants):
+        check_compatible(_instance(dp, DiscretePlant, f"plants[{b}]"),
+                         weights)
     M, N, p, steps = plants[0].M, plants[0].N, plants[0].p, weights.horizon
     batch, n, dim = len(plants), p * N, M + p * N
     # Routing D = [[Gamma0_1 ... Gamma0_p]; I] and open-loop step
@@ -224,6 +185,7 @@ def synthesize(dp, weights, return_values=False):
     With ``return_values`` the full value-matrix history is returned as a
     second output: values[k][i] is S_i(k), k = 0..horizon.
     """
+    _instance(dp, DiscretePlant, "dp")
     if not return_values:
         return synthesize_batch([dp], weights)[0]
     schedules, values = synthesize_batch([dp], weights, return_values=True)

@@ -24,12 +24,12 @@ import numpy as np
 from delay_lqgame.errors import IntervalError, ValidationError
 from delay_lqgame.lin_ops import exp_and_integral
 from delay_lqgame.model import DiscretePlant, GameWeights
-from delay_lqgame.simulate import (
+from delay_lqgame.deviation import (
     DEVIATION_BLOCK,
     NASH_TOLERANCE,
     DeviationReport,
-    _checked_x0,
 )
+from delay_lqgame.simulate import _checked_x0
 from delay_lqgame.synthesis import GainSchedule, synthesize
 
 

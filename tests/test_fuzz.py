@@ -22,22 +22,32 @@ from delay_lqgame import (
     ContinuousPlant,
     DelayBoundError,
     DelayGameError,
+    DiscretePlant,
     ExperimentConfig,
+    GainSchedule,
     GameWeights,
     SchemaError,
+    Trajectory,
     ValidationError,
+    compare_schemes,
     config_to_dict,
     discretize,
     dump_config,
+    evaluate_costs,
     load_config,
+    nash_deviation_check,
     preset_generic,
     preset_lfc,
     read_trajectory_csv,
     rollout,
+    run_scheme,
+    sweep_delays,
+    synthesize,
+    synthesize_batch,
     synthesize_for_scheme,
     write_trajectory_csv,
 )
-from delay_lqgame import cli, model
+from delay_lqgame import model, schemes
 from delay_lqgame.cli import main, schedule_from_dict, schedule_to_dict
 
 fuzz = settings(derandomize=True, deadline=None, database=None,
@@ -66,8 +76,8 @@ GENERIC = _small(preset_generic())
 CONFIG_DOCS = [config_to_dict(GENERIC), config_to_dict(_small(preset_lfc()))]
 SCHEDULE = synthesize_for_scheme(GENERIC, "proposed")
 GAINS_DOC = schedule_to_dict(SCHEDULE, GENERIC.plant)
-TRAJECTORY = rollout(discretize(GENERIC.plant), SCHEDULE, GENERIC.x0,
-                     GENERIC.weights)
+DISCRETE = discretize(GENERIC.plant)
+TRAJECTORY = rollout(DISCRETE, SCHEDULE, GENERIC.x0, GENERIC.weights)
 
 
 def _paths(doc, prefix=()):
@@ -209,6 +219,8 @@ def _constructor_args(config):
     return {
         ContinuousPlant: dict(A=plant.A, B=plant.B, delays=plant.delays,
                               h=plant.h),
+        DiscretePlant: dict(Phi=DISCRETE.Phi, Gamma0=DISCRETE.Gamma0,
+                            Gamma1=DISCRETE.Gamma1),
         GameWeights: dict(Q=w.Q, QN=w.QN, R=w.R, horizon=w.horizon),
         ExperimentConfig: dict(plant=plant, weights=w, x0=config.x0,
                                scheme=config.scheme, sweep=config.sweep),
@@ -228,6 +240,7 @@ class TestConstructorArguments:
     @example(field=(ContinuousPlant, "h"), value=True)
     @example(field=(GameWeights, "horizon"), value=np.float64(5.0))
     @example(field=(ExperimentConfig, "sweep"), value=[[0.0, "x"], [0.0]])
+    @example(field=(DiscretePlant, "Gamma1"), value=None)
     def test_any_value_in_any_field(self, field, value):
         kind, name = field
         args = _constructor_args(GENERIC)[kind]
@@ -237,6 +250,51 @@ class TestConstructorArguments:
     def test_unchanged_fields_build(self):
         for kind, args in _constructor_args(GENERIC).items():
             assert _parses_or_raises_package_error(lambda: kind(**args))
+
+
+# Every public function that takes built objects, with arguments by name
+# that it accepts: the generic preset's.
+ENTRY_POINT_CALLS = [
+    (rollout, dict(dp=DISCRETE, schedule=SCHEDULE, x0=GENERIC.x0,
+                   weights=GENERIC.weights)),
+    (nash_deviation_check, dict(dp=DISCRETE, schedule=SCHEDULE,
+                                weights=GENERIC.weights, x0=GENERIC.x0,
+                                trials=3)),
+    (evaluate_costs, dict(trajectory=TRAJECTORY, weights=GENERIC.weights)),
+    (synthesize, dict(dp=DISCRETE, weights=GENERIC.weights)),
+    (synthesize_batch, dict(plants=[DISCRETE], weights=GENERIC.weights)),
+    (synthesize_for_scheme, dict(config=GENERIC, scheme="proposed")),
+    (run_scheme, dict(config=GENERIC, scheme="proposed")),
+    (sweep_delays, dict(config=GENERIC)),
+    (compare_schemes, dict(config=GENERIC)),
+]
+BUILT_ARGUMENTS = [
+    pytest.param(call, kwargs, name, id=f"{call.__name__}-{name}")
+    for call, kwargs in ENTRY_POINT_CALLS
+    for name, value in kwargs.items()
+    if isinstance(value, (DiscretePlant, GainSchedule, GameWeights,
+                          Trajectory, ExperimentConfig))]
+
+
+class TestBuiltArguments:
+    """A wrong object where an entry point takes a plant, schedule,
+    weights, trajectory or config raises SchemaError naming the argument,
+    not a bare AttributeError."""
+
+    @pytest.mark.parametrize("call, kwargs, name", BUILT_ARGUMENTS)
+    def test_wrong_object_names_the_argument(self, call, kwargs, name):
+        call(**kwargs)
+        with pytest.raises(SchemaError, match=f"^{name}: expected a \\w+, "
+                                              f"got str$") as info:
+            call(**{**kwargs, name: "x"})
+        assert info.value.path == name
+
+    def test_wrong_plant_in_a_batch_names_its_index(self):
+        with pytest.raises(SchemaError, match=r"^plants\[1\]: expected a "
+                                              r"DiscretePlant, got str$"):
+            synthesize_batch([DISCRETE, "x"], GENERIC.weights)
+        with pytest.raises(SchemaError, match="^plants: expected a sequence"):
+            synthesize_batch(5, GENERIC.weights)
 
 
 def _leaf_paths(doc, prefix=()):
@@ -457,7 +515,7 @@ class TestSizeBudget:
 
         for name in ("synthesize_for_scheme", "run_scheme", "sweep_delays",
                      "compare_schemes"):
-            monkeypatch.setattr(cli, name, never)
+            monkeypatch.setattr(schemes, name, never)
         if field == "horizon":
             text = _with(CONFIG_DOCS[0], "weights", "horizon", value)
             named = "weights.horizon"

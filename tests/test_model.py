@@ -342,6 +342,14 @@ class TestDomainTypes:
         with pytest.raises(DimensionError):
             DiscretePlant(Phi=[[np.nan]], Gamma0=([[1.0]],), Gamma1=([[0.0]],))
 
+    @pytest.mark.parametrize("name", ["Gamma0", "Gamma1"])
+    @pytest.mark.parametrize("bad", [None, 1.0])
+    def test_input_matrices_without_entries_name_the_field(self, name, bad):
+        args = dict(Phi=[[1.0]], Gamma0=([[1.0]],), Gamma1=([[0.0]],))
+        with pytest.raises(SchemaError, match=f"^{name}: expected a sequence, "
+                                              f"got {type(bad).__name__}$"):
+            DiscretePlant(**{**args, name: bad})
+
 
 def _plant(**changes):
     generic = preset_generic().plant

@@ -15,7 +15,9 @@ from delay_lqgame import (
     Scheme,
     Trajectory,
     ValidationError,
+    deviation,
     discretize,
+    model,
     evaluate_costs,
     nash_deviation_check,
     preset_generic,
@@ -394,7 +396,7 @@ class TestNashDeviation:
         args = (generic_dp, generic_schedule, generic_config.weights,
                 generic_config.x0)
         whole = nash_deviation_check(*args, trials=30, seed=2)
-        monkeypatch.setattr(simulate, "DEVIATION_BLOCK", 7)
+        monkeypatch.setattr(deviation, "DEVIATION_BLOCK", 7)
         assert nash_deviation_check(*args, trials=30, seed=2) == whole
 
     def test_negative_trials_rejected(self, generic_dp, generic_config,
@@ -403,6 +405,21 @@ class TestNashDeviation:
             nash_deviation_check(generic_dp, generic_schedule,
                                  generic_config.weights, generic_config.x0,
                                  trials=-1)
+
+    def test_trials_past_size_budget_rejected(self, monkeypatch, generic_dp,
+                                              generic_config,
+                                              generic_schedule):
+        args = (generic_dp, generic_schedule, generic_config.weights,
+                generic_config.x0)
+        with pytest.raises(ValidationError, match=f"^trials: {10**20} "
+                                                  f"entries exceed the size "
+                                                  f"budget"):
+            nash_deviation_check(*args, trials=10**20)
+        # The budget is inclusive, as for config sizes.
+        monkeypatch.setattr(model, "MAX_ENTRIES", 4)
+        assert nash_deviation_check(*args, trials=4).trials == 4
+        with pytest.raises(ValidationError, match="^trials: 5 entries"):
+            nash_deviation_check(*args, trials=5)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_x0_rejected(self, generic_dp, generic_config,
@@ -561,7 +578,7 @@ DENSE_CASES = {**ORACLE_CASES, "p1": _seeded_p1_case}
 
 
 def _assert_draws_match(seed, trials, p, steps, N, magnitude=0.5):
-    players, at, deltas = simulate._draw_deviations(
+    players, at, deltas = deviation._draw_deviations(
         seed, np.asarray(trials, dtype=np.uint64), p, steps, N, magnitude)
     for row, t in enumerate(trials):
         rng = np.random.default_rng((seed, int(t)))
@@ -599,7 +616,7 @@ class TestAgainstDenseCheck:
         # base row, and rows that join at the last step, after all others.
         for make in DENSE_CASES.values():
             dp, sched, _, _ = make()
-            _, steps, _ = simulate._draw_deviations(
+            _, steps, _ = deviation._draw_deviations(
                 4, np.arange(255), dp.p, sched.horizon, dp.N, 1.0)
             assert steps.min() == 0
             assert steps.max() == sched.horizon - 1
@@ -610,11 +627,11 @@ class TestAgainstDenseCheck:
         trials = [*range(300), 2**32 - 1, 2**32, 2**32 + 7, 2**63 + 3]
         want = [np.random.SeedSequence((seed, t)).generate_state(4, np.uint64)
                 for t in trials]
-        np.testing.assert_array_equal(simulate._seed_words(seed, trials),
+        np.testing.assert_array_equal(deviation._seed_words(seed, trials),
                                       want)
 
     def test_draws_match_default_rng_streams(self):
-        players, steps, deltas = simulate._draw_deviations(
+        players, steps, deltas = deviation._draw_deviations(
             9, np.arange(50), 3, 40, 2, 0.5)
         for t in range(50):
             rng = np.random.default_rng((9, t))
@@ -811,7 +828,7 @@ class TestLoopSweep:
             _assert_same_bytes(tr.states, states)
             _assert_same_bytes(tr.controls, controls)
         # Rows that join a base row at their deviation step.
-        players, steps, deltas = simulate._draw_deviations(
+        players, steps, deltas = deviation._draw_deviations(
             6, np.arange(40), p, sched.horizon, N, 0.5)
         assert {0, sched.horizon - 1} <= set(steps.tolist())
         order = np.argsort(steps, kind="stable")
