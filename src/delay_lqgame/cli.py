@@ -26,6 +26,7 @@ from .errors import (
     SchemaError,
     ValidationError,
 )
+from .lin_ops import check_shape
 from .model import (
     PRESETS,
     GainSchedule,
@@ -99,14 +100,17 @@ def schedule_from_dict(doc, plant):
         raise ValidationError(
             "plant-hash mismatch: the gain schedule was synthesized for a "
             "different plant")
-    schedule = GainSchedule(_scheme(doc["scheme"], "<gains>.scheme"),
-                            _array(doc["A_coef"], "<gains>.A_coef", 4),
-                            _array(doc["B_coef"], "<gains>.B_coef", 5))
-    for key, size, actual in zip(_SIZES, sizes, schedule.A_coef.shape):
+    scheme = _scheme(doc["scheme"], "<gains>.scheme")
+    A_coef = _array(doc["A_coef"], "<gains>.A_coef", 4)
+    B_coef = _array(doc["B_coef"], "<gains>.B_coef", 5)
+    # Both arrays are held to the declared sizes before they are built.
+    for key, size, actual in zip(_SIZES, sizes, A_coef.shape):
         if size != actual:
             raise SchemaError(f"<gains>.{key}", f"{size} disagrees with the "
                               f"coefficient arrays' {actual}")
-    return schedule
+    steps, p, N, _ = sizes
+    check_shape(B_coef.shape, (steps, p, p, N, N), "<gains>.B_coef")
+    return GainSchedule(scheme, A_coef, B_coef)
 
 
 def _write_text(text, out):

@@ -26,15 +26,33 @@ def as_float(a, name):
         raise DimensionError(f"{name}: not an array of numbers ({exc})") from None
 
 
+def check_shape(shape, expected, path):
+    """The shape rule: raise :class:`DimensionError` unless shape matches
+    expected axis by axis, a None in expected matching any length.  The
+    message leads with the field path, then the actual and the expected
+    shape, a free axis written *: ``B[1]: shape (2, 2), expected (2, 1)``."""
+    # Equality first, then a plain loop: the recursion's solve passes this
+    # rule at every step.
+    if shape == expected:
+        return
+    if len(shape) == len(expected):
+        for have, want in zip(shape, expected):
+            if want is not None and want != have:
+                break
+        else:
+            return
+    axes = ", ".join("*" if n is None else str(n) for n in expected)
+    raise DimensionError(f"{path}: shape {shape}, expected "
+                         f"({axes}{',' if len(expected) == 1 else ''})")
+
+
 def as_matrix(a, name="matrix", square=False):
     """Coerce to a finite 2-D (square, if asked) float64 array."""
     arr = as_float(a, name)
-    if arr.ndim != 2:
-        raise DimensionError(f"{name} must be 2-D, got ndim={arr.ndim}")
+    rows = arr.shape[:1] if square and arr.ndim else (None,)
+    check_shape(arr.shape, rows * 2, name)
     if arr.size and not np.all(np.isfinite(arr)):
         raise DimensionError(f"{name} contains non-finite entries")
-    if square and arr.shape[0] != arr.shape[1]:
-        raise DimensionError(f"{name} must be square, got {arr.shape}")
     return arr
 
 
@@ -166,12 +184,9 @@ def solve(A, B):
     """
     A = as_float(A, "A")
     B = as_float(B, "B")
-    if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
-        raise DimensionError(f"A must be square, got shape {A.shape}")
-    n = A.shape[-1]
-    if B.shape[:-1] != A.shape[:-1]:
-        raise DimensionError(f"B has shape {B.shape}, expected "
-                             f"{A.shape[:-1]} and a column count")
+    n = A.shape[-1] if A.ndim else None
+    check_shape(A.shape, (*A.shape[:-2], n, n), "A")
+    check_shape(B.shape, (*A.shape[:-1], None), "B")
     systems = np.concatenate((A, B), axis=-1).reshape(-1, n, n + B.shape[-1])
     finite = np.isfinite(systems)
     bad = (None if np.count_nonzero(finite) == finite.size

@@ -7,8 +7,8 @@ The continuous-time plant is
 with p controllers whose total (sensing plus actuation) delays tau_i are
 each strictly shorter than the sampling period h.  Measurements are the
 full state (identity observation).  Sampling with a zero-order hold splits
-each controller's input matrix into a current-step part Gamma0 and a
-previous-step part Gamma1:
+each controller's B_i into a current-step part Gamma0 and a previous-step
+part Gamma1:
 
     x(k+1) = Phi x(k) + sum_i [Gamma0_i u_i(k) + Gamma1_i u_i(k-1)],
     Phi    = e^(A h),
@@ -31,7 +31,6 @@ import numpy as np
 from . import lin_ops
 from .errors import (
     DelayBoundError,
-    DimensionError,
     NumericalError,
     SchemaError,
     ValidationError,
@@ -44,7 +43,7 @@ from .errors import (
 SYMMETRY_ATOL = 1e-12
 
 # Tolerance of the Gamma0 + Gamma1 split-conservation check, relative to
-# the undelayed input matrix's largest entry (or absolute below 1).
+# the zero-delay Gamma0's largest entry (or absolute below 1).
 SPLIT_CONSERVATION_ATOL = 1e-9
 
 # Size budget: the most float64 entries (80 MB) that a config may ask one
@@ -131,13 +130,25 @@ def _scheme(value, path):
 
 
 def _entries(value, path):
-    """value's entries (matrices, delays or grids) as a tuple; a value that
-    has none, such as a number or None, raises SchemaError."""
+    """value's entries (matrices, delays, grids, plants or table rows) as a
+    tuple; a value that has none, such as a number, None or an empty
+    sequence, raises SchemaError."""
     try:
-        return tuple(value)
+        entries = tuple(value)
     except TypeError:
         raise SchemaError(path, f"expected a sequence, got "
                                 f"{type(value).__name__}") from None
+    if not entries:
+        raise SchemaError(path, "expected a non-empty sequence")
+    return entries
+
+
+def _check_stack(matrices, shape, path):
+    """Check a field that lists matrices against the (count, rows, columns)
+    shape that its object's sizes imply: each matrix, then the count."""
+    for i, matrix in enumerate(matrices):
+        lin_ops.check_shape(matrix.shape, shape[1:], f"{path}[{i}]")
+    lin_ops.check_shape((len(matrices), *shape[1:]), shape, path)
 
 
 def _instance(value, kind, path):
@@ -173,25 +184,15 @@ class ContinuousPlant:
         A = lin_ops.as_matrix(self.A, _field(path, "A"), square=True)
         B = tuple(lin_ops.as_matrix(b, _field(path, f"B[{i}]"))
                   for i, b in enumerate(_entries(self.B, _field(path, "B"))))
-        if not B:
-            raise ValidationError("controller count: need at least one B matrix")
-        for i, b in enumerate(B):
-            if b.shape != B[0].shape:
-                raise DimensionError(f"{_field(path, f'B[{i}]')} has shape "
-                                     f"{b.shape}, expected {B[0].shape}")
-            if b.shape[0] != A.shape[0]:
-                raise DimensionError(f"{_field(path, f'B[{i}]')} has "
-                                     f"{b.shape[0]} rows, expected "
-                                     f"{A.shape[0]}")
+        # A sizes M, B[0] N and B's length p.
+        _check_stack(B, (len(B), A.shape[0], B[0].shape[1]), _field(path, "B"))
         if not h > 0:
             raise ValidationError(f"sampling period: {_field(path, 'h')} "
                                   f"must be positive, got {h}")
         where = _field(path, "delays")
         delays = tuple(_number(t, f"{where}[{i}]")
                        for i, t in enumerate(_entries(self.delays, where)))
-        if len(delays) != len(B):
-            raise DimensionError(f"{where}: {len(delays)} delays for "
-                                 f"{len(B)} controllers")
+        lin_ops.check_shape((len(delays),), (len(B),), where)
         _check_delays(delays, h, where if path else "delay")
         object.__setattr__(self, "A", _readonly(A))
         object.__setattr__(self, "B", tuple(_readonly(b) for b in B))
@@ -229,16 +230,10 @@ class DiscretePlant:
                         for i, g in enumerate(_entries(getattr(self, name),
                                                        name)))
                   for name in ("Gamma0", "Gamma1"))
-        if not G0 or len(G0) != len(G1):
-            raise DimensionError("Gamma0 and Gamma1 must pair up per controller")
-        shape = G0[0].shape
-        for i, g in enumerate(G0 + G1):
-            if g.shape != shape:
-                raise DimensionError(
-                    f"input matrix {i} has shape {g.shape}, expected {shape}")
-        if shape[0] != Phi.shape[0]:
-            raise DimensionError(
-                f"input matrices have {shape[0]} rows, expected {Phi.shape[0]}")
+        # Phi sizes M, Gamma0[0] N and Gamma0's length p.
+        shape = (len(G0), Phi.shape[0], G0[0].shape[1])
+        _check_stack(G0, shape, "Gamma0")
+        _check_stack(G1, shape, "Gamma1")
         object.__setattr__(self, "Phi", _readonly(Phi))
         object.__setattr__(self, "Gamma0", tuple(_readonly(g) for g in G0))
         object.__setattr__(self, "Gamma1", tuple(_readonly(g) for g in G1))
@@ -289,7 +284,7 @@ def discretize(plant):
         if drift > SPLIT_CONSERVATION_ATOL * max(1.0, np.abs(undelayed).max()):
             raise ValidationError(
                 f"delay-split conservation: Gamma0 + Gamma1 deviates from the "
-                f"undelayed input matrix by {drift:.3e}")
+                f"zero-delay Gamma0 by {drift:.3e}")
     return DiscretePlant(Phi, tuple(Gamma0), tuple(Gamma1))
 
 
@@ -352,23 +347,12 @@ class GameWeights:
                           for i, w in enumerate(
                               _entries(getattr(self, name), _field(path, name))))
                     for name in ("Q", "QN", "R"))
-        if not (len(Q) == len(QN) == len(R)) or not Q:
-            raise DimensionError(f"{_field(path, 'Q')}, {_field(path, 'QN')}"
-                                 f", {_field(path, 'R')} must list one "
-                                 f"matrix per controller")
-        where = f"{path}: " if path else ""
-        for i in range(1, len(Q)):
-            if Q[i].shape != Q[0].shape or QN[i].shape != Q[0].shape:
-                raise DimensionError(f"{where}state weights must share one "
-                                     f"shape")
-            if R[i].shape != R[0].shape:
-                raise DimensionError(f"{where}control weights must share "
-                                     f"one shape")
-        if QN[0].shape != Q[0].shape:
-            raise DimensionError(f"{_field(path, 'QN')} must match "
-                                 f"{_field(path, 'Q')} in shape")
-        dim = Q[0].shape[0] + len(R) * R[0].shape[0]
-        _check_budget("weights.horizon", horizon * dim**2)
+        # Q[0] sizes M, R[0] N and Q's length p.
+        p, M, N = len(Q), Q[0].shape[0], R[0].shape[0]
+        for name, weights, n in (("Q", Q, M), ("QN", QN, M), ("R", R, N)):
+            _check_stack(weights, (p, n, n), _field(path, name))
+        dim = M + p * N
+        _check_budget(_field(path, "horizon"), horizon * dim**2)
         object.__setattr__(self, "Q", tuple(_readonly(q) for q in Q))
         object.__setattr__(self, "QN", tuple(_readonly(q) for q in QN))
         object.__setattr__(self, "R", tuple(_readonly(r) for r in R))
@@ -402,14 +386,14 @@ class GainSchedule:
     def __post_init__(self):
         A = lin_ops.as_float(self.A_coef, "A_coef")
         B = lin_ops.as_float(self.B_coef, "B_coef")
-        if A.ndim != 4:
-            raise DimensionError(f"A_coef must have 4 axes, got {A.ndim}")
+        # A_coef sizes the horizon, p, N and M.
+        lin_ops.check_shape(A.shape, (None,) * 4, "A_coef")
         steps, p, N, M = A.shape
-        if B.shape != (steps, p, p, N, N):
-            raise DimensionError(
-                f"B_coef shape {B.shape} does not match A_coef {A.shape}")
-        if not (np.all(np.isfinite(A)) and np.all(np.isfinite(B))):
-            raise ValidationError("gain schedule contains non-finite entries")
+        lin_ops.check_shape(B.shape, (steps, p, p, N, N), "B_coef")
+        for name, coef in (("A_coef", A), ("B_coef", B)):
+            if not np.all(np.isfinite(coef)):
+                raise ValidationError(f"{name}: gain schedule contains "
+                                      f"non-finite entries")
         object.__setattr__(self, "scheme", _scheme(self.scheme, "scheme"))
         object.__setattr__(self, "A_coef", A)
         object.__setattr__(self, "B_coef", B)
@@ -431,36 +415,23 @@ class GainSchedule:
         return self.A_coef.shape[3]
 
 
-def check_compatible(plant, weights, x0=None, horizon=None):
-    """Raise :class:`DimensionError` unless the weights, and x0 and the
-    horizon when given, fit the plant (continuous or discretized) or the
-    trajectory: one weight set per controller, M x M state weights, N x N
-    control weights, M entries of x0, the weights' horizon.  A non-finite
-    x0 entry raises :class:`ValidationError`, and weights that are not
+def check_compatible(plant, weights, x0=None):
+    """Raise :class:`DimensionError` unless the weights, and x0 when
+    given, fit the sizes of the plant (continuous or discretized): one
+    M x M state weight and one N x N control weight per controller, M
+    entries of x0.  A non-finite x0 entry raises
+    :class:`ValidationError`, and weights that are not
     :class:`GameWeights` a :class:`SchemaError`.  Messages lead with the
-    field's document path: weights.Q, weights.R, x0 or horizon.  Returns
-    x0, when given, as a flat float vector."""
+    field's document path (weights.Q[0], weights.R, x0).  Returns x0, when
+    given, as a flat float vector."""
     _instance(weights, GameWeights, "weights")
+    _check_stack(weights.Q, (plant.p, plant.M, plant.M), "weights.Q")
+    _check_stack(weights.R, (plant.p, plant.N, plant.N), "weights.R")
     if x0 is not None:
         x0 = lin_ops.as_float(x0, "x0").reshape(-1)
-    if weights.p != plant.p:
-        raise DimensionError(
-            f"weights.Q: {weights.p} weight sets for {plant.p} controllers")
-    if weights.Q[0].shape[0] != plant.M:
-        raise DimensionError(
-            f"weights.Q: state weights are {weights.Q[0].shape[0]}-"
-            f"dimensional, plant has {plant.M} states")
-    if weights.R[0].shape[0] != plant.N:
-        raise DimensionError(
-            f"weights.R: control weights are {weights.R[0].shape[0]}-"
-            f"dimensional, controls have {plant.N}")
-    if x0 is not None and x0.shape[0] != plant.M:
-        raise DimensionError(f"x0: length {x0.shape[0]}, expected {plant.M}")
-    if x0 is not None and not np.all(np.isfinite(x0)):
-        raise ValidationError("x0 contains non-finite entries")
-    if horizon is not None and horizon != weights.horizon:
-        raise DimensionError(f"horizon: {horizon} steps, the weights "
-                             f"expect {weights.horizon}")
+        lin_ops.check_shape(x0.shape, (plant.M,), "x0")
+        if not np.all(np.isfinite(x0)):
+            raise ValidationError("x0 contains non-finite entries")
     return x0
 
 
@@ -486,12 +457,8 @@ class ExperimentConfig:
             sweep = tuple(tuple(_number(v, f"{where}[{i}][{j}]") for j, v
                                 in enumerate(_entries(grid, f"{where}[{i}]")))
                           for i, grid in enumerate(_entries(sweep, where)))
-            if len(sweep) != self.plant.p:
-                raise DimensionError(
-                    f"sweep needs {self.plant.p} delay grids, got {len(sweep)}")
+            lin_ops.check_shape((len(sweep),), (self.plant.p,), where)
             for i, grid in enumerate(sweep):
-                if not grid:
-                    raise ValidationError(f"sweep grid {i} is empty")
                 _check_delays(grid, self.plant.h, f"{where}[{i}]")
             points = math.prod(len(grid) for grid in sweep)
             dim = self.plant.M + self.plant.p * self.plant.N

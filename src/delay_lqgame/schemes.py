@@ -27,6 +27,7 @@ from .model import (
     ExperimentConfig,
     GainSchedule,
     Scheme,
+    _entries,
     _instance,
     _scheme,
     discretize,
@@ -197,6 +198,7 @@ def _cost_columns(p):
 
 def sweep_rows(points):
     """The sweep table: one {column: value} row per grid point."""
+    points = _entries(points, "points")
     columns = _cost_columns(len(points[0].delays)) + ["ratio"]
     return [dict(zip(columns, [*pt.delays, pt.j_total, *pt.j_players,
                                pt.ratio]))
@@ -205,6 +207,7 @@ def sweep_rows(points):
 
 def comparison_rows(results):
     """The comparison table: one {column: value} row per result."""
+    results = _entries(results, "results")
     columns = ["scheme"] + _cost_columns(len(results[0].delays))
     return [dict(zip(columns, [res.scheme.value, *res.delays, res.j_total,
                                *res.j_players]))

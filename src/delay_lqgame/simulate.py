@@ -16,10 +16,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionError, NumericalError, SchemaError, ValidationError
+from .errors import NumericalError, SchemaError, ValidationError
+from .lin_ops import check_shape
 from .model import (
     DiscretePlant,
     GainSchedule,
+    GameWeights,
     _array,
     _fields,
     _instance,
@@ -309,13 +311,14 @@ def _costs(states, controls, weights, players=None, starts=None):
 
 
 def _checked_x0(dp, schedule, weights, x0):
+    """x0 as a flat vector, once it, the weights and the schedule fit the
+    plant and the schedule's horizon is the weights'."""
     _instance(dp, DiscretePlant, "dp")
     _instance(schedule, GainSchedule, "schedule")
-    if schedule.p != dp.p or schedule.M != dp.M or schedule.N != dp.N:
-        raise DimensionError(
-            f"schedule built for (M={schedule.M}, N={schedule.N}, "
-            f"p={schedule.p}), plant is (M={dp.M}, N={dp.N}, p={dp.p})")
-    return check_compatible(dp, weights, x0, schedule.horizon)
+    x0 = check_compatible(dp, weights, x0)
+    check_shape(schedule.A_coef.shape, (weights.horizon, dp.p, dp.N, dp.M),
+                "schedule.A_coef")
+    return x0
 
 
 def _rollouts(plants, schedules, x0, weights):
@@ -338,9 +341,11 @@ def rollout(dp, schedule, x0, weights):
 def evaluate_costs(trajectory, weights):
     """Recompute (total, per-player) costs from a trajectory."""
     _instance(trajectory, Trajectory, "trajectory")
-    if trajectory.states.shape[0] != trajectory.horizon + 1:
-        raise DimensionError("trajectory state/control lengths disagree")
-    check_compatible(trajectory, weights, horizon=trajectory.horizon)
+    _instance(weights, GameWeights, "weights")
+    steps, M, N = weights.horizon, weights.Q[0].shape[0], weights.R[0].shape[0]
+    check_shape(trajectory.controls.shape, (steps, weights.p, N),
+                "trajectory.controls")
+    check_shape(trajectory.states.shape, (steps + 1, M), "trajectory.states")
     total, per_player = _costs(trajectory.states[None],
                                trajectory.controls[None], weights)
     return float(total[0]), tuple(per_player[0])
@@ -372,6 +377,7 @@ def write_trajectory_csv(trajectory, path, scheme=None, delays=None, seed=0):
     byte-identical files.  A ``path`` that is its own sidecar (one ending
     in .json) raises :class:`ValidationError` before anything is written.
     """
+    _instance(trajectory, Trajectory, "trajectory")
     path = Path(path)
     if path.name and sidecar_path(path) == path:
         raise ValidationError(f"{path}: a trajectory CSV must not end in "

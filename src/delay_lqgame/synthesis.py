@@ -47,7 +47,6 @@ from .errors import (
     DimensionError,
     NumericalError,
     SingularMatrixError,
-    ValidationError,
 )
 from .model import (
     DiscretePlant,
@@ -90,8 +89,6 @@ def synthesize_batch(plants, weights, return_values=False):
     output: values[k, b, i] is S_i(k) of plant b, k = 0..horizon.
     """
     plants = _entries(plants, "plants")
-    if not plants:
-        raise ValidationError("synthesize: no plants given")
     for b, dp in enumerate(plants):
         check_compatible(_instance(dp, DiscretePlant, f"plants[{b}]"),
                          weights)

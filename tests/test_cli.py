@@ -205,19 +205,19 @@ class TestFailureModes:
 
     @pytest.mark.parametrize("path, value, message", [
         (("plant", "A"), [[0.0, 1.0, 0.0], [-3.0, -4.0, 0.0]],
-         "validation error: plant.A must be square, got (2, 3)"),
+         "validation error: plant.A: shape (2, 3), expected (2, 2)"),
         (("plant", "B"), [[[0.0]], [[1.0]]],
-         "validation error: plant.B[0] has 1 rows, expected 2"),
+         "validation error: plant.B[0]: shape (1, 1), expected (2, 1)"),
         (("plant", "h"), -0.05,
          "validation error: sampling period: plant.h must be positive, "
          "got -0.05"),
         (("plant", "delays"), [0.01],
-         "validation error: plant.delays: 1 delays for 2 controllers"),
+         "validation error: plant.delays: shape (1,), expected (2,)"),
         (("plant", "delays"), [0.01, 0.05],
          "validation error: delay-bound: plant.delays[1]=0.05 must "
          "satisfy 0 <= tau < h=0.05"),
         (("weights", "Q"), [[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]] * 2,
-         "validation error: weights.Q[0] must be square, got (2, 3)"),
+         "validation error: weights.Q[0]: shape (2, 3), expected (2, 2)"),
         (("weights", "QN", 1), [[1.0, 1.0], [0.0, 1.0]],
          "validation error: weight symmetry: weights.QN[1] is asymmetric "
          "by 1.000e+00"),
@@ -225,15 +225,21 @@ class TestFailureModes:
          "validation error: weight definiteness: weights.R[1] must be "
          "positive definite (min eigenvalue -1.000e+00)"),
         (("weights", "R"), [[[1.0]]],
-         "validation error: weights.Q, weights.QN, weights.R must list one "
-         "matrix per controller"),
+         "validation error: weights.R: shape (1, 1, 1), expected (2, 1, 1)"),
         (("weights", "QN"), [np.eye(3).tolist()] * 2,
-         "validation error: weights: state weights must share one shape"),
+         "validation error: weights.QN[0]: shape (3, 3), expected (2, 2)"),
         (("weights",), {"Q": [np.eye(2).tolist()] * 4, "R": [[[1.0]]] * 4,
                         "horizon": 50},
-         "validation error: weights.Q: 4 weight sets for 2 controllers"),
+         "validation error: weights.Q: shape (4, 2, 2), expected (2, 2, 2)"),
         (("x0",), [1.0, -0.8, 0.0],
-         "validation error: x0: length 3, expected 2"),
+         "validation error: x0: shape (3,), expected (2,)"),
+        (("weights",), {"Q": [np.eye(3).tolist()] * 2, "R": [[[1.0]]] * 2,
+                        "horizon": 50},
+         "validation error: weights.Q[0]: shape (3, 3), expected (2, 2)"),
+        (("weights", "R"), [np.eye(2).tolist()] * 2,
+         "validation error: weights.R[0]: shape (2, 2), expected (1, 1)"),
+        (("sweep",), {"delays_grid": [[0.0, 0.01]]},
+         "validation error: sweep.delays_grid: shape (1,), expected (2,)"),
     ])
     def test_semantic_error_exits_1_naming_the_document_path(
             self, tmp_path, capsys, path, value, message):
@@ -430,6 +436,15 @@ class TestFailureModes:
         assert err == (f"delay-lqgame: config error: <gains>.{key}{entry}: "
                        f"expected an array, got float\n")
 
+    def test_gains_B_coef_of_another_shape_exits_1(self, tmp_path, cfg_path,
+                                                   gains_doc, capsys):
+        gains_doc["B_coef"] = [[row[:1] for row in step]
+                               for step in gains_doc["B_coef"]]
+        err = self._simulate_with_gains(tmp_path, cfg_path,
+                                        json.dumps(gains_doc), capsys)
+        assert err == ("delay-lqgame: validation error: <gains>.B_coef: "
+                       "shape (50, 2, 1, 1, 1), expected (50, 2, 2, 1, 1)\n")
+
     def test_ragged_gains_exits_1_naming_the_row(self, tmp_path, cfg_path,
                                                  gains_doc, capsys):
         del gains_doc["A_coef"][3][1][0][-1]
@@ -500,8 +515,8 @@ class TestFailureModes:
                      str(gains), "--out", str(tmp_path / "t.csv")])
         assert code == 1
         assert capsys.readouterr().err == (
-            "delay-lqgame: validation error: horizon: 50 steps, the weights "
-            "expect 40\n")
+            "delay-lqgame: validation error: schedule.A_coef: shape "
+            "(50, 2, 1, 2), expected (40, 2, 1, 2)\n")
 
 
 def _strict_json(text):

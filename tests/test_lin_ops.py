@@ -57,6 +57,18 @@ class TestMatExp:
         with pytest.raises(DimensionError):
             mat_exp(np.zeros((2, 3)), 1.0)
 
+    @pytest.mark.parametrize("t", [np.inf, np.nan])
+    def test_rejects_non_finite_time(self, t):
+        with pytest.raises(IntervalError, match=f"^t must be finite, got "
+                                                f"{t}$"):
+            mat_exp(A22, t)
+
+    def test_overflowing_exponential_names_it(self):
+        with pytest.raises(ValidationError) as err:
+            mat_exp([[800.0]])
+        assert str(err.value) == ("matrix exponential: e^(A t) at t = 1.0 "
+                                  "overflows")
+
 
 def _scaled_matrices(norm, count=6, seed=0):
     """Random matrices of 1-norm `norm`, sizes 1..6."""

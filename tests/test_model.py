@@ -265,10 +265,14 @@ class TestWeights:
                                                   r"R\[1\] must be positive"):
             GameWeights(Q=(eye, eye), QN=(eye, eye),
                         R=(np.eye(1), -np.eye(1)), horizon=3)
+        with pytest.raises(ValidationError, match=r"^horizon: 160000000 "
+                                                  r"entries exceed"):
+            GameWeights(Q=(eye, eye), QN=(eye, eye), R=(np.eye(1),) * 2,
+                        horizon=10**7)
 
     def test_plant_built_in_code_names_no_document_path(self):
-        with pytest.raises(DimensionError,
-                           match=r"^B\[0\] has 1 rows, expected 2$"):
+        with pytest.raises(DimensionError, match=r"^B\[0\]: shape \(1, 1\), "
+                                                 r"expected \(2, 1\)$"):
             ContinuousPlant(A=np.eye(2), B=(np.ones((1, 1)),) * 2,
                             delays=(0.0, 0.0), h=0.1)
         with pytest.raises(DelayBoundError, match=r"^delay-bound: delay\[1\]"):
@@ -428,6 +432,51 @@ class TestApiArguments:
         with pytest.raises(ValidationError):
             _weights(horizon=2.0)
         assert issubclass(SchemaError, ValidationError)
+
+
+def _document_with(section, key, value):
+    doc = config_to_dict(preset_generic())
+    doc[section][key] = value
+    return json.dumps(doc)
+
+
+class TestEmptyAndNonArrayFields:
+    """A field that must list entries but holds none, or a document field
+    that is not an array, raises SchemaError naming the field."""
+
+    @pytest.mark.parametrize("build, message", [
+        pytest.param(lambda: _plant(B=()),
+                     "B: expected a non-empty sequence", id="plant-B"),
+        pytest.param(lambda: DiscretePlant(Phi=[[1.0]], Gamma0=(),
+                                           Gamma1=()),
+                     "Gamma0: expected a non-empty sequence", id="Gamma0"),
+        pytest.param(lambda: _weights(Q=()),
+                     "Q: expected a non-empty sequence", id="weights-Q"),
+        pytest.param(lambda: _config(sweep=((), (0.0,))),
+                     "sweep.delays_grid[0]: expected a non-empty sequence",
+                     id="sweep-grid"),
+        pytest.param(lambda: load_config(
+            _document_with("plant", "delays", 0.01)),
+                     "plant.delays: expected an array", id="plant.delays"),
+        pytest.param(lambda: load_config(
+            _document_with("sweep", "delays_grid", 0.0)),
+                     "sweep.delays_grid: expected an array of arrays",
+                     id="sweep.delays_grid"),
+    ])
+    def test_names_the_field(self, build, message):
+        with pytest.raises(SchemaError) as err:
+            build()
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("name", ["A_coef", "B_coef"])
+    def test_non_finite_gains_name_the_array(self, name):
+        coef = dict(A_coef=np.zeros((2, 1, 1, 1)),
+                    B_coef=np.zeros((2, 1, 1, 1, 1)))
+        coef[name][1, 0, 0, 0] = np.inf
+        with pytest.raises(ValidationError) as err:
+            GainSchedule(Scheme.PROPOSED, **coef)
+        assert str(err.value) == (f"{name}: gain schedule contains "
+                                  f"non-finite entries")
 
 
 class TestFileEncoders:

@@ -11,6 +11,7 @@ from delay_lqgame import (
     CouplingSingularityError,
     ExperimentConfig,
     GameWeights,
+    SchemaError,
     Scheme,
     ValidationError,
     compare_schemes,
@@ -322,6 +323,16 @@ class TestSweep:
         lines = path.read_text().splitlines()
         assert lines[0] == "td1,td2,j_total,j_1,j_2,ratio"
         assert len(lines) == 3
+
+
+@pytest.mark.parametrize("write, argument", [
+    (write_sweep_csv, "points"), (write_comparison_csv, "results")])
+def test_empty_table_names_the_argument(tmp_path, write, argument):
+    path = tmp_path / "table.csv"
+    with pytest.raises(SchemaError, match=f"^{argument}: expected a "
+                                          f"non-empty sequence$"):
+        write([], path)
+    assert not path.exists()
 
 
 class TestCompare:

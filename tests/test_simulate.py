@@ -175,8 +175,9 @@ class TestEvaluateCosts:
                                                generic_schedule, lfc_config):
         tr = rollout(generic_dp, generic_schedule, generic_config.x0,
                      generic_config.weights)
-        with pytest.raises(DimensionError, match="state weights are "
-                                                 "9-dimensional"):
+        with pytest.raises(DimensionError, match=r"^trajectory\.states: "
+                                                 r"shape \(51, 2\), "
+                                                 r"expected \(51, 9\)$"):
             evaluate_costs(tr, lfc_config.weights)
 
     def test_weights_of_another_horizon_rejected(self, generic_dp,
@@ -185,7 +186,9 @@ class TestEvaluateCosts:
         tr = rollout(generic_dp, generic_schedule, generic_config.x0,
                      generic_config.weights)
         short = replace(generic_config.weights, horizon=10)
-        with pytest.raises(DimensionError, match="horizon: 50 steps"):
+        with pytest.raises(DimensionError, match=r"^trajectory\.controls: "
+                                                 r"shape \(50, 2, 1\), "
+                                                 r"expected \(10, 2, 1\)$"):
             evaluate_costs(tr, short)
 
     @pytest.mark.parametrize("array, index, value, step", [
@@ -239,6 +242,13 @@ class TestSerialization:
         path = tmp_path / "traj.json"
         with pytest.raises(ValidationError, match="traj.json: .* sidecar"):
             write_trajectory_csv(tr, path)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_wrong_object_writes_nothing(self, tmp_path):
+        path = tmp_path / "traj.csv"
+        with pytest.raises(SchemaError, match="^trajectory: expected a "
+                                              "Trajectory, got str$"):
+            write_trajectory_csv("x", path)
         assert list(tmp_path.iterdir()) == []
 
 
@@ -309,6 +319,12 @@ class TestTrajectoryFileDefects:
         mutate(lines)
         written.write_text("\n".join(lines) + "\n")
         with pytest.raises(SchemaError, match=f"traj.csv {where}"):
+            read_trajectory_csv(written)
+
+    def test_non_utf8_file_names_file(self, written):
+        written.write_bytes(b"\xff\xfek\n")
+        with pytest.raises(SchemaError, match="^[^:]*traj.csv: not a text "
+                                              "file: 'utf-8' codec"):
             read_trajectory_csv(written)
 
     def test_truncated_file_names_file(self, written):
@@ -479,6 +495,20 @@ class TestNashDeviation:
                                      generic_config.weights,
                                      generic_config.x0, trials=50,
                                      magnitude=1e308)
+
+    def test_diverging_base_row_is_row_0(self):
+        # The undeviated loop itself overflows: x(1) = 1e300, x(1)'Q x(1)
+        # does not fit.
+        dp = DiscretePlant(Phi=[[1e300]], Gamma0=([[0.0]],),
+                           Gamma1=([[0.0]],))
+        weights = GameWeights(Q=([[1.0]],), QN=([[1.0]],), R=([[1.0]],),
+                              horizon=3)
+        with pytest.raises(NumericalError) as err:
+            nash_deviation_check(dp, zero_schedule(dp, 3), weights, [1.0],
+                                 trials=4)
+        assert str(err.value) == ("closed loop diverges: non-finite state "
+                                  "or cost at step 1")
+        assert err.value.step == 1 and err.value.row == 0
 
     def test_diverging_trial_names_its_step_and_row(self, generic_dp,
                                                     generic_config,

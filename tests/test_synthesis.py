@@ -268,7 +268,9 @@ class TestSingleDelayed:
 
     def test_rejects_multi_controller_plant(self, generic_dp, generic_config):
         # One controller's weights cannot drive a two-controller plant.
-        with pytest.raises(DimensionError, match="1 weight sets for 2"):
+        with pytest.raises(DimensionError, match=r"^weights\.Q: shape "
+                                                 r"\(1, 2, 2\), expected "
+                                                 r"\(2, 2, 2\)$"):
             synthesize(generic_dp,
                        select_player(generic_config.weights, 0))
 
@@ -459,7 +461,8 @@ class TestBatch:
             np.testing.assert_array_equal(values[:, b], want_values)
 
     def test_empty_batch_rejected(self, generic_config):
-        with pytest.raises(ValidationError, match="no plants"):
+        with pytest.raises(ValidationError,
+                           match="^plants: expected a non-empty sequence$"):
             synthesize_batch([], generic_config.weights)
 
     def test_mismatched_plant_rejected(self, generic_dp, generic_config):
