@@ -21,12 +21,12 @@ from pathlib import Path
 from .errors import (
     DelayGameError,
     DimensionError,
+    DocumentShapeError,
     IntervalError,
     NumericalError,
     SchemaError,
     ValidationError,
 )
-from .lin_ops import check_shape
 from .model import (
     PRESETS,
     GainSchedule,
@@ -90,16 +90,18 @@ def schedule_to_dict(schedule, plant):
 _SIZES = ("horizon", "p", "N", "M")
 
 
-def schedule_from_dict(doc, plant):
+def schedule_from_dict(doc, plant, horizon):
+    """A gains document's schedule for plant and horizon; every fault of
+    the document raises :class:`SchemaError` naming its field."""
     if not isinstance(doc, dict) or doc.get("format") != GAINS_FORMAT:
         raise SchemaError("<gains>", f"not a {GAINS_FORMAT} document")
     _fields(doc, "<gains>", ("scheme", "plant_hash", "A_coef", "B_coef")
             + _SIZES)
     sizes = [_integer(doc[key], f"<gains>.{key}") for key in _SIZES]
     if doc["plant_hash"] != plant_hash(plant):
-        raise ValidationError(
-            "plant-hash mismatch: the gain schedule was synthesized for a "
-            "different plant")
+        raise SchemaError("<gains>.plant_hash", "plant-hash mismatch: the "
+                          "gain schedule was synthesized for a different "
+                          "plant")
     scheme = _scheme(doc["scheme"], "<gains>.scheme")
     A_coef = _array(doc["A_coef"], "<gains>.A_coef", 4)
     B_coef = _array(doc["B_coef"], "<gains>.B_coef", 5)
@@ -109,7 +111,12 @@ def schedule_from_dict(doc, plant):
             raise SchemaError(f"<gains>.{key}", f"{size} disagrees with the "
                               f"coefficient arrays' {actual}")
     steps, p, N, _ = sizes
-    check_shape(B_coef.shape, (steps, p, p, N, N), "<gains>.B_coef")
+    if B_coef.shape != (steps, p, p, N, N):
+        raise DocumentShapeError("<gains>.B_coef", f"shape {B_coef.shape}, "
+                                 f"expected {(steps, p, p, N, N)}")
+    if steps != horizon:
+        raise SchemaError("<gains>.horizon", f"{steps} disagrees with "
+                          f"weights.horizon {horizon}")
     return GainSchedule(scheme, A_coef, B_coef)
 
 
@@ -195,7 +202,8 @@ def _cmd_simulate(args):
     _warn_unshared_weights(config)
     if args.gains:
         doc = load_json(Path(args.gains).read_bytes(), "<gains>")
-        schedule = schedule_from_dict(doc, config.plant)
+        schedule = schedule_from_dict(doc, config.plant,
+                                      config.weights.horizon)
         trajectory = rollout(discretize(config.plant), schedule, config.x0,
                              config.weights)
     else:

@@ -84,3 +84,7 @@ class SchemaError(ValidationError):
     def __init__(self, path, message):
         super().__init__(f"{path}: {message}")
         self.path = path
+
+
+class DocumentShapeError(SchemaError, DimensionError):
+    """A document array of another shape: the shape rule's DimensionError."""

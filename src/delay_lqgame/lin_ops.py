@@ -84,10 +84,10 @@ _THETA_13 = 5.371920351148152e0
 
 
 def _pade(A, m):
-    """Odd and even parts U, V of the degree-m Pade approximant of e^A;
-    e^A ~= (V - U)^-1 (V + U)."""
+    """Odd and even parts U, V of the degree-m Pade approximant of e^A,
+    for each matrix of the stack A; e^A ~= (V - U)^-1 (V + U)."""
     b = _PADE[m]
-    ident = np.eye(A.shape[0])
+    ident = np.eye(A.shape[-1])
     A2 = A @ A
     if m == 13:
         A4 = A2 @ A2
@@ -105,50 +105,51 @@ def _pade(A, m):
     return U, V
 
 
-def _expm(A, name):
-    """e^A by Pade scaling and squaring (Higham 2005): the lowest degree
-    in 3/5/7/9 whose theta bounds the 1-norm, else degree 13 after
-    halving A until its 1-norm is at most theta_13, then squaring back.
-    Raises :class:`ValidationError` naming the exponential ``name`` when
-    the 1-norm or the squared result overflows."""
-    norm = np.abs(A).sum(axis=0).max()
-    if not np.isfinite(norm):
-        raise ValidationError(
-            f"matrix exponential: {name}: the argument's 1-norm overflows")
-    for m, theta in _THETA:
-        if norm <= theta:
-            U, V = _pade(A, m)
-            return np.linalg.solve(V - U, V + U)
-    squarings = max(0, int(np.ceil(np.log2(norm / _THETA_13))))
-    U, V = _pade(A / 2.0 ** squarings, 13)
-    E = np.linalg.solve(V - U, V + U)
-    for _ in range(squarings):
-        E = E @ E
-    if not np.all(np.isfinite(E)):
-        raise ValidationError(f"matrix exponential: {name} overflows")
-    return E
-
-
 def mat_exp(A, t=1.0):
-    """Matrix exponential e^(A*t).
+    """Matrix exponential e^(A*t) for one time t, or the stack of e^(A*t_k)
+    for a vector t.
 
-    Pade scaling and squaring (Higham 2005): degree 3, 5, 7, 9 or 13
-    chosen by the 1-norm of A*t, then repeated squaring.
+    Pade scaling and squaring (Higham 2005), per time: degree 3, 5, 7, 9
+    or 13 chosen by the 1-norm of A*t, then repeated squaring.  The times
+    of one degree and squaring count run as one stack, whose products and
+    solve make each matrix's own BLAS/LAPACK calls, so every exponential
+    has the bits of its time alone.  The first time whose exponential
+    overflows raises :class:`ValidationError` naming it.
     """
     A = as_matrix(A, "A", square=True)
-    t = float(t)
-    if not np.isfinite(t):
-        raise IntervalError(f"t must be finite, got {t}")
-    # An argument, norm or square past the float range is caught by the
-    # finiteness checks of _expm, so it need not warn.
+    ts = np.asarray(t, dtype=float)
+    if not np.isfinite(ts).all():
+        raise IntervalError(f"t must be finite, got {ts[~np.isfinite(ts)][0]}")
+    # An argument, norm or square past the float range leaves its
+    # exponential non-finite, which is reported, so it need not warn.
     with np.errstate(over="ignore", invalid="ignore"):
-        return _expm(A * t, f"e^(A t) at t = {t!r}")
+        A = A * ts.reshape(-1, 1, 1)
+        E = np.full(A.shape, np.inf)
+        groups = {}
+        for k, norm in enumerate(np.abs(A).sum(axis=-2).max(axis=-1)):
+            if np.isfinite(norm):
+                m = next((m for m, theta in _THETA if norm <= theta), 13)
+                s = (max(0, int(np.ceil(np.log2(norm / _THETA_13))))
+                     if m == 13 else 0)
+                groups.setdefault((m, s), []).append(k)
+        for (m, s), ks in groups.items():
+            U, V = _pade(A[ks] / 2.0 ** s, m)
+            X = np.linalg.solve(V - U, V + U)
+            for _ in range(s):
+                X = X @ X
+            E[ks] = X
+    bad = np.flatnonzero(~np.isfinite(E).all(axis=(1, 2)))
+    if bad.size:
+        raise ValidationError(f"matrix exponential: e^(A t) at t = "
+                              f"{float(ts.flat[bad[0]])!r} overflows")
+    return E if ts.ndim else E[0]
 
 
 def exp_and_integral(A, t):
-    """e^(A*t) and the integral of e^(A*s) over s in [0, t].
+    """e^(A*t) and the integral of e^(A*s) over s in [0, t]: two M x M
+    arrays for one time t, two (len(t), M, M) stacks for a vector t.
 
-    Both are blocks of one exponential of the augmented matrix
+    Both are blocks of the exponential of the augmented matrix
     [[A, I], [0, 0]] t: the top-left and the top-right one.
     """
     A = as_matrix(A, "A", square=True)
@@ -157,7 +158,7 @@ def exp_and_integral(A, t):
     aug[:m, :m] = A
     aug[:m, m:] = np.eye(m)
     E = mat_exp(aug, t)
-    return E[:m, :m], E[:m, m:]
+    return E[..., :m, :m], E[..., :m, m:]
 
 
 def solve(A, B):

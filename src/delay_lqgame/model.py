@@ -212,8 +212,9 @@ class ContinuousPlant:
         return len(self.B)
 
     def with_delays(self, delays):
-        """Copy of this plant with the delay vector replaced."""
-        return replace(self, delays=delays)
+        """Copy of this plant with the delay vector replaced; the plant
+        itself when handed its own delay tuple."""
+        return self if delays is self.delays else replace(self, delays=delays)
 
 
 @dataclass(frozen=True)
@@ -251,34 +252,39 @@ class DiscretePlant:
         return len(self.Gamma0)
 
 
-def discretize(plant):
+def exp_pairs(plant, points):
+    """{t: (e^(A t), int_0^t e^(A s) ds)} for every time t that
+    :func:`discretize` needs at each point, from one stacked exponential."""
+    h = plant.h
+    times = list(dict.fromkeys([h] + [t for delays in points for tau in delays
+                                      if tau for t in (h - tau, tau)]))
+    return dict(zip(times, zip(*lin_ops.exp_and_integral(plant.A, times))))
+
+
+def discretize(plant, pairs=None):
     """Zero-order-hold discretization with the delay split.
 
-    Each distinct time t in {h, h - tau_i, tau_i} costs one augmented
-    exponential, which yields both e^(A t) and int_0^t e^(A s) ds
-    (``lin_ops.exp_and_integral``).  Gamma1_i comes from the semigroup
-    identity Gamma1_i = e^(A (h - tau_i)) int_0^tau_i e^(A s) ds B_i, not
-    from the total minus Gamma0_i, so the conservation identity
+    Each distinct time t in {h, h - tau_i, tau_i} needs one augmented
+    exponential, which yields both e^(A t) and int_0^t e^(A s) ds; they
+    come from ``pairs`` (see :func:`exp_pairs`) when the caller computed
+    them for several delay points, else from one stacked exponential
+    here.  Gamma1_i comes from the semigroup identity
+    Gamma1_i = e^(A (h - tau_i)) int_0^tau_i e^(A s) ds B_i, not from the
+    total minus Gamma0_i, so the conservation identity
     Gamma0_i + Gamma1_i = int_0^h e^(A s) ds B_i checked on the result is
     an independent check.  A delay of exactly zero yields Gamma1_i = +0.0.
     """
-    pairs = {}
-
-    def exp_pair(t):
-        if t not in pairs:
-            pairs[t] = lin_ops.exp_and_integral(plant.A, t)
-        return pairs[t]
-
-    Phi, total = exp_pair(plant.h)
+    pairs = pairs or exp_pairs(plant, [plant.delays])
+    Phi, total = pairs[plant.h]
     Gamma0 = []
     Gamma1 = []
     for B_i, tau in zip(plant.B, plant.delays):
-        shift, held = exp_pair(plant.h - tau)
+        shift, held = pairs[plant.h - tau]
         Gamma0.append(held @ B_i)
         if tau == 0.0:
             Gamma1.append(np.zeros_like(B_i))
         else:
-            Gamma1.append(shift @ (exp_pair(tau)[1] @ B_i))
+            Gamma1.append(shift @ (pairs[tau][1] @ B_i))
         undelayed = total @ B_i
         drift = np.abs(Gamma0[-1] + Gamma1[-1] - undelayed).max()
         if drift > SPLIT_CONSERVATION_ATOL * max(1.0, np.abs(undelayed).max()):

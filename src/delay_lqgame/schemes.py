@@ -31,6 +31,7 @@ from .model import (
     _instance,
     _scheme,
     discretize,
+    exp_pairs,
     write_csv,
 )
 from .synthesis import synthesize, synthesize_batch
@@ -74,28 +75,29 @@ def _named(exc, scheme, delays):
     return exc
 
 
-def _designs(config, schemes, points, plants=None):
+def _designs(config, schemes, points):
     """Every scheme's schedule at every delay point, point-major, tagged
-    with its scheme, all designed in one batch of the one recursion.
+    with its scheme, all designed in one batch of the one recursion; and
+    the points' true plants, discretized from one stacked exponential.
 
     The batch holds each scheme's rows, schemes in the order given:
-    ``proposed`` rows on the points' true plants (discretized here when not
-    given), ``single_delayed`` rows on them with controller 1's input
-    alone, and one ``delay_free_game`` row on the zero-delay plant, which
-    serves every point.  Each row is labelled with its scheme and delays,
-    which name a failing design; its ``.plant``/``.row`` is the row's index
-    in this batch.
+    ``proposed`` rows on the points' true plants, ``single_delayed`` rows
+    on them with controller 1's input alone, and one ``delay_free_game``
+    row on the zero-delay plant, which serves every point.  Each row is
+    labelled with its scheme and delays, which name a failing design; its
+    ``.plant``/``.row`` is the row's index in this batch.
     """
+    pairs = exp_pairs(config.plant, points)
+    plants = [discretize(config.plant.with_delays(point), pairs)
+              for point in points]
     labels, batch, at = [], [], []
     for scheme in schemes:
         if scheme is Scheme.DELAY_FREE_GAME:
             zero = (0.0,) * config.plant.p
             at.append([len(batch)] * len(points))
             labels.append((scheme, zero))
-            batch.append(discretize(config.plant.with_delays(zero)))
+            batch.append(discretize(config.plant.with_delays(zero), pairs))
             continue
-        plants = plants or [discretize(config.plant.with_delays(point))
-                            for point in points]
         at.append(range(len(batch), len(batch) + len(points)))
         labels += [(scheme, point) for point in points]
         batch += (plants if scheme is Scheme.PROPOSED
@@ -109,27 +111,26 @@ def _designs(config, schemes, points, plants=None):
     except NumericalError as exc:
         raise _named(exc, *labels[exc.row])
     return [replace(schedules[row], scheme=labels[row][0])
-            for rows in zip(*at) for row in rows]
+            for rows in zip(*at) for row in rows], plants
 
 
 def synthesize_for_scheme(config, scheme):
     """Gain schedule for one scheme on the config's plant, tagged with it."""
     _instance(config, ExperimentConfig, "config")
     return _designs(config, [_scheme(scheme, "scheme")],
-                    [config.plant.delays])[0]
+                    [config.plant.delays])[0][0]
 
 
 def _results(config, schemes, points):
     """Every scheme at every delay point, point-major in the order given:
     one ``_designs`` batch designs every row, and one batched closed loop
-    runs each on its point's true plant, discretized once.
+    runs each on its point's true plant.
 
     The rollout layer is imported here, so designing alone (the
     ``synthesize`` command) does not load it."""
     from .simulate import _rollouts
 
-    plants = [discretize(config.plant.with_delays(point)) for point in points]
-    schedules = _designs(config, schemes, points, plants)
+    schedules, plants = _designs(config, schemes, points)
     labels = [(scheme, point) for point in points for scheme in schemes]
     try:
         trajectories = _rollouts([dp for dp in plants for _ in schemes],

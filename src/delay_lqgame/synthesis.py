@@ -118,17 +118,25 @@ def synthesize_batch(plants, weights, return_values=False):
     for i in range(p):
         others[i, :, i * N:(i + 1) * N] = 0.0
     D_others = D * others
-    S = np.broadcast_to(_embedded(weights.QN, dim), (batch, p, dim, dim))
-    # Each step builds fresh value matrices, so the history keeps
-    # references; it is kept only when asked for, since it grows with the
-    # batch.
-    values = [S]
+    # The step's operands live in buffers allocated once: every product
+    # writes through out=, and the views on them are built once.  S and
+    # C^T S swap buffers every step, so the history keeps copies; it is
+    # kept only when asked for, since it grows with the batch.
+    S = np.tile(_embedded(weights.QN, dim), (batch, 1, 1, 1))
+    values = [S.copy()] if return_values else None
+    T, W4 = np.empty((2, batch, p, N, dim))
+    C, CtS = np.empty((2, batch, p, dim, dim))
+    G4, UE = np.empty((batch, p, N, n)), np.empty((batch, p, dim, N))
+    G, W, TM, Ct = (G4.reshape(batch, n, n), W4.reshape(batch, n, dim),
+                    T[..., :M], C.swapaxes(-1, -2))
+    # E_i = D_i^T S_i D_i + R_i, the diagonal blocks of G.
+    E = G4.reshape(batch, p, N, p, N).diagonal(0, 1, 3).transpose(0, 3, 1, 2)
     U = np.empty((steps, batch, n, dim))
     for k in range(steps - 1, -1, -1):
-        T = Dt @ S
-        G = (T @ D).reshape(batch, n, n)
+        np.matmul(Dt, S, out=T)
+        np.matmul(T, D, out=G4)
         G += R
-        W = (T[..., :M] @ target).reshape(batch, n, dim)
+        np.matmul(TM, target, out=W4)
         np.negative(W, out=W)
         try:
             Uk = lin_ops.solve(G, W)
@@ -146,25 +154,25 @@ def synthesize_batch(plants, weights, return_values=False):
                 plant=exc.row) from None
         U[k] = Uk
         Ui = Uk.reshape(batch, p, N, dim)
-        # E_i = D_i^T S_i D_i + R_i, the diagonal blocks of G.
-        E = G.reshape(batch, p, N, p, N).diagonal(0, 1, 3)
-        E = E.transpose(0, 3, 1, 2)
         # C_i: the step controller i sees with every other law applied.
-        C = D_others @ Uk[:, None]
+        np.matmul(D_others, Uk[:, None], out=C)
         C += Abar
         # S_i <- sym(C_i^T S_i C_i + Q_i - U_i^T E_i U_i), where
-        # sym(X) = (X + X^T) / 2, formed in place.
-        S = C.swapaxes(-1, -2) @ S
-        S = S @ C
+        # sym(X) = (X + X^T) / 2: the sum is formed in S's buffer, U^T E U
+        # in C's, and sym of the sum in C^T S's, which then holds S.
+        np.matmul(Ct, S, out=CtS)
+        np.matmul(CtS, C, out=S)
         S += Q
-        S -= Ui.swapaxes(-1, -2) @ E @ Ui
-        S += S.swapaxes(-1, -2)
+        np.matmul(Ui.swapaxes(-1, -2), E, out=UE)
+        S -= np.matmul(UE, Ui, out=C)
+        S, CtS = np.add(S, S.swapaxes(-1, -2), out=CtS), S
         S *= 0.5
         if return_values:
-            values.append(S)
+            values.append(S.copy())
     # + 0.0 is exact but turns -0.0 into 0.0, so vanishing terms (the delay
     # terms of a zero-delay plant) are written as 0.0.
-    U = (U + 0.0).reshape(steps, batch, p, N, dim)
+    U += 0.0
+    U = U.reshape(steps, batch, p, N, dim)
     A_coef = U[..., :M].transpose(1, 0, 2, 3, 4)
     B_coef = U[..., M:].reshape(steps, batch, p, N, p, N)
     B_coef = B_coef.transpose(1, 0, 2, 4, 3, 5)

@@ -11,7 +11,11 @@ keeps the batched check's earlier layout (every trial a full row from step
 
 Views of package results live here too, because only the tests use
 them: ``exp_integral`` (an interval integral as a difference of the
-package's cumulative ones), ``coefficients`` and ``gain`` (a
+package's cumulative ones), ``lone_expm`` and ``lone_discretize`` (the
+package's Pade steps run on one 2-D matrix, one time at a time, and the
+delay split assembled from such exponentials: the references that the
+stacked exponential pass must equal bit for bit), ``coefficients`` and
+``gain`` (a
 controller's stacked coefficient row and its negation),
 ``select_controller`` and ``select_player`` (one controller's plant and
 weights), and ``lifted_single_design`` (controller 1 designed alone on
@@ -21,6 +25,7 @@ former path of the ``single_delayed`` baseline).
 
 import numpy as np
 
+from delay_lqgame import lin_ops
 from delay_lqgame.errors import IntervalError, ValidationError
 from delay_lqgame.lin_ops import exp_and_integral
 from delay_lqgame.model import DiscretePlant, GameWeights
@@ -533,6 +538,44 @@ def exp_integral(A, a, b):
     if not (0.0 <= a <= b):
         raise IntervalError(f"interval must satisfy 0 <= a <= b, got [{a}, {b}]")
     return exp_and_integral(A, b)[1] - exp_and_integral(A, a)[1]
+
+
+def lone_expm(A, t):
+    """e^(A t) of one 2-D matrix by the package's Pade steps: the degree
+    and squaring count chosen from the 1-norm of A t, as lin_ops.mat_exp
+    chooses them per time, with 2-D products only."""
+    A = np.asarray(A, dtype=float) * t
+    norm = np.abs(A).sum(axis=0).max()
+    for m, theta in lin_ops._THETA:
+        if norm <= theta:
+            U, V = lin_ops._pade(A, m)
+            return np.linalg.solve(V - U, V + U)
+    squarings = max(0, int(np.ceil(np.log2(norm / lin_ops._THETA_13))))
+    U, V = lin_ops._pade(A / 2.0 ** squarings, 13)
+    E = np.linalg.solve(V - U, V + U)
+    for _ in range(squarings):
+        E = E @ E
+    return E
+
+
+def lone_discretize(plant):
+    """(Phi, Gamma0, Gamma1) of the delay split as model.discretize forms
+    it, from one lone_expm of the augmented matrix per time."""
+    M = plant.M
+    aug = np.zeros((2 * M, 2 * M))
+    aug[:M, :M] = plant.A
+    aug[:M, M:] = np.eye(M)
+
+    def pair(t):
+        E = lone_expm(aug, t)
+        return E[:M, :M], E[:M, M:]
+
+    Phi = pair(plant.h)[0]
+    Gamma0 = [pair(plant.h - tau)[1] @ B for B, tau in zip(plant.B,
+                                                           plant.delays)]
+    Gamma1 = [pair(plant.h - tau)[0] @ (pair(tau)[1] @ B) if tau
+              else np.zeros_like(B) for B, tau in zip(plant.B, plant.delays)]
+    return Phi, Gamma0, Gamma1
 
 
 def coefficients(schedule, k, i):

@@ -278,7 +278,9 @@ class TestFailureModes:
                      "--gains", str(gains), "--out", str(tmp_path / "t.csv")])
         err = capsys.readouterr().err
         assert code == 1
-        assert "plant-hash mismatch" in err
+        assert err == ("delay-lqgame: config error: <gains>.plant_hash: "
+                       "plant-hash mismatch: the gain schedule was "
+                       "synthesized for a different plant\n")
 
     @pytest.mark.parametrize("path, value, message", [
         (("plant", "A", 0, 0), 1e308,
@@ -334,9 +336,9 @@ class TestFailureModes:
             self, tmp_path, cfg_path, monkeypatch, scheme, plants):
         calls = []
 
-        def counting(plant):
+        def counting(plant, *pairs):
             calls.append(plant.delays)
-            return discretize(plant)
+            return discretize(plant, *pairs)
 
         for module in (delay_lqgame.cli, delay_lqgame.schemes):
             monkeypatch.setattr(module, "discretize", counting)
@@ -442,7 +444,8 @@ class TestFailureModes:
                                for step in gains_doc["B_coef"]]
         err = self._simulate_with_gains(tmp_path, cfg_path,
                                         json.dumps(gains_doc), capsys)
-        assert err == ("delay-lqgame: validation error: <gains>.B_coef: "
+        # The prefix of every gains-document fault, as for a ragged row.
+        assert err == ("delay-lqgame: config error: <gains>.B_coef: "
                        "shape (50, 2, 1, 1, 1), expected (50, 2, 2, 1, 1)\n")
 
     def test_ragged_gains_exits_1_naming_the_row(self, tmp_path, cfg_path,
@@ -515,8 +518,8 @@ class TestFailureModes:
                      str(gains), "--out", str(tmp_path / "t.csv")])
         assert code == 1
         assert capsys.readouterr().err == (
-            "delay-lqgame: validation error: schedule.A_coef: shape "
-            "(50, 2, 1, 2), expected (40, 2, 1, 2)\n")
+            "delay-lqgame: config error: <gains>.horizon: 50 disagrees with "
+            "weights.horizon 40\n")
 
 
 def _strict_json(text):

@@ -189,14 +189,14 @@ class TestScheduleFromDict:
     @given(JSON)
     def test_any_json_value(self, doc):
         _parses_or_raises_package_error(schedule_from_dict, doc,
-                                        GENERIC.plant)
+                                        GENERIC.plant, GENERIC.weights.horizon)
 
     @fuzz
     @given(mutated(GAINS_DOC))
     @example(dict(GAINS_DOC, A_coef=[[[[10**400, 0.0]]]]))
     def test_mutated_gains(self, doc):
         _parses_or_raises_package_error(schedule_from_dict, doc,
-                                        GENERIC.plant)
+                                        GENERIC.plant, GENERIC.weights.horizon)
 
 
 # numpy scalars as a caller may pass them, finite or not.
@@ -328,7 +328,7 @@ class TestGainsNumbers:
         path = data.draw(st.sampled_from(list(_leaf_paths(GAINS_DOC[key]))))
         doc = _gains_with(key, path, value)
         with pytest.raises(SchemaError) as info:
-            schedule_from_dict(doc, GENERIC.plant)
+            schedule_from_dict(doc, GENERIC.plant, GENERIC.weights.horizon)
         entry = f"<gains>.{key}" + "".join(f"[{i}]" for i in path)
         assert info.value.path == entry
         assert str(info.value) == (f"{entry}: expected a number, got "
@@ -427,7 +427,8 @@ class TestArrayRule:
             if name.startswith("config"):
                 load_config(text)
             elif name.startswith("gains"):
-                schedule_from_dict(json.loads(text), GENERIC.plant)
+                schedule_from_dict(json.loads(text), GENERIC.plant,
+                                   GENERIC.weights.horizon)
             else:
                 trajectory_csv.with_suffix(".json").write_text(text)
                 read_trajectory_csv(trajectory_csv)

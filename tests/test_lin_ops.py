@@ -18,7 +18,12 @@ from delay_lqgame import (
 )
 from delay_lqgame.lin_ops import mat_exp
 
-from oracles import exp_integral, series_expm, simpson_exp_integral
+from oracles import (
+    exp_integral,
+    lone_expm,
+    series_expm,
+    simpson_exp_integral,
+)
 
 A22 = np.array([[0.0, 1.0], [-3.0, -4.0]])
 
@@ -98,7 +103,8 @@ class TestPadeExpm:
         pade = lin_ops._pade
 
         def recording(A, m):
-            calls.append((m, np.abs(A).sum(axis=0).max()))
+            # A is a stack: its largest 1-norm.
+            calls.append((m, np.abs(A).sum(axis=-2).max()))
             return pade(A, m)
 
         monkeypatch.setattr(lin_ops, "_pade", recording)
@@ -117,6 +123,83 @@ class TestPadeExpm:
             want = scipy_linalg.expm(A)
             err = np.abs(mat_exp(A) - want).max() / np.abs(want).max()
             assert err <= 1e-10
+
+
+class TestStackedExpm:
+    """A vector of times runs as one stacked pass per degree and squaring
+    count; every exponential must equal its time's lone 2-D exponential
+    bit for bit."""
+
+    @pytest.mark.parametrize("norm", PADE_NORMS, ids="{:.3g}".format)
+    def test_each_degree_equals_the_lone_exponential(self, norm):
+        # A has 1-norm 1, so A t has 1-norm ~ t: every degree, and degree
+        # 13 with no, 2 and 4 squarings.
+        for A in _scaled_matrices(1.0, seed=5):
+            lone = lone_expm(A, norm)
+            np.testing.assert_array_equal(mat_exp(A, [norm])[0], lone)
+            np.testing.assert_array_equal(mat_exp(A, norm), lone)
+
+    def test_mixed_stack_with_repeats_and_zero(self, monkeypatch):
+        stacks = []
+        pade = lin_ops._pade
+
+        def recording(A, m):
+            stacks.append((m, len(A)))
+            return pade(A, m)
+
+        monkeypatch.setattr(lin_ops, "_pade", recording)
+        rng = np.random.default_rng(17)
+        times = [*PADE_NORMS, 0.0, PADE_NORMS[3], 50.0, 0.0]
+        times = [times[k] for k in rng.permutation(len(times))]
+        for A in _scaled_matrices(1.0, seed=9):
+            stacks.clear()
+            E = mat_exp(A, times)
+            # One pass per (degree, squarings): degree 3 holds 1e-8, its
+            # theta's time and both zeros, degree 7 its time twice, and
+            # degree 13 runs with 0, 2 and 4 squarings, the last twice.
+            assert sorted(stacks) == [(3, 4), (5, 1), (7, 2), (9, 1),
+                                      (13, 1), (13, 1), (13, 2)]
+            assert E.shape == (len(times), *A.shape)
+            for got, t in zip(E, times):
+                np.testing.assert_array_equal(got, lone_expm(A, t))
+            assert np.array_equal(E[times.index(0.0)], np.eye(len(A)))
+
+    def test_exp_and_integral_stack_equals_scalar_calls(self):
+        times = [0.05, 0.03, 0.02, 0.05, 0.0, 4.0]
+        shift, held = lin_ops.exp_and_integral(A22, times)
+        assert shift.shape == held.shape == (len(times), 2, 2)
+        aug = np.zeros((4, 4))
+        aug[:2, :2] = A22
+        aug[:2, 2:] = np.eye(2)
+        for k, t in enumerate(times):
+            one = lin_ops.exp_and_integral(A22, t)
+            assert one[0].shape == one[1].shape == (2, 2)
+            np.testing.assert_array_equal(shift[k], one[0])
+            np.testing.assert_array_equal(held[k], one[1])
+            np.testing.assert_array_equal(shift[k], lone_expm(aug, t)[:2, :2])
+            np.testing.assert_array_equal(held[k], lone_expm(aug, t)[:2, 2:])
+
+    def test_overflow_names_the_first_overflowing_time(self):
+        with pytest.raises(ValidationError) as err:
+            mat_exp([[800.0]], [0.5, 1.0, 2.0])
+        assert str(err.value) == ("matrix exponential: e^(A t) at t = 1.0 "
+                                  "overflows")
+
+    def test_norm_overflow_names_its_time(self):
+        big = [[1e308, 1e308], [1e308, 1e308]]
+        # At t = 0.25 the 1-norm is finite and the squares overflow; at
+        # t = 1.0 the 1-norm itself does.  Each is named, the first first.
+        for times, name in (([1.0], "1.0"), ([0.25], "0.25"),
+                            ([1.0, 0.25], "1.0"), ([0.25, 1.0], "0.25")):
+            with pytest.raises(ValidationError) as err:
+                mat_exp(big, times)
+            assert str(err.value) == (f"matrix exponential: e^(A t) at "
+                                      f"t = {name} overflows")
+
+    def test_non_finite_time_in_a_stack(self):
+        with pytest.raises(IntervalError, match="^t must be finite, got "
+                                                "nan$"):
+            mat_exp(A22, [0.05, np.nan, np.inf])
 
 
 class TestExpIntegral:
@@ -340,16 +423,18 @@ class TestAugmentedDiscretization:
                                               ((0.0, 0.0), 1)])
     def test_one_exponential_per_distinct_time(self, monkeypatch, delays,
                                                calls):
-        times = []
+        # One stacked exponential call, holding each distinct time once.
+        stacks = []
         exp = lin_ops.mat_exp
 
         def counting(A, t=1.0):
-            times.append(t)
+            stacks.append(list(t))
             return exp(A, t)
 
         monkeypatch.setattr(lin_ops, "mat_exp", counting)
         B = ([[0.0], [1.0]], [[0.0], [1.0]])
         discretize(ContinuousPlant(A=A22, B=B, delays=delays, h=0.05))
+        [times] = stacks
         assert len(times) == len(set(times)) == calls
 
     def test_split_conservation_check_is_independent(self, monkeypatch):
@@ -359,7 +444,8 @@ class TestAugmentedDiscretization:
 
         def corrupt(A, t=1.0):
             E = exp(A, t)
-            return E * 1.001 if t == 0.01 else E
+            E[np.asarray(t) == 0.01] *= 1.001
+            return E
 
         monkeypatch.setattr(lin_ops, "mat_exp", corrupt)
         plant = ContinuousPlant(A=A22, B=([[0.0], [1.0]],), delays=(0.01,),

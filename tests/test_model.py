@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from dataclasses import replace
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -30,11 +31,16 @@ from delay_lqgame import (
     synthesize_for_scheme,
 )
 
-from delay_lqgame.model import dump_json, write_csv
+from delay_lqgame.model import dump_json, exp_pairs, write_csv
 from delay_lqgame.synthesis import GainSchedule
 
 from conftest import random_stable_plant
-from oracles import exp_integral, select_controller, simpson_exp_integral
+from oracles import (
+    exp_integral,
+    lone_discretize,
+    select_controller,
+    simpson_exp_integral,
+)
 
 MINIMAL_DOC = """
 {
@@ -106,6 +112,48 @@ class TestDiscretize:
         for i in range(plant.p):
             np.testing.assert_allclose(dp.Gamma0[i] + dp.Gamma1[i],
                                        total @ plant.B[i], rtol=1e-9)
+
+
+def _assert_lone_assembly(dp, plant):
+    Phi, Gamma0, Gamma1 = lone_discretize(plant)
+    np.testing.assert_array_equal(dp.Phi, Phi)
+    for got, want in zip(dp.Gamma0 + dp.Gamma1, Gamma0 + Gamma1):
+        np.testing.assert_array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+class TestStackedDiscretization:
+    """discretize takes every exponential from one stacked pass, its own
+    or one shared by a grid's points; either way each plant must equal
+    the delay split assembled one lone exponential per time, bit for
+    bit."""
+
+    @pytest.mark.parametrize("preset", [preset_generic, preset_lfc],
+                             ids=["generic", "lfc"])
+    def test_full_grid_equals_the_lone_assembly(self, preset):
+        config = preset()
+        points = list(product(*config.sweep))
+        pairs = exp_pairs(config.plant, points)
+        for point in points:
+            plant = config.plant.with_delays(point)
+            _assert_lone_assembly(discretize(plant), plant)
+            _assert_lone_assembly(discretize(plant, pairs), plant)
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_seeded_plants_equal_the_lone_assembly(self, p):
+        rng = np.random.default_rng(300 + p)
+        for zero_delays in (False, True, False, True):
+            plant = random_stable_plant(rng, p=p, zero_delays=zero_delays)
+            _assert_lone_assembly(discretize(plant), plant)
+            # Controller 1 undelayed, the others not.
+            mixed = plant.with_delays((0.0,) + tuple(
+                rng.uniform(0.0, 0.98 * plant.h, size=p - 1).tolist()))
+            _assert_lone_assembly(discretize(mixed), mixed)
+
+    def test_pairs_hold_each_distinct_time_once(self):
+        plant = preset_generic().plant
+        pairs = exp_pairs(plant, [(0.0, 0.01), (0.01, 0.02), (0.0, 0.0)])
+        assert list(pairs) == [0.05, 0.05 - 0.01, 0.01, 0.05 - 0.02, 0.02]
 
 
 class TestConfigDocuments:

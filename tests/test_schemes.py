@@ -4,6 +4,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+import delay_lqgame.lin_ops
 import delay_lqgame.schemes
 import delay_lqgame.synthesis
 from delay_lqgame import (
@@ -87,9 +88,9 @@ def _count_discretize(monkeypatch):
     calls = []
     original = delay_lqgame.schemes.discretize
 
-    def counting(plant):
+    def counting(plant, *pairs):
         calls.append(plant.delays)
-        return original(plant)
+        return original(plant, *pairs)
 
     monkeypatch.setattr(delay_lqgame.schemes, "discretize", counting)
     return calls
@@ -192,6 +193,32 @@ class TestOneRecursionPerCommand:
             sizes.clear()
             command(config)
             assert sizes == [rows]
+
+
+class TestOneExponentialPassPerCommand:
+    def test_each_command_makes_one_stacked_exponential_call(
+            self, monkeypatch, generic_config):
+        cfg = small_grid_config(generic_config, [0.0, 0.012], [0.004, 0.02])
+        stacks = []
+        exp = delay_lqgame.lin_ops.mat_exp
+
+        def counting(A, t=1.0):
+            stacks.append(list(t))
+            return exp(A, t)
+
+        monkeypatch.setattr(delay_lqgame.lin_ops, "mat_exp", counting)
+        h = cfg.plant.h
+        # h, then h - tau and tau for each nonzero delay of the grid; the
+        # zero-delay plant of the delay-free design needs h alone.
+        grid_times = [h, h - 0.004, 0.004, h - 0.02, 0.02, h - 0.012, 0.012]
+        for command in (sweep_delays, compare_schemes):
+            stacks.clear()
+            command(cfg)
+            assert stacks == [grid_times]
+        for scheme in Scheme:
+            stacks.clear()
+            synthesize_for_scheme(cfg, scheme)
+            assert stacks == [[h, h - 0.01, 0.01]]
 
 
 class TestSingularGridPoint:

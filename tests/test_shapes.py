@@ -114,7 +114,8 @@ API_SITES = [
         Scheme.PROPOSED, np.zeros((2, 1, 1, 1)), np.zeros((2, 2, 2, 1, 1))),
      "B_coef: shape (2, 2, 2, 1, 1), expected (2, 1, 1, 1, 1)"),
     ("gains-document-B_coef", lambda: schedule_from_dict(
-        _gains_doc(SCHEDULE.B_coef[:, :, :1].tolist()), PLANT),
+        _gains_doc(SCHEDULE.B_coef[:, :, :1].tolist()), PLANT,
+        WEIGHTS.horizon),
      "<gains>.B_coef: shape (50, 2, 1, 1, 1), expected (50, 2, 2, 1, 1)"),
     ("weights-controllers", lambda: synthesize(DP, select_player(WEIGHTS, 0)),
      "weights.Q: shape (1, 2, 2), expected (2, 2, 2)"),

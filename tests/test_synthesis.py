@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -494,6 +495,85 @@ class TestBatch:
         assert str(err.value) == ("value recursion leaves the finite range "
                                   "at step 75")
         assert (err.value.step, err.value.row) == (75, 1)
+
+
+def _dead_second_input(config):
+    """The config's plant with controller 2's input cut off, under weights
+    that barely charge controller 2: its block of the first step's system
+    is then R_2 alone, a pivot far below the threshold."""
+    plant = config.plant
+    dead = ContinuousPlant(A=plant.A, B=(plant.B[0], 0.0 * plant.B[1]),
+                           delays=plant.delays, h=plant.h)
+    weights = replace(config.weights, R=(config.weights.R[0],
+                                         1e-20 * config.weights.R[1]))
+    return discretize(dead), weights
+
+
+class TestBufferedStep:
+    """The step reuses its operand buffers across steps; nothing it
+    returns may share them."""
+
+    @pytest.mark.parametrize("case", ["generic", "p3"])
+    def test_value_history_equals_fresh_shorter_runs(self, case,
+                                                     generic_config):
+        # S(k) of a horizon-H run is S(0) of a fresh horizon-(H - k) run,
+        # the same steps on the same operands; an entry of the history
+        # that aliased a reused buffer would hold a later step's S.
+        if case == "generic":
+            plants = _grid_plants(generic_config, ((0.0, 0.012), (0.004,)))
+            weights = replace(generic_config.weights, horizon=6)
+        else:
+            plants, weights = _seeded_grid_plants(4, 1, 3, 2, seed=43)
+            weights = replace(weights, horizon=6)
+        schedules, values = synthesize_batch(plants, weights,
+                                             return_values=True)
+        H = weights.horizon
+        assert values.shape[0] == H + 1
+        for b, dp in enumerate(plants):
+            for k in range(H):
+                fresh, fresh_values = synthesize(
+                    dp, replace(weights, horizon=H - k), return_values=True)
+                np.testing.assert_array_equal(values[k, b], fresh_values[0])
+                np.testing.assert_array_equal(schedules[b].A_coef[k],
+                                              fresh.A_coef[0])
+            np.testing.assert_array_equal(values[H, b], values[H, 0])
+        assert not np.array_equal(values[0], values[1])
+
+    @pytest.mark.parametrize("return_values", [False, True])
+    def test_singular_seeded_plant_named_by_step_controller_and_index(
+            self, generic_config, return_values):
+        dead, weights = _dead_second_input(generic_config)
+        plants = _grid_plants(generic_config, ((0.0, 0.01), (0.02,)))
+        with pytest.raises(CouplingSingularityError,
+                           match="of plant 2 is singular at step 49 for "
+                                 "controller 2") as err:
+            synthesize_batch(plants + [dead], weights,
+                             return_values=return_values)
+        assert (err.value.plant, err.value.step, err.value.controller) == (
+            2, 49, 2)
+        with pytest.raises(CouplingSingularityError,
+                           match="^stacked best-response system is singular "
+                                 "at step 49 for controller 2") as err:
+            synthesize(dead, weights, return_values=return_values)
+        assert (err.value.plant, err.value.step, err.value.controller) == (
+            0, 49, 2)
+
+    @pytest.mark.parametrize("return_values", [False, True])
+    def test_overflow_raises_at_the_same_step(self, generic_dp,
+                                              return_values):
+        # As in TestBatch: S(76) overflows, so step 75's system is not
+        # finite, alone or behind another plant.
+        unstable = discretize(ContinuousPlant(
+            A=[[300.0, 0.0], [0.0, -1.0]], B=([[0.0], [1.0]], [[0.0], [2.0]]),
+            delays=(0.01, 0.02), h=0.05))
+        for plants, row in (([unstable], 0), ([generic_dp, unstable], 1)):
+            with pytest.raises(NumericalError) as err:
+                synthesize_batch(plants, eye_weights(2, 2, 100),
+                                 return_values=return_values)
+            assert type(err.value) is NumericalError
+            assert str(err.value) == ("value recursion leaves the finite "
+                                      "range at step 75")
+            assert (err.value.step, err.value.row) == (75, row)
 
 
 class TestGainSchedule:
