@@ -43,7 +43,6 @@ _HOMES = {
         "compare_schemes",
         "run_scheme",
         "sweep_delays",
-        "synthesize_for_scheme",
         "write_comparison_csv",
         "write_sweep_csv",
     ),
@@ -55,7 +54,7 @@ _HOMES = {
         "write_trajectory_csv",
     ),
     "deviation": ("DeviationReport", "NASH_TOLERANCE", "nash_deviation_check"),
-    "synthesis": ("synthesize", "synthesize_batch"),
+    "synthesis": ("synthesize", "synthesize_batch", "synthesize_for_scheme"),
 }
 _MODULE_OF = {name: module for module, names in _HOMES.items()
               for name in names}

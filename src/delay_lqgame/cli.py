@@ -51,6 +51,22 @@ from .model import (
 GAINS_FORMAT = "delay-lqgame-gains/1"
 
 
+def _sha256():
+    """A SHA-256 hash object from CPython's built-in module (_sha2 from
+    3.12, _sha256 before), imported on first use: only the gains commands
+    hash, and hashlib would also load OpenSSL's _hashlib, whose import
+    takes ten times as long."""
+    try:
+        if sys.version_info >= (3, 12):
+            from _sha2 import sha256
+        else:
+            from _sha256 import sha256
+    except ImportError:
+        # A build configured without the built-in hashes has only hashlib's.
+        from hashlib import sha256
+    return sha256()
+
+
 def plant_hash(plant):
     """Fingerprint of a validated continuous plant and the gains format,
     for schedule/plant pairing.
@@ -58,11 +74,7 @@ def plant_hash(plant):
     It covers the inputs (A, B_i, delays, h), not their discretization, so
     a last-bit change in the exponentials does not orphan gains files.
     """
-    # Imported here: only the gains commands hash, and a CLI process
-    # otherwise pays for loading hashlib at start-up.
-    import hashlib
-
-    digest = hashlib.sha256()
+    digest = _sha256()
     digest.update(f"{GAINS_FORMAT};M={plant.M};N={plant.N};p={plant.p};"
                   .encode())
     for values in (plant.A.ravel(), *(b.ravel() for b in plant.B),
@@ -169,7 +181,7 @@ def _cmd_discretize(args):
 
 
 def _cmd_synthesize(args):
-    from .schemes import synthesize_for_scheme
+    from .synthesis import synthesize_for_scheme
 
     config = _load_config_file(args.config)
     schedule = synthesize_for_scheme(config, args.scheme or config.scheme)
@@ -273,10 +285,12 @@ def _build_parser():
 
     cmd = add("simulate", _cmd_simulate,
               "roll out the closed loop; writes CSV plus a .json sidecar")
-    cmd.add_argument("--gains", default=None,
-                     help="previously synthesized gain schedule JSON")
-    cmd.add_argument("--scheme", choices=[s.value for s in Scheme],
-                     help="override the config's scheme")
+    # A gains file fixes its own scheme, so the pair is a usage error.
+    source = cmd.add_mutually_exclusive_group()
+    source.add_argument("--gains", default=None,
+                        help="previously synthesized gain schedule JSON")
+    source.add_argument("--scheme", choices=[s.value for s in Scheme],
+                        help="override the config's scheme")
     cmd.add_argument("--seed", type=int, default=0,
                      help="seed recorded in the sidecar metadata")
 

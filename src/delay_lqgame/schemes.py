@@ -17,7 +17,7 @@ plant, of the true plant's shape, that their designs are handed:
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
@@ -30,11 +30,11 @@ from .model import (
     _entries,
     _instance,
     _scheme,
-    discretize,
-    exp_pairs,
     write_csv,
 )
-from .synthesis import synthesize, synthesize_batch
+# The design layer lives beside the recursion; synthesize_for_scheme is
+# re-exported here, where callers of the scheme functions look it up.
+from .synthesis import _designs, _named, synthesize_for_scheme
 
 
 @dataclass(frozen=True)
@@ -58,67 +58,6 @@ class SweepPoint:
     j_total: float
     j_players: tuple
     ratio: float
-
-
-def _lone_first(dp):
-    """The plant with every input but controller 1's cut off."""
-    zero = np.zeros_like(dp.Gamma0[0])
-    rest = (zero,) * (dp.p - 1)
-    return replace(dp, Gamma0=dp.Gamma0[:1] + rest,
-                   Gamma1=dp.Gamma1[:1] + rest)
-
-
-def _named(exc, scheme, delays):
-    """``exc`` of a failing batch row, named by the row's scheme and delays."""
-    exc.args = (f"{exc} for scheme {scheme} at delays {delays}",)
-    exc.delays = delays
-    return exc
-
-
-def _designs(config, schemes, points):
-    """Every scheme's schedule at every delay point, point-major, tagged
-    with its scheme, all designed in one batch of the one recursion; and
-    the points' true plants, discretized from one stacked exponential.
-
-    The batch holds each scheme's rows, schemes in the order given:
-    ``proposed`` rows on the points' true plants, ``single_delayed`` rows
-    on them with controller 1's input alone, and one ``delay_free_game``
-    row on the zero-delay plant, which serves every point.  Each row is
-    labelled with its scheme and delays, which name a failing design; its
-    ``.plant``/``.row`` is the row's index in this batch.
-    """
-    pairs = exp_pairs(config.plant, points)
-    plants = [discretize(config.plant.with_delays(point), pairs)
-              for point in points]
-    labels, batch, at = [], [], []
-    for scheme in schemes:
-        if scheme is Scheme.DELAY_FREE_GAME:
-            zero = (0.0,) * config.plant.p
-            at.append([len(batch)] * len(points))
-            labels.append((scheme, zero))
-            batch.append(discretize(config.plant.with_delays(zero), pairs))
-            continue
-        at.append(range(len(batch), len(batch) + len(points)))
-        labels += [(scheme, point) for point in points]
-        batch += (plants if scheme is Scheme.PROPOSED
-                  else map(_lone_first, plants))
-    try:
-        # A lone plant goes through ``synthesize``, the batch-of-1 case of
-        # the same recursion, so per-call tracing of that public entry
-        # point (lqbench/tracing.py) still sees every single design.
-        schedules = (synthesize_batch(batch, config.weights) if len(batch) > 1
-                     else [synthesize(batch[0], config.weights)])
-    except NumericalError as exc:
-        raise _named(exc, *labels[exc.row])
-    return [replace(schedules[row], scheme=labels[row][0])
-            for rows in zip(*at) for row in rows], plants
-
-
-def synthesize_for_scheme(config, scheme):
-    """Gain schedule for one scheme on the config's plant, tagged with it."""
-    _instance(config, ExperimentConfig, "config")
-    return _designs(config, [_scheme(scheme, "scheme")],
-                    [config.plant.delays])[0][0]
 
 
 def _results(config, schemes, points):

@@ -37,7 +37,12 @@ every plant's system.
 
 Known controllers are this recursion on a prepared plant: one controller
 gives the stacked-state delayed regulator, zero delays the delay-free game.
+The design layer at the end of this module prepares each scheme's plants
+and designs them in one batch, so designing alone (the ``synthesize``
+command) loads neither the comparison tables nor the rollout.
 """
+
+from dataclasses import replace
 
 import numpy as np
 
@@ -50,11 +55,15 @@ from .errors import (
 )
 from .model import (
     DiscretePlant,
+    ExperimentConfig,
     GainSchedule,
     Scheme,
     _entries,
     _instance,
+    _scheme,
     check_compatible,
+    discretize,
+    exp_pairs,
 )
 
 
@@ -195,3 +204,72 @@ def synthesize(dp, weights, return_values=False):
         return synthesize_batch([dp], weights)[0]
     schedules, values = synthesize_batch([dp], weights, return_values=True)
     return schedules[0], values[:, 0]
+
+
+# ---------------------------------------------------------------------------
+# the design layer: each scheme's plants, designed in one batch
+# ---------------------------------------------------------------------------
+
+def _lone_first(dp):
+    """The plant with every input but controller 1's cut off."""
+    zero = np.zeros_like(dp.Gamma0[0])
+    rest = (zero,) * (dp.p - 1)
+    return replace(dp, Gamma0=dp.Gamma0[:1] + rest,
+                   Gamma1=dp.Gamma1[:1] + rest)
+
+
+def _named(exc, scheme, delays):
+    """``exc`` of a failing batch row, named by the row's scheme and delays."""
+    exc.args = (f"{exc} for scheme {scheme} at delays {delays}",)
+    exc.delays = delays
+    return exc
+
+
+def _designs(config, schemes, points):
+    """Every scheme's schedule at every delay point, point-major, tagged
+    with its scheme, all designed in one batch of the one recursion; and
+    the points' true plants, discretized from one stacked exponential.
+
+    The batch holds each scheme's rows, schemes in the order given:
+    ``proposed`` rows on the points' true plants, ``single_delayed`` rows
+    on them with controller 1's input alone, and one ``delay_free_game``
+    row on the zero-delay plant, which serves every point.  Each row is
+    labelled with its scheme and delays, which name a failing design; its
+    ``.plant``/``.row`` is the row's index in this batch.  ``proposed``
+    rows come back as the recursion built them, and every other row is
+    retagged once, however many points it serves.
+    """
+    pairs = exp_pairs(config.plant, points)
+    plants = [discretize(config.plant.with_delays(point), pairs)
+              for point in points]
+    labels, batch, at = [], [], []
+    for scheme in schemes:
+        if scheme is Scheme.DELAY_FREE_GAME:
+            zero = (0.0,) * config.plant.p
+            at.append([len(batch)] * len(points))
+            labels.append((scheme, zero))
+            batch.append(discretize(config.plant.with_delays(zero), pairs))
+            continue
+        at.append(range(len(batch), len(batch) + len(points)))
+        labels += [(scheme, point) for point in points]
+        batch += (plants if scheme is Scheme.PROPOSED
+                  else map(_lone_first, plants))
+    try:
+        # A lone plant goes through ``synthesize``, the batch-of-1 case of
+        # the same recursion, so per-call tracing of that public entry
+        # point (lqbench/tracing.py) still sees every single design.
+        schedules = (synthesize_batch(batch, config.weights) if len(batch) > 1
+                     else [synthesize(batch[0], config.weights)])
+    except NumericalError as exc:
+        raise _named(exc, *labels[exc.row])
+    schedules = [schedule if scheme is Scheme.PROPOSED
+                 else replace(schedule, scheme=scheme)
+                 for schedule, (scheme, _) in zip(schedules, labels)]
+    return [schedules[row] for rows in zip(*at) for row in rows], plants
+
+
+def synthesize_for_scheme(config, scheme):
+    """Gain schedule for one scheme on the config's plant, tagged with it."""
+    _instance(config, ExperimentConfig, "config")
+    return _designs(config, [_scheme(scheme, "scheme")],
+                    [config.plant.delays])[0][0]

@@ -1,4 +1,5 @@
 import copy
+import importlib.util
 import json
 import re
 import subprocess
@@ -9,26 +10,33 @@ import numpy as np
 import pytest
 
 import delay_lqgame.cli
-import delay_lqgame.schemes
+import delay_lqgame.synthesis
 from delay_lqgame import (
     DiscretePlant,
+    SchemaError,
     Scheme,
     compare_schemes,
     discretize,
     dump_config,
     load_config,
     preset_generic,
+    read_trajectory_csv,
     run_scheme,
     sweep_delays,
     write_comparison_csv,
     write_sweep_csv,
     write_trajectory_csv,
 )
-from delay_lqgame.cli import main
+from delay_lqgame.cli import main, plant_hash
+from delay_lqgame.model import load_json
 
 from conftest import singular_solve
 
 from dataclasses import replace
+
+# The generic plant's hash, which the gains format fixes.
+GENERIC_HASH = (
+    "f60e9e648bddbc470db59ef733ce3dff683119366ba8d2c32e8ee0e6e264e582")
 
 
 @pytest.fixture()
@@ -144,6 +152,8 @@ class TestPipelines:
 
 class TestImports:
     def test_only_commands_that_hash_load_hashlib(self, tmp_path, cfg_path):
+        # The gains commands hash with CPython's built-in SHA-256 module;
+        # no command loads OpenSSL's _hashlib.
         src = Path(__file__).resolve().parent.parent / "src"
 
         def loaded(*argv):
@@ -157,14 +167,34 @@ class TestImports:
 
         modules = loaded("compare", "--config", str(cfg_path),
                          "--out", str(tmp_path / "t.csv"))
+        sha256 = {"_sha2", "_sha256"}
         assert "delay_lqgame.cli" in modules
-        assert not {"hashlib", "_hashlib"} & modules
+        assert not {"hashlib", "_hashlib", *sha256} & modules
         gains = tmp_path / "gains.json"
-        assert "hashlib" in loaded("synthesize", "--config", str(cfg_path),
-                                   "--out", str(gains))
-        # The generic plant's hash, which the gains format fixes.
-        assert json.loads(gains.read_text())["plant_hash"] == (
-            "f60e9e648bddbc470db59ef733ce3dff683119366ba8d2c32e8ee0e6e264e582")
+        modules = loaded("synthesize", "--config", str(cfg_path),
+                         "--out", str(gains))
+        assert sha256 & modules
+        assert not {"hashlib", "_hashlib"} & modules
+        assert json.loads(gains.read_text())["plant_hash"] == GENERIC_HASH
+
+    @pytest.mark.parametrize("blocked", [("_sha2",), ("_sha256",),
+                                         ("_sha2", "_sha256")])
+    def test_plant_hash_is_the_same_from_every_module(self, monkeypatch,
+                                                      blocked):
+        # A blocked module fails to import; with none of the built-in
+        # modules left, hashlib's sha256 makes the same digest.
+        import hashlib
+
+        fallback = []
+        sha256 = hashlib.sha256
+        monkeypatch.setattr(hashlib, "sha256",
+                            lambda: fallback.append(1) or sha256())
+        for name in blocked:
+            monkeypatch.setitem(sys.modules, name, None)
+        built_in = [name for name in ("_sha2", "_sha256")
+                    if name not in blocked and importlib.util.find_spec(name)]
+        assert plant_hash(preset_generic().plant) == GENERIC_HASH
+        assert bool(fallback) == (not built_in)
 
 
 class TestDeterminism:
@@ -340,7 +370,7 @@ class TestFailureModes:
             calls.append(plant.delays)
             return discretize(plant, *pairs)
 
-        for module in (delay_lqgame.cli, delay_lqgame.schemes):
+        for module in (delay_lqgame.cli, delay_lqgame.synthesis):
             monkeypatch.setattr(module, "discretize", counting)
         assert main(["simulate", "--config", str(cfg_path), "--scheme",
                      scheme, "--out", str(tmp_path / "t.csv")]) == 0
@@ -520,6 +550,73 @@ class TestFailureModes:
         assert capsys.readouterr().err == (
             "delay-lqgame: config error: <gains>.horizon: 50 disagrees with "
             "weights.horizon 40\n")
+
+    def test_scheme_with_gains_exits_64_before_any_file(self, tmp_path,
+                                                        capsys):
+        # The gains file fixes the scheme; neither named file exists, so
+        # a command that read either would exit 1 instead.
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--config", str(tmp_path / "c.json"),
+                  "--gains", str(tmp_path / "g.json"), "--scheme",
+                  "single_delayed", "--out", str(tmp_path / "t.csv")])
+        assert exc.value.code == 64
+        err = capsys.readouterr().err
+        assert "--scheme" in err and "--gains" in err
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestRepeatedKeys:
+    """A repeated object key is refused, naming its path: which of its
+    values a reader takes would otherwise be a guess."""
+
+    def test_config_exits_1_naming_the_key(self, tmp_path, cfg_path,
+                                           capsys):
+        text = cfg_path.read_text().replace(
+            '"horizon": 50', '"horizon": -3, "horizon": 50')
+        assert text.count('"horizon"') == 2
+        cfg_path.write_text(text)
+        gains = tmp_path / "gains.json"
+        code = main(["synthesize", "--config", str(cfg_path),
+                     "--out", str(gains)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "delay-lqgame: config error: <document>.weights.horizon: "
+            "repeated key\n")
+        assert not gains.exists()
+
+    def test_gains_exits_1_naming_the_key(self, tmp_path, cfg_path,
+                                          capsys):
+        gains = tmp_path / "gains.json"
+        assert main(["synthesize", "--config", str(cfg_path),
+                     "--out", str(gains)]) == 0
+        text = gains.read_text().replace(
+            '"scheme": "proposed"',
+            '"scheme": "single_delayed", "scheme": "proposed"')
+        gains.write_text(text)
+        out = tmp_path / "t.csv"
+        code = main(["simulate", "--config", str(cfg_path), "--gains",
+                     str(gains), "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "delay-lqgame: config error: <gains>.scheme: repeated key\n")
+        assert not out.exists()
+
+    def test_sidecar_raises_naming_the_key(self, tmp_path, cfg_path):
+        out = tmp_path / "t.csv"
+        assert main(["simulate", "--config", str(cfg_path),
+                     "--out", str(out)]) == 0
+        sidecar = out.with_suffix(".json")
+        doc = json.loads(sidecar.read_text())
+        sidecar.write_text(json.dumps(doc)[:-1] + ', "total_cost": 0.0}')
+        with pytest.raises(SchemaError, match=re.escape(
+                f"{sidecar}.total_cost: repeated key")):
+            read_trajectory_csv(out)
+
+    def test_names_the_path_of_a_nested_key(self):
+        with pytest.raises(SchemaError, match=re.escape(
+                "<gains>.a[1].b: repeated key")):
+            load_json('{"a": [{"b": 1}, {"c": {}, "b": 1, "b": 1}]}',
+                      "<gains>")
 
 
 def _strict_json(text):

@@ -20,8 +20,9 @@ def test_public_names_resolve_sorted_and_unique():
 # a preset.
 _BASE = {"delay_lqgame", "delay_lqgame.cli", "delay_lqgame.errors",
          "delay_lqgame.lin_ops", "delay_lqgame.model"}
-_DESIGN = {"delay_lqgame.schemes", "delay_lqgame.synthesis"}
+_DESIGN = {"delay_lqgame.synthesis"}
 _ROLLOUT = {"delay_lqgame.simulate"}
+_SCHEMES = {"delay_lqgame.schemes"}
 
 
 def _loaded_modules(code, *argv):
@@ -38,7 +39,8 @@ def _loaded_modules(code, *argv):
 def test_cli_import_loads_no_numpy_random(tmp_path):
     # Only the deviation check draws random numbers, and no command runs
     # it.  Each command loads the layers it runs and no other: synthesize
-    # no rollout, simulate --gains no recursion.
+    # the recursion and its design layer alone, simulate --gains no
+    # recursion, and only the commands that run designs the schemes.
     assert _loaded_modules("import delay_lqgame.cli") == _BASE
     run = ("import sys; from delay_lqgame.cli import main; "
            "assert main(sys.argv[1:]) == 0")
@@ -52,11 +54,11 @@ def test_cli_import_loads_no_numpy_random(tmp_path):
         (["simulate", "--config", config, "--gains", gains,
           "--out", tmp_path / "r.csv"], _BASE | _ROLLOUT),
         (["simulate", "--config", config, "--out", tmp_path / "f.csv"],
-         _BASE | _DESIGN | _ROLLOUT),
+         _BASE | _DESIGN | _ROLLOUT | _SCHEMES),
         (["sweep", "--config", config, "--out", tmp_path / "s.csv"],
-         _BASE | _DESIGN | _ROLLOUT),
+         _BASE | _DESIGN | _ROLLOUT | _SCHEMES),
         (["compare", "--config", config, "--out", tmp_path / "t.csv"],
-         _BASE | _DESIGN | _ROLLOUT),
+         _BASE | _DESIGN | _ROLLOUT | _SCHEMES),
     ]
     for argv, expected in commands:
         assert _loaded_modules(run, *map(str, argv)) == expected, argv[0]

@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 import delay_lqgame.lin_ops
-import delay_lqgame.schemes
 import delay_lqgame.synthesis
 from delay_lqgame import (
     ContinuousPlant,
     CouplingSingularityError,
     ExperimentConfig,
+    GainSchedule,
     GameWeights,
     SchemaError,
     Scheme,
@@ -86,13 +86,13 @@ class TestRunScheme:
 
 def _count_discretize(monkeypatch):
     calls = []
-    original = delay_lqgame.schemes.discretize
+    original = delay_lqgame.synthesis.discretize
 
     def counting(plant, *pairs):
         calls.append(plant.delays)
         return original(plant, *pairs)
 
-    monkeypatch.setattr(delay_lqgame.schemes, "discretize", counting)
+    monkeypatch.setattr(delay_lqgame.synthesis, "discretize", counting)
     return calls
 
 
@@ -159,19 +159,16 @@ class TestCompareSchemes:
 
 
 def _count_recursions(monkeypatch):
-    """Sizes of the batches handed to the recursion's two entry points."""
+    """Sizes of the batches that the recursion runs: ``synthesize``, its
+    other entry point, is a batch of 1 handed to ``synthesize_batch``."""
     sizes = []
+    entry = delay_lqgame.synthesis.synthesize_batch
 
-    def counting(entry, size):
-        def call(plants, weights):
-            sizes.append(size(plants))
-            return entry(plants, weights)
-        return call
+    def counting(plants, weights, *args):
+        sizes.append(len(plants))
+        return entry(plants, weights, *args)
 
-    monkeypatch.setattr(delay_lqgame.schemes, "synthesize_batch", counting(
-        delay_lqgame.synthesis.synthesize_batch, len))
-    monkeypatch.setattr(delay_lqgame.schemes, "synthesize", counting(
-        delay_lqgame.synthesis.synthesize, lambda dp: 1))
+    monkeypatch.setattr(delay_lqgame.synthesis, "synthesize_batch", counting)
     return sizes
 
 
@@ -193,6 +190,38 @@ class TestOneRecursionPerCommand:
             sizes.clear()
             command(config)
             assert sizes == [rows]
+
+
+class TestOneTagPerRow:
+    def test_schedules_are_built_once_and_retagged_once(self, monkeypatch,
+                                                        generic_config):
+        # synthesize_batch builds one schedule per batch row, tagged
+        # proposed; each other scheme's row is retagged once, the one
+        # delay-free row too, however many points it serves.
+        built = []
+        post_init = GainSchedule.__post_init__
+
+        def counting(self):
+            built.append(self.scheme)
+            post_init(self)
+
+        monkeypatch.setattr(GainSchedule, "__post_init__", counting)
+        cfg = small_grid_config(generic_config, [0.0, 0.012], [0.004, 0.02])
+        no_grid = replace(cfg, sweep=None, x0=np.array(cfg.x0))
+        for command, config, proposed, retagged in (
+                (sweep_delays, cfg, 4, 0),
+                (compare_schemes, cfg, 9, 5),
+                (compare_schemes, no_grid, 3, 2)):
+            built.clear()
+            command(config)
+            assert built.count(Scheme.PROPOSED) == proposed
+            assert len(built) == proposed + retagged
+        for scheme, calls in ((Scheme.PROPOSED, 1),
+                              (Scheme.SINGLE_DELAYED, 2),
+                              (Scheme.DELAY_FREE_GAME, 2)):
+            built.clear()
+            assert synthesize_for_scheme(cfg, scheme).scheme is scheme
+            assert len(built) == calls
 
 
 class TestOneExponentialPassPerCommand:
