@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .model import _check_budget, _integer, _number
-from .simulate import _checked_x0, _closed_loop, _costs, _matvec
+from .simulate import _checked_x0, _closed_loop, _costs
 
 # A unilateral single-step deviation may not lower the deviator's cost by
 # more than this fraction of (1 + equilibrium cost).
@@ -173,8 +173,8 @@ def _draw_deviations(seed, trials, p, steps, N, magnitude):
         rng = make(words[t])
         players[t], at[t] = rng.integers(p), rng.integers(steps)
         deltas[t] = rng.normal(size=N)
-    # Each row's delta @ delta, the same dot as for the row alone.
-    norm = np.sqrt(_matvec(deltas[:, None], deltas)[:, 0])
+    # Each row's delta . delta, the same einsum dot as for the row alone.
+    norm = np.sqrt(np.einsum("ij,ij->i", deltas, deltas))
     zero = norm == 0.0
     deltas[zero] = np.eye(N)[0]
     norm[zero] = 1.0

@@ -162,7 +162,10 @@ def _instance(value, kind, path):
     return value
 
 
-@dataclass(frozen=True)
+# The records that hold arrays compare and hash by identity (eq=False):
+# the generated == would compare arrays elementwise, which raises, and
+# their hash would hash arrays.  config_to_dict gives a config's value.
+@dataclass(frozen=True, eq=False)
 class ContinuousPlant:
     """Continuous-time LTI plant with per-controller input maps and delays.
 
@@ -218,7 +221,7 @@ class ContinuousPlant:
         return self if delays is self.delays else replace(self, delays=delays)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscretePlant:
     """Sampled plant: Phi plus the split input matrices per controller."""
 
@@ -324,7 +327,7 @@ def _checked_weight(W, name, definite):
     return W
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GameWeights:
     """Per-controller quadratic weights and the horizon length.
 
@@ -377,7 +380,7 @@ class GameWeights:
             for i in range(self.p))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GainSchedule:
     """Time-indexed feedback coefficients for every controller.
 
@@ -442,7 +445,7 @@ def check_compatible(plant, weights, x0=None):
     return x0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExperimentConfig:
     """A complete experiment: plant, weights, initial state, scheme, sweep."""
 
@@ -624,7 +627,8 @@ def config_to_dict(config):
 
 
 def dump_config(config):
-    """Serialize a config to JSON text; load_config(dump_config(c)) == c."""
+    """Serialize a config to JSON text, so that
+    config_to_dict(load_config(dump_config(c))) == config_to_dict(c)."""
     return dump_json(config_to_dict(config))
 
 

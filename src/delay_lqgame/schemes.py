@@ -37,7 +37,7 @@ from .model import (
 from .synthesis import _designs, _named, synthesize_for_scheme
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SchemeResult:
     """One scheme evaluated at one delay point."""
 

@@ -45,7 +45,7 @@ def __getattr__(name):
     return nash_deviation_check
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """States x(0..N), controls u_i(0..N-1), and the realized costs."""
 
@@ -69,24 +69,6 @@ class Trajectory:
     @property
     def N(self):
         return self.controls.shape[2]
-
-
-def _matvec(W, v):
-    """W @ v over the last axis of v, broadcasting the leading axes.
-
-    A product of more than one term goes to np.matmul, which multiplies
-    one (matrix, vector) pair at a time, through BLAS or its own loop, so
-    every row of a batch gets exactly the products an unbatched call
-    would.  A one-term product (W one column wide) is an elementwise
-    multiply plus 0.0: matmul sums it onto zero, 0 + w*v, so this is the
-    same number, sign of zero included.  The tests hold both forms to the
-    same bytes.
-    """
-    if W.shape[-1] == 1:
-        product = W[..., 0] * v
-        product += 0.0
-        return product
-    return np.matmul(W, v[..., None])[..., 0]
 
 
 def _row_last(a):
@@ -124,13 +106,15 @@ def _closed_loop(plants, schedules, x0, starts=None, offsets=None):
 
     The row axis is last in every elementwise product, sum and store, so
     each call runs one inner loop per row block, not one per row.  The
-    states stay row-major, so products of more than one term (Phi x,
-    A_coef x, and every input product with N > 1) go to np.matmul pair
-    by pair, as unbatched.  A one-term product (every input product with
-    N = 1) is an elementwise multiply; matmul's 0 + w*v differs from it
-    only in the sign of a zero, so each state sum gets that 0.0 once, as
-    it is stored.  An input sum needs none: its first term, a matmul dot,
-    is never -0.0, and so neither is the sum.
+    states stay row-major.  A_coef x, a dot of the state per input, goes
+    to np.einsum, whose own loop sums each dot the same way wherever its
+    operands sit in memory, unlike some BLAS kernels' dots.  Phi x and
+    every input product with N > 1 go to np.matmul pair by pair, as
+    unbatched.  A one-term product (every input product with N = 1) is
+    an elementwise multiply; a dot's 0 + w*v differs from it only in the
+    sign of a zero, so each state sum gets that 0.0 once, as it is
+    stored.  An input sum needs none: its first term, an einsum dot, is
+    never -0.0, and so neither is the sum.
 
     Sums add their terms one at a time in a fixed order, so each row's
     arithmetic does not depend on the batch: a row equals the same plant
@@ -140,8 +124,8 @@ def _closed_loop(plants, schedules, x0, starts=None, offsets=None):
     steps, p = schedules[0].horizon, schedules[0].p
     rows = len(schedules) if starts is None else len(starts)
     M, N = plants[0].M, plants[0].N
-    # Row-major operands of np.matmul: Phi is (rows or 1, M, M) and
-    # A_coef[k] (rows or 1, p, N, M).
+    # Row-major operands: Phi is (rows or 1, M, M) and A_coef[k]
+    # (rows or 1, p, N, M).
     Phi = np.stack([dp.Phi for dp in plants])
     A_coef = np.stack([s.A_coef for s in schedules], axis=1)
     # Gamma[:, 0] is Gamma0 and Gamma[:, 1] Gamma1, side by side.
@@ -179,14 +163,8 @@ def _closed_loop(plants, schedules, x0, starts=None, offsets=None):
         # u_i = A_coef_i x + sum_j B_coef_ij u_j(k - 1), j in order, formed
         # in place in the inputs.
         u = inputs[k + 1, ..., :ran]
-        if N == 1:
-            # A dot's one number is stored by np.matmul itself, so it can
-            # go straight into the row-last u.
-            np.matmul(A_coef[k], x[:, None, :, None],
-                      out=u.transpose(2, 0, 1)[..., None])
-        else:
-            u[...] = _row_last(np.matmul(A_coef[k],
-                                         x[:, None, :, None])[..., 0])
+        np.einsum("...nm,...m->...n", A_coef[k], x[:, None],
+                  out=u.transpose(2, 0, 1))
         coupled = product(B_coef[k], u_prev[None])
         for j in range(p):
             u += coupled[:, j]
@@ -204,16 +182,10 @@ def _closed_loop(plants, schedules, x0, starts=None, offsets=None):
 
 
 def _quadratic(v, W):
-    """v' W v for each vector along the last axis of v, formed as
-    np.matmul forms (v' W) v.
-
-    Vectors of more than one entry (the states' x'Qx) go to np.matmul;
-    one-entry vectors (the controls' u'Ru with N = 1) take the one-term
-    form of _matvec for both products, elementwise plus 0.0.
-    """
-    if W.shape[-1] == 1:
-        return (v[..., 0] * W[..., 0, 0] + 0.0) * v[..., 0] + 0.0
-    return np.matmul(np.matmul(v[..., None, :], W), v[..., :, None])[..., 0, 0]
+    """v' W v for each vector along the last axis of v, formed as (v' W) v
+    by two np.einsum dots, so that its bits do not depend on the BLAS
+    kernel or on where v sits in memory."""
+    return np.einsum("...j,...j->...", np.einsum("...i,...ij->...j", v, W), v)
 
 
 def _running_sum(terms):

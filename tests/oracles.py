@@ -5,7 +5,10 @@ scaled truncated Taylor series, the integral is adaptive Simpson over that
 series, the regulator recursion is the textbook difference-equation form,
 the game oracles iterate best responses to a fixed point or eliminate the
 two-controller coupling in closed form, and the closed loop runs one
-trajectory at a time with plain per-step sums.  The dense deviation check
+trajectory at a time with plain per-step sums.  Its dots (A_coef x, the
+costs' v'Wv, a deviation's delta . delta) are two-operand np.einsum
+calls, as in the package: numpy's own loop sums them the same way on
+every BLAS kernel and at every operand offset.  The dense deviation check
 keeps the batched check's earlier layout (every trial a full row from step
 0, every player costed) as the reference the package's check must equal.
 
@@ -309,6 +312,12 @@ def delay_free_game(Phi, Gamma0, Q, QN, R, steps):
     return A_coef
 
 
+def _quadratic(v, W):
+    """v' W v for each vector along the last axis of v, as the dot of
+    v' W (one np.einsum dot per column of W) with v."""
+    return np.einsum("...j,...j->...", np.einsum("...i,...ij->...j", v, W), v)
+
+
 def closed_loop(dp, schedule, x0, deviation=None):
     """One closed-loop trajectory, step by step and player by player.
 
@@ -325,7 +334,7 @@ def closed_loop(dp, schedule, x0, deviation=None):
     for k in range(steps):
         u = np.zeros((dp.p, dp.N))
         for i in range(dp.p):
-            ui = schedule.A_coef[k, i] @ x
+            ui = np.einsum("nm,m->n", schedule.A_coef[k, i], x)
             for j in range(dp.p):
                 ui = ui + schedule.B_coef[k, i, j] @ u_prev[j]
             u[i] = ui
@@ -351,16 +360,16 @@ def quadratic_costs(states, controls, weights):
     per_player = np.zeros(p)
     x_final = states[-1]
     for i in range(p):
-        J = x_final @ weights.QN[i] @ x_final
+        J = _quadratic(x_final, weights.QN[i])
         for k in range(controls.shape[0]):
-            J += states[k] @ weights.Q[i] @ states[k]
-            J += controls[k, i] @ weights.R[i] @ controls[k, i]
+            J += _quadratic(states[k], weights.Q[i])
+            J += _quadratic(controls[k, i], weights.R[i])
         per_player[i] = J
-    total = float(x_final @ weights.QN[0] @ x_final)
+    total = float(_quadratic(x_final, weights.QN[0]))
     for k in range(controls.shape[0]):
-        total += states[k] @ weights.Q[0] @ states[k]
+        total += _quadratic(states[k], weights.Q[0])
         for i in range(p):
-            total += controls[k, i] @ weights.R[i] @ controls[k, i]
+            total += _quadratic(controls[k, i], weights.R[i])
     return total, per_player
 
 
@@ -382,7 +391,7 @@ def per_trial_deviation_check(dp, schedule, weights, x0, trials, magnitude,
         player = int(rng.integers(dp.p))
         step = int(rng.integers(schedule.horizon))
         delta = rng.normal(size=dp.N)
-        norm = np.linalg.norm(delta)
+        norm = np.sqrt(np.einsum("i,i->", delta, delta))
         if norm == 0.0:
             delta = np.zeros(dp.N)
             delta[0] = 1.0
@@ -425,7 +434,7 @@ def _dense_closed_loop(plants, schedules, x0, offsets=None):
     states[:, 0] = x
     u_prev = np.zeros((rows, p, N))
     for k in range(steps):
-        u = _matvec(A_coef[k], x[:, None])
+        u = np.einsum("...nm,...m->...n", A_coef[k], x[:, None])
         coupled = _matvec(B_coef[k], u_prev[:, None])
         for j in range(p):
             u = u + coupled[:, :, j]
@@ -440,11 +449,6 @@ def _dense_closed_loop(plants, schedules, x0, offsets=None):
         states[:, k + 1] = x
         u_prev = u
     return states, controls
-
-
-def _quadratic(v, W):
-    """v' W v for each vector along the last axis of v."""
-    return np.matmul(np.matmul(v[..., None, :], W), v[..., :, None])[..., 0, 0]
 
 
 def _dense_costs(states, controls, weights):
@@ -473,7 +477,7 @@ def _draw_deviation(seed, trial, p, steps, N, magnitude):
     player = int(rng.integers(p))
     step = int(rng.integers(steps))
     delta = rng.normal(size=N)
-    norm = np.linalg.norm(delta)
+    norm = np.sqrt(np.einsum("i,i->", delta, delta))
     if norm == 0.0:
         delta = np.zeros(N)
         delta[0] = 1.0

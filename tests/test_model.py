@@ -394,6 +394,23 @@ class TestDomainTypes:
         with pytest.raises(DimensionError):
             DiscretePlant(Phi=[[np.nan]], Gamma0=([[1.0]],), Gamma1=([[0.0]],))
 
+    def test_array_records_compare_and_hash_by_identity(self):
+        # Two loads of one preset: equal documents, distinct objects.
+        first, second = (load_config(dump_config(preset_lfc()))
+                         for _ in range(2))
+        assert config_to_dict(first) == config_to_dict(second)
+        results = [run_scheme(c, Scheme.PROPOSED) for c in (first, second)]
+        pairs = [(first, second), (first.plant, second.plant),
+                 (first.weights, second.weights),
+                 (discretize(first.plant), discretize(second.plant)),
+                 tuple(results),
+                 tuple(r.schedule for r in results),
+                 tuple(r.trajectory for r in results)]
+        for a, b in pairs:
+            assert a == a and a != b
+            assert hash(a) == hash(a)
+            assert len({a, b}) == 2
+
     @pytest.mark.parametrize("name", ["Gamma0", "Gamma1"])
     @pytest.mark.parametrize("bad", [None, 1.0])
     def test_input_matrices_without_entries_name_the_field(self, name, bad):
