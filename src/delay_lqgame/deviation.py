@@ -220,10 +220,9 @@ def nash_deviation_check(dp, schedule, weights, x0, trials=200,
         starts = np.append(0, steps[order])
         offsets = np.zeros((len(starts), dp.p, dp.N))
         offsets[np.arange(1, len(starts)), players[1:]] = deltas[order]
-        states, controls = _closed_loop([dp], [schedule], x0, starts,
-                                        offsets)
+        tape = _closed_loop([dp], [schedule], x0, starts, offsets)
         try:
-            base, own = _costs(states, controls, weights, players, starts)
+            base, own = _costs(tape, weights, players, starts)
         except NumericalError as exc:
             if exc.row:  # a trial's row in the step-sorted block
                 exc.row = first + int(order[exc.row - 1])

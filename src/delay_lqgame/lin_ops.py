@@ -19,11 +19,19 @@ PIVOT_RTOL = 1e-12
 
 
 def as_float(a, name):
-    """a as a float64 array; what numpy cannot convert raises DimensionError."""
+    """a as a float64 array.  Its values must be real integers or floats,
+    as the file readers require: a bool, complex, string, date or object
+    array, or one that numpy cannot build, raises DimensionError."""
     try:
-        return np.asarray(a, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
+        arr = np.asarray(a)
+    except (TypeError, ValueError) as exc:
         raise DimensionError(f"{name}: not an array of numbers ({exc})") from None
+    if arr.dtype != np.float64:
+        if arr.dtype.kind not in "iuf":
+            raise DimensionError(f"{name}: expected real numbers, got "
+                                 f"{arr.dtype} values")
+        arr = arr.astype(np.float64)
+    return arr
 
 
 def check_shape(shape, expected, path):

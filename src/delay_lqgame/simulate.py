@@ -71,22 +71,6 @@ class Trajectory:
         return self.controls.shape[2]
 
 
-def _row_last(a):
-    """a (rows, ...) as a view with the row axis moved last."""
-    return a.transpose(*range(1, a.ndim), 0)
-
-
-def _matmul_row_last(W, v):
-    """W @ v pair by pair through np.matmul, for v (..., n, rows) with
-    the row axis last; the result keeps the row axis last.
-
-    The vectors go to np.matmul row-major and contiguous, as an
-    unbatched call hands them over.
-    """
-    v = np.ascontiguousarray(v.transpose(v.ndim - 1, *range(v.ndim - 1)))
-    return _row_last(np.matmul(W, v[..., None])[..., 0])
-
-
 # A diverging loop overflows quietly; _costs then names the step.
 @np.errstate(over="ignore", invalid="ignore")
 def _closed_loop(plants, schedules, x0, starts=None, offsets=None):
@@ -94,7 +78,6 @@ def _closed_loop(plants, schedules, x0, starts=None, offsets=None):
 
     Row b runs plants[b] under schedules[b]; a single plant and schedule
     are shared by every row, their arrays broadcasting over the rows.
-    Returns states (rows, horizon + 1, M) and controls (rows, horizon, p, N).
 
     Rows may join late, with one shared plant and schedule: starts, one
     per row, ascending from starts[0] == 0, lets row b follow row 0 (the
@@ -104,81 +87,67 @@ def _closed_loop(plants, schedules, x0, starts=None, offsets=None):
     starts <= k, each taking the base row's state and last inputs as it
     joins; its entries before its start are left unset.
 
-    The row axis is last in every elementwise product, sum and store, so
-    each call runs one inner loop per row block, not one per row.  The
-    states stay row-major.  A_coef x, a dot of the state per input, goes
-    to np.einsum, whose own loop sums each dot the same way wherever its
-    operands sit in memory, unlike some BLAS kernels' dots.  Phi x and
-    every input product with N > 1 go to np.matmul pair by pair, as
-    unbatched.  A one-term product (every input product with N = 1) is
-    an elementwise multiply; a dot's 0 + w*v differs from it only in the
-    sign of a zero, so each state sum gets that 0.0 once, as it is
-    stored.  An input sum needs none: its first term, an einsum dot, is
-    never -0.0, and so neither is the sum.
+    Each row's timeline is one tape, [u(-1), x(0), u(0), x(1), ...,
+    x(horizon)] with u(-1) = 0, so [u(k-1), x(k)] and [u(k-1), x(k), u(k)]
+    are windows of the row, and a step is two dots:
 
-    Sums add their terms one at a time in a fixed order, so each row's
-    arithmetic does not depend on the batch: a row equals the same plant
-    and schedule run alone, and a row that joins late equals one run from
-    step 0 with its offset at its start step.
+        u(k) = [B_coef[k] | A_coef[k]] [u(k-1), x(k)],
+        x(k+1) = [Gamma1 | Phi | Gamma0] [u(k-1), x(k), u(k)],
+
+    each Gamma's and B_coef's controller blocks side by side.  Both go to
+    np.einsum, never to BLAS.  Its loop sums a dot in one order when the
+    dot's axis is the one it runs innermost, as the windows and the
+    matrices' rows make it (both contiguous), wherever they sit in memory.
+    So each row's arithmetic does not depend on the batch or the BLAS
+    kernel: a row equals the same plant and schedule run alone, and a row
+    that joins late equals one run from step 0 with its offset at its
+    start step.
+
+    Returns the tapes as (rows, horizon + 1, n + M), line k of a row being
+    [u(k-1), x(k)], n = p N; _timelines views them as states and controls.
     """
     steps, p = schedules[0].horizon, schedules[0].p
     rows = len(schedules) if starts is None else len(starts)
-    M, N = plants[0].M, plants[0].N
-    # Row-major operands: Phi is (rows or 1, M, M) and A_coef[k]
-    # (rows or 1, p, N, M).
-    Phi = np.stack([dp.Phi for dp in plants])
-    A_coef = np.stack([s.A_coef for s in schedules], axis=1)
-    # Gamma[:, 0] is Gamma0 and Gamma[:, 1] Gamma1, side by side.
-    Gamma = np.stack([np.stack((dp.Gamma0, dp.Gamma1), axis=1)
-                      for dp in plants])
-    if N == 1:
-        # Row-last operands of the elementwise products: B_coef[k] is
-        # (p, p, 1, rows or 1), Gamma (p, 2, M, rows or 1).
-        product = np.multiply
-        B_coef = np.stack([s.B_coef for s in schedules], axis=-1)[..., 0, :]
-        Gamma = _row_last(Gamma[..., 0])
-        zero = 0.0
-    else:
-        product = _matmul_row_last
-        B_coef = np.stack([s.B_coef for s in schedules], axis=1)
-        zero = -0.0  # v + -0.0 is v, sign of zero included
+    M, n = plants[0].M, p * plants[0].N
+    width = n + M  # [u(k-1), x(k)]
+    # K[k] is (rows or 1, n, width) and F (rows or 1, M, width + n).
+    K = np.empty((steps, len(schedules), n, width))
+    for b, s in enumerate(schedules):
+        K[:, b, :, :n] = s.B_coef.transpose(0, 1, 3, 2, 4).reshape(
+            steps, n, n)
+        K[:, b, :, n:] = s.A_coef.reshape(steps, n, M)
+    F = np.stack([np.hstack((*dp.Gamma1, dp.Phi, *dp.Gamma0))
+                  for dp in plants])
     if offsets is not None:
-        offsets = offsets.transpose(1, 2, 0)
+        offsets = offsets.reshape(rows, n)
     # joined[k]: the leading rows that run at step k.
     joined = ([rows] * steps if starts is None else
               np.searchsorted(starts, np.arange(steps), side="right").tolist())
-    states = np.empty((steps + 1, rows, M))
-    # inputs[k + 1] holds u(k), and inputs[0] is u(-1) = 0.
-    inputs = np.empty((steps + 1, p, N, rows))
-    states[0] = x0
-    inputs[0] = 0.0
+    tape = np.empty((rows, (steps + 1) * width))
+    tape[:, :n] = 0.0
+    tape[:, n:width] = x0
     ran = 0
     for k in range(steps):
         first, ran = ran, joined[k]
+        at = k * width
         if 0 < first < ran:
-            states[k, first:ran] = states[k, 0]
-            inputs[k, ..., first:ran] = inputs[k, ..., :1]
-        x = states[k, :ran]
-        u_prev = inputs[k, ..., :ran]
-        # u_i = A_coef_i x + sum_j B_coef_ij u_j(k - 1), j in order, formed
-        # in place in the inputs.
-        u = inputs[k + 1, ..., :ran]
-        np.einsum("...nm,...m->...n", A_coef[k], x[:, None],
-                  out=u.transpose(2, 0, 1))
-        coupled = product(B_coef[k], u_prev[None])
-        for j in range(p):
-            u += coupled[:, j]
+            tape[first:ran, at:at + width] = tape[0, at:at + width]
+        u = tape[:ran, at + width:at + width + n]
+        np.einsum("...ij,...j->...i", K[k], tape[:ran, at:at + width],
+                  out=u)
         if offsets is not None and first < ran:
-            u[..., first:ran] += offsets[..., first:ran]
-        # x(k+1) = Phi x + sum_i (Gamma0_i u_i + Gamma1_i u_i(k - 1)),
-        # the terms in that order.
-        terms = product(Gamma, inputs[k:k + 2, ..., :ran][::-1]
-                        .transpose(1, 0, 2, 3)).reshape(2 * p, M, ran)
-        x = np.matmul(Phi, x[..., None])[..., 0].T + terms[0]
-        for term in terms[1:]:
-            x += term
-        np.add(x.T, zero, out=states[k + 1, :ran])
-    return states.transpose(1, 0, 2), inputs[1:].transpose(3, 0, 1, 2)
+            u[first:ran] += offsets[first:ran]
+        np.einsum("...ij,...j->...i", F, tape[:ran, at:at + width + n],
+                  out=tape[:ran, at + width + n:at + 2 * width])
+    return tape.reshape(rows, steps + 1, width)
+
+
+def _timelines(tape, p, M):
+    """States (rows, horizon + 1, M) and controls (rows, horizon, p, N) of
+    _closed_loop's tapes, as views."""
+    rows, lines, width = tape.shape
+    return (tape[:, :, width - M:],
+            tape[:, 1:, :width - M].reshape(rows, lines - 1, p, -1))
 
 
 def _quadratic(v, W):
@@ -209,8 +178,9 @@ def _divergence(terms, row):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _costs(states, controls, weights, players=None, starts=None):
-    """Batched (total, per-player) costs of (rows, ...) trajectories.
+def _costs(tape, weights, players=None, starts=None):
+    """Batched (total, per-player) costs of the trajectories on the tapes,
+    laid out as _closed_loop returns them.
 
     Each cost is a running sum in step order, terminal term first:
     x(N)'QN x(N), then x(k)'Q x(k) and u(k)'R u(k) for each step k.  The
@@ -229,7 +199,9 @@ def _costs(states, controls, weights, players=None, starts=None):
     NumericalError at the row's first step whose costs, summed in step
     order, are not finite; its ``row`` is the row's index in the batch.
     """
-    steps, p = controls.shape[1:3]
+    p, M = weights.p, weights.Q[0].shape[0]
+    states, controls = _timelines(tape, p, M)
+    steps, N = controls.shape[1], controls.shape[3]
     Q, QN, R = (np.stack(w)[:, None] for w in (weights.Q, weights.QN,
                                                weights.R))
     # Step-major views: xs is (steps + 1, rows, M), us (steps, p, rows, N).
@@ -263,18 +235,21 @@ def _costs(states, controls, weights, players=None, starts=None):
     # later[k, b]: row b's state at step k is its own, not the base row's.
     later = np.arange(steps + 1)[:, None] > starts
     later[:, 0] = False
-    # Line k * rows + b: row b's state at step k (a view of the loop's).
-    lines = xs.reshape(-1, xs.shape[2])
+    # Line b * (steps + 1) + k: row b's [u(k - 1), x(k)] (a view of the
+    # tapes).
+    lines = tape.reshape(-1, tape.shape[2])
     for i in range(p):
         mine = later & (players == i)
-        at = np.flatnonzero(mine)
-        end = np.searchsorted(at, steps * len(players))
-        x = lines.take(at, axis=0)
+        # Player i's own lines, step by step.  A row's line k is its own
+        # from its start on, x(k) and u(k - 1) alike.
+        at, row = np.nonzero(mine)
+        taken = lines.take(row * (steps + 1) + at, axis=0)
+        x = taken[:, -M:]
+        end = np.searchsorted(at, steps)
         own[1::2][mine[:steps]] = _quadratic(x[:end], Q[i, 0])
         own[0][mine[steps]] = _quadratic(x[end:], QN[i, 0])
-        # u(k) is the row's own from its start, where x(k + 1) is.
-        pick = mine[1:]
-        own[2::2][pick] = _quadratic(us[:, i][pick], R[i, 0])
+        own[2::2][mine[1:]] = _quadratic(taken[:, i * N:(i + 1) * N],
+                                         R[i, 0])
     cost = _running_sum(own)
     finite = np.isfinite(cost)
     if not finite.all():
@@ -296,8 +271,9 @@ def _checked_x0(dp, schedule, weights, x0):
 def _rollouts(plants, schedules, x0, weights):
     """Costed trajectories of rows that each run their own plant and
     schedule from x0, in one batched closed loop and one cost evaluation."""
-    states, controls = _closed_loop(plants, schedules, x0)
-    total, per_player = _costs(states, controls, weights)
+    tape = _closed_loop(plants, schedules, x0)
+    total, per_player = _costs(tape, weights)
+    states, controls = _timelines(tape, weights.p, plants[0].M)
     return [Trajectory(states=states[b], controls=controls[b],
                        per_player_cost=per_player[b],
                        total_cost=float(total[b]))
@@ -318,8 +294,10 @@ def evaluate_costs(trajectory, weights):
     check_shape(trajectory.controls.shape, (steps, weights.p, N),
                 "trajectory.controls")
     check_shape(trajectory.states.shape, (steps + 1, M), "trajectory.states")
-    total, per_player = _costs(trajectory.states[None],
-                               trajectory.controls[None], weights)
+    tape = np.zeros((1, steps + 1, weights.p * N + M))
+    tape[0, :, -M:] = trajectory.states
+    tape[0, 1:, :-M] = trajectory.controls.reshape(steps, -1)
+    total, per_player = _costs(tape, weights)
     return float(total[0]), tuple(per_player[0])
 
 

@@ -5,12 +5,15 @@ scaled truncated Taylor series, the integral is adaptive Simpson over that
 series, the regulator recursion is the textbook difference-equation form,
 the game oracles iterate best responses to a fixed point or eliminate the
 two-controller coupling in closed form, and the closed loop runs one
-trajectory at a time with plain per-step sums.  Its dots (A_coef x, the
-costs' v'Wv, a deviation's delta . delta) are two-operand np.einsum
-calls, as in the package: numpy's own loop sums them the same way on
-every BLAS kernel and at every operand offset.  The dense deviation check
-keeps the batched check's earlier layout (every trial a full row from step
-0, every player costed) as the reference the package's check must equal.
+trajectory at a time, each step two dots: the controls from the last
+controls and the state, then the next state from the last controls, the
+state and the controls.  Its dots (those two, the costs' v'Wv, a
+deviation's delta . delta) are two-operand np.einsum calls, as in the
+package: numpy's own loop sums a dot over contiguous vectors the same
+way on every BLAS kernel and at every operand offset.  The dense
+deviation check keeps the batched check's earlier layout (every trial a
+full row from step 0, every player costed) as the reference the package's
+check must equal.
 
 Views of package results live here too, because only the tests use
 them: ``exp_integral`` (an interval integral as a difference of the
@@ -318,35 +321,43 @@ def _quadratic(v, W):
     return np.einsum("...j,...j->...", np.einsum("...i,...ij->...j", v, W), v)
 
 
+def _law(schedule, k):
+    """[B_coef[k] | A_coef[k]] as one (p N, p N + M) matrix, row block i
+    being controller i's coefficients of [u_1(k-1), ..., u_p(k-1), x(k)]."""
+    p = schedule.p
+    return np.block([[*(schedule.B_coef[k, i, j] for j in range(p)),
+                      schedule.A_coef[k, i]] for i in range(p)])
+
+
+def _step(dp):
+    """[Gamma1 | Phi | Gamma0], the map of [u(k-1), x(k), u(k)] to x(k+1)."""
+    return np.hstack([*dp.Gamma1, dp.Phi, *dp.Gamma0])
+
+
 def closed_loop(dp, schedule, x0, deviation=None):
-    """One closed-loop trajectory, step by step and player by player.
+    """One closed-loop trajectory, step by step.
 
     deviation is (player, step, delta): delta is added to that player's
     input at that single step, every law stays in place afterwards.
     Returns states (horizon + 1, M) and controls (horizon, p, N).
     """
-    steps = schedule.horizon
+    steps, N = schedule.horizon, dp.N
+    F = _step(dp)
     states = np.zeros((steps + 1, dp.M))
-    controls = np.zeros((steps, dp.p, dp.N))
+    controls = np.zeros((steps, dp.p, N))
     x = np.asarray(x0, dtype=float).reshape(-1)
     states[0] = x
-    u_prev = np.zeros((dp.p, dp.N))
+    u_prev = np.zeros(dp.p * N)
     for k in range(steps):
-        u = np.zeros((dp.p, dp.N))
-        for i in range(dp.p):
-            ui = np.einsum("nm,m->n", schedule.A_coef[k, i], x)
-            for j in range(dp.p):
-                ui = ui + schedule.B_coef[k, i, j] @ u_prev[j]
-            u[i] = ui
+        u = np.einsum("ij,j->i", _law(schedule, k),
+                      np.concatenate((u_prev, x)))
         if deviation is not None and deviation[1] == k:
-            u[deviation[0]] = u[deviation[0]] + deviation[2]
-        x_next = dp.Phi @ x
-        for i in range(dp.p):
-            x_next = x_next + dp.Gamma0[i] @ u[i] + dp.Gamma1[i] @ u_prev[i]
-        controls[k] = u
-        states[k + 1] = x_next
+            player = deviation[0]
+            u[player * N:(player + 1) * N] += deviation[2]
+        x = np.einsum("ij,j->i", F, np.concatenate((u_prev, x, u)))
+        controls[k] = u.reshape(dp.p, N)
+        states[k + 1] = x
         u_prev = u
-        x = x_next
     return states, controls
 
 
@@ -411,9 +422,14 @@ def per_trial_deviation_check(dp, schedule, weights, x0, trials, magnitude,
 # every row costed for every player
 # ---------------------------------------------------------------------------
 
-def _matvec(W, v):
-    """W @ v over the last axis of v, broadcasting the leading axes."""
-    return np.matmul(W, v[..., None])[..., 0]
+def _row_vectors(*parts):
+    """The rows of parts side by side, each row contiguous.
+
+    np.einsum sums a dot in the order of the axis it runs innermost, the
+    one of smallest stride; np.concatenate may lay its result out column
+    by column, which would make that the row axis.
+    """
+    return np.ascontiguousarray(np.concatenate(parts, axis=1))
 
 
 def _dense_closed_loop(plants, schedules, x0, offsets=None):
@@ -421,31 +437,21 @@ def _dense_closed_loop(plants, schedules, x0, offsets=None):
     to controller i's input at step k in row b."""
     steps, p = schedules[0].horizon, schedules[0].p
     rows = len(schedules) if offsets is None else offsets.shape[1]
-    Phi = np.stack([dp.Phi for dp in plants])
-    Gamma0 = np.stack([dp.Gamma0 for dp in plants])
-    Gamma1 = np.stack([dp.Gamma1 for dp in plants])
-    # Step axis first, so A_coef[k] is (rows or 1, p, N, M).
-    A_coef = np.stack([s.A_coef for s in schedules], axis=1)
-    B_coef = np.stack([s.B_coef for s in schedules], axis=1)
-    M, N = Phi.shape[-1], Gamma0.shape[-1]
+    # Step axis first, so law[k] is (rows or 1, p N, p N + M).
+    law = np.stack([[_law(s, k) for s in schedules] for k in range(steps)])
+    F = np.stack([_step(dp) for dp in plants])
+    M, N = plants[0].M, plants[0].N
     states = np.empty((rows, steps + 1, M))
     controls = np.empty((rows, steps, p, N))
     x = np.broadcast_to(x0, (rows, M))
     states[:, 0] = x
-    u_prev = np.zeros((rows, p, N))
+    u_prev = np.zeros((rows, p * N))
     for k in range(steps):
-        u = np.einsum("...nm,...m->...n", A_coef[k], x[:, None])
-        coupled = _matvec(B_coef[k], u_prev[:, None])
-        for j in range(p):
-            u = u + coupled[:, :, j]
+        u = np.einsum("...ij,...j->...i", law[k], _row_vectors(u_prev, x))
         if offsets is not None:
-            u = u + offsets[k]
-        now = _matvec(Gamma0, u)
-        before = _matvec(Gamma1, u_prev)
-        x = _matvec(Phi, x)
-        for i in range(p):
-            x = x + now[:, i] + before[:, i]
-        controls[:, k] = u
+            u = u + offsets[k].reshape(rows, p * N)
+        x = np.einsum("...ij,...j->...i", F, _row_vectors(u_prev, x, u))
+        controls[:, k] = u.reshape(rows, p, N)
         states[:, k + 1] = x
         u_prev = u
     return states, controls

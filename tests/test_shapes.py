@@ -169,6 +169,35 @@ def test_api_site_names_the_field(build, message):
     assert str(info.value) == message
 
 
+# Arrays of values that are not real numbers, each shaped like the
+# generic preset's field it replaces.
+NON_REAL = {
+    "complex": lambda a: np.asarray(a) + 1j,
+    "string": lambda a: np.asarray(a).astype(str),
+    "bool": lambda a: np.ones(np.shape(a), dtype=bool),
+    "datetime": lambda a: np.zeros(np.shape(a), dtype="datetime64[D]"),
+}
+
+VALUE_SITES = {
+    "solve": (lambda f: solve(f(EYE2), COLUMN), "A"),
+    "plant": (lambda f: _plant(A=f(PLANT.A)), "A"),
+    "schedule": (lambda f: GainSchedule(Scheme.PROPOSED, f(SCHEDULE.A_coef),
+                                        SCHEDULE.B_coef), "A_coef"),
+    "x0": (lambda f: rollout(DP, SCHEDULE, f(X0), WEIGHTS), "x0"),
+}
+
+
+@pytest.mark.parametrize("site", sorted(VALUE_SITES))
+@pytest.mark.parametrize("kind", sorted(NON_REAL))
+def test_api_site_refuses_non_real_values(kind, site):
+    build, field = VALUE_SITES[site]
+    dtype = NON_REAL[kind](EYE2).dtype
+    with pytest.raises(DimensionError) as info:
+        build(NON_REAL[kind])
+    assert str(info.value) == (f"{field}: expected real numbers, got "
+                               f"{dtype} values")
+
+
 class TestRule:
     def test_free_axes_match_any_length(self):
         check_shape((3, 7), (3, None), "x")

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import warnings
 from dataclasses import replace
@@ -721,10 +722,10 @@ def _edge_stack(rng, shape):
 
 
 class TestOneTermProducts:
-    """One-term products against np.matmul, byte for byte: _quadratic's
-    einsum dots on stacks of the shapes it takes, and the closed loop's
-    elementwise sums of one-term products, whose 0.0 comes once per
-    sum."""
+    """Stacks of signed zeros, subnormals and values near overflow, byte
+    for byte: _quadratic's einsum dots against np.matmul on the shapes it
+    takes, one-term products included, and the closed loop's two dots per
+    step against the dense oracle's."""
 
     @pytest.mark.parametrize("v_shape, W_shape", [
         ((40, 20, 3, 1), (3, 1, 1)),         # every player's u'Ru
@@ -741,9 +742,9 @@ class TestOneTermProducts:
         assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("distinct", [False, True])
-    def test_loop_sums_equal_matmul_bytes(self, distinct):
-        # The loop adds raw one-term products and its 0.0 once per sum;
-        # the dense oracle sums matmul's 0 + w*v for every product.
+    def test_loop_equals_oracle_bytes(self, distinct):
+        # Rows of distinct plants and rows that join late, each against
+        # the dense oracle's row run from step 0.
         rng = np.random.default_rng(33)
         M, p, steps = 3, 3, 8
         plants = [DiscretePlant(_edge_stack(rng, (M, M)),
@@ -757,17 +758,18 @@ class TestOneTermProducts:
         x0 = _edge_stack(rng, M)
         with np.errstate(all="ignore"):
             if distinct:
-                got = simulate._closed_loop(plants, schedules, x0)
+                tape = simulate._closed_loop(plants, schedules, x0)
                 want = _dense_closed_loop(plants, schedules, x0)
             else:
                 starts = np.array([0, 0, 3, 7])
                 offsets = _edge_stack(rng, (4, p, 1))
                 offsets[0] = 0.0
-                got = simulate._closed_loop(plants, schedules, x0, starts,
-                                            offsets)
+                tape = simulate._closed_loop(plants, schedules, x0, starts,
+                                             offsets)
                 dense = np.zeros((steps, 4, p, 1))
                 dense[starts, np.arange(4)] = offsets
                 want = _dense_closed_loop(plants, schedules, x0, dense)
+        got = simulate._timelines(tape, p, M)
         for row in range(len(got[0])):
             start = 0 if distinct else starts[row]
             for have, expect in zip(got, want):
@@ -850,8 +852,8 @@ class TestLoopSweep:
         starts = np.append(0, steps[order])
         offsets = np.zeros((41, p, N))
         offsets[np.arange(1, 41), players[order]] = deltas[order]
-        states, controls = simulate._closed_loop([dp], [sched], x0, starts,
-                                                 offsets)
+        states, controls = simulate._timelines(
+            simulate._closed_loop([dp], [sched], x0, starts, offsets), p, M)
         want = closed_loop(dp, sched, x0)
         _assert_same_bytes(states[0], want[0])
         _assert_same_bytes(controls[0], want[1])
@@ -868,3 +870,53 @@ class TestLoopSweep:
                     == dense_deviation_check(dp, sched, weights, x0,
                                              trials=40, magnitude=0.5,
                                              seed=seed))
+
+
+def _dyadic(shape, seed, scale):
+    """Seeded values k * scale / 512 with k in [-512, 512), drawn from a
+    32-bit linear congruential sequence: exact in float64, and the same
+    whatever numpy's random generators do."""
+    values = []
+    for _ in range(int(np.prod(shape))):
+        seed = (1664525 * seed + 1013904223) % 2**32
+        values.append(((seed >> 16) % 1024 - 512) * scale / 512)
+    return np.reshape(values, shape)
+
+
+class TestPinnedRollout:
+    """The rollout's bytes on every BLAS kernel: a plant, schedule and
+    weights built from fixed dyadic arrays (neither discretize nor
+    synthesize, which run on BLAS) give one SHA-256 over the trajectory,
+    its costs and a deviation check's report.  Every dot of the loop and
+    the costs is numpy's einsum loop, so only a numpy whose einsum sums in
+    another order moves it (one built with wider vectors or fused
+    multiply-adds in that loop, say)."""
+
+    DIGEST = ("7528a9e0ad50b852cafca37cd5a647b8"
+              "51c3bed643459c75f1138834035783b3")
+
+    def test_digest(self):
+        M, p, N, steps = 9, 2, 2, 50
+        dp = DiscretePlant(
+            0.875 * np.eye(M) + _dyadic((M, M), 1, 2.0**-7),
+            tuple(_dyadic((p, M, N), 2, 2.0**-3)),
+            tuple(_dyadic((p, M, N), 3, 2.0**-3)))
+        sched = GainSchedule(Scheme.PROPOSED,
+                             _dyadic((steps, p, N, M), 4, 2.0**-4),
+                             _dyadic((steps, p, p, N, N), 5, 2.0**-4))
+        S = _dyadic((M, M), 6, 1.0)
+        R = _dyadic((N, N), 7, 0.25)
+        weights = GameWeights(Q=(S + S.T + 2 * M * np.eye(M),) * p,
+                              QN=(S + S.T + 4 * M * np.eye(M),) * p,
+                              R=(R + R.T + 2 * np.eye(N),) * p,
+                              horizon=steps)
+        x0 = _dyadic(M, 8, 1.0)
+        tr = rollout(dp, sched, x0, weights)
+        report = nash_deviation_check(dp, sched, weights, x0, trials=50,
+                                      magnitude=0.25, seed=9)
+        digest = hashlib.sha256()
+        for array in (tr.states, tr.controls, tr.per_player_cost,
+                      np.float64(tr.total_cost)):
+            digest.update(np.ascontiguousarray(array).tobytes())
+        digest.update(repr(report).encode())
+        assert digest.hexdigest() == self.DIGEST
