@@ -7,10 +7,11 @@ this module; ``simulate.nash_deviation_check`` and
 ``delay_lqgame.nash_deviation_check`` both import it on first use.
 """
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random import PCG64, Generator
+from numpy.random.bit_generator import ISeedSequence
 
 from .errors import NumericalError, ValidationError
 from .model import _check_budget, _integer, _number
@@ -113,26 +114,19 @@ def _seed_words(seed, trials):
     return words
 
 
-@functools.cache
-def _generator_from_words():
-    """Factory of a Generator on a stream given by its seed words.
+class _Words(ISeedSequence):
+    """Seed words hashed ahead of time, handed to PCG64 as they are."""
 
-    numpy.random is imported on the first call, so importing this module
-    (and the CLI) does not load it.
-    """
-    from numpy.random import PCG64, Generator
-    from numpy.random.bit_generator import ISeedSequence
+    def __init__(self, words):
+        self.words = words
 
-    class Words(ISeedSequence):
-        """Seed words hashed ahead of time, handed to PCG64 as they are."""
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
 
-        def __init__(self, words):
-            self.words = words
 
-        def generate_state(self, n_words, dtype=np.uint32):
-            return self.words
-
-    return lambda words: Generator(PCG64(Words(words)))
+def _generator(words):
+    """A Generator on the stream given by its seed words."""
+    return Generator(PCG64(_Words(words)))
 
 
 def _draw_deviations(seed, trials, p, steps, N, magnitude):
@@ -153,9 +147,8 @@ def _draw_deviations(seed, trials, p, steps, N, magnitude):
     word when neither integer draw takes one), so it runs on each trial's
     generator.
     """
-    make = _generator_from_words()
     words = _seed_words(seed, trials)
-    rngs = list(map(make, words))
+    rngs = list(map(_generator, words))
     players = np.zeros(len(rngs), dtype=np.int64)
     at = np.zeros(len(rngs), dtype=np.int64)
     kept = np.ones(len(rngs), dtype=bool)
@@ -170,7 +163,7 @@ def _draw_deviations(seed, trials, p, steps, N, magnitude):
             kept &= (product & _MASK32) >= (2**32 - n) % n
     deltas = np.array([rng.normal(size=N) for rng in rngs])
     for t in np.flatnonzero(~kept):
-        rng = make(words[t])
+        rng = _generator(words[t])
         players[t], at[t] = rng.integers(p), rng.integers(steps)
         deltas[t] = rng.normal(size=N)
     # Each row's delta . delta, the same einsum dot as for the row alone.

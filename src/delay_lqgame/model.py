@@ -24,7 +24,6 @@ import math
 import numbers
 import operator
 from dataclasses import InitVar, dataclass, field, replace
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -687,59 +686,12 @@ def load_json(text, path):
         raise SchemaError(path, f"invalid JSON: {exc}") from None
 
 
-def _float_nest(value, pad):
-    """The indented JSON text of a finite float or a rectangular nest of
-    non-empty lists around finite floats, its lines after the first led by
-    pad; None for any other value.  One str.join per list, level by level
-    from the innermost, gives json.dumps's bytes without its per-item
-    encoder."""
-    level, shape = [value], []
-    while set(map(type, level)) == {list}:
-        widths = set(map(len, level))
-        if len(widths) != 1:
-            return None
-        shape += widths
-        level = list(chain.from_iterable(level))
-    if (set(map(type, level)) != {float}
-            or not all(map(math.isfinite, level))):
-        return None
-    items = list(map(float.__repr__, level))
-    for depth in range(len(shape) - 1, -1, -1):
-        inner = "\n" + pad + "  " * (depth + 1)
-        close = "\n" + pad + "  " * depth + "]"
-        width, sep = shape[depth], "," + inner
-        items = ["[" + inner + sep.join(items[i:i + width]) + close
-                 for i in range(0, len(items), width)]
-    return items[0]
-
-
-def _json_text(value, pad):
-    """json.dumps(value, indent=2, allow_nan=False), its lines after the
-    first led by pad: objects with string keys and float nests are laid
-    out here, everything else by json.dumps."""
-    if type(value) is dict and value and all(type(k) is str for k in value):
-        inner = pad + "  "
-        return ("{\n" + ",\n".join(
-            f"{inner}{json.dumps(key)}: {_json_text(item, inner)}"
-            for key, item in value.items()) + "\n" + pad + "}")
-    nest = _float_nest(value, pad)
-    if nest is not None:
-        return nest
-    return json.dumps(value, indent=2, allow_nan=False).replace("\n",
-                                                                "\n" + pad)
-
-
 def dump_json(doc):
-    """JSON text of doc, two-space indented, with a final newline: the
-    bytes of json.dumps(doc, indent=2, allow_nan=False), whose pure-Python
-    indenting encoder is slow on the gains files' float arrays."""
+    """JSON text of doc, two-space indented, with a final newline."""
     try:
-        try:
-            return _json_text(doc, "") + "\n"
-        except RecursionError:
-            pass  # a cyclic or very deep object, which json.dumps reports
         return json.dumps(doc, indent=2, allow_nan=False) + "\n"
     except ValueError as exc:
+        # A non-finite number or a circular reference.
         raise NumericalError(f"cannot write JSON: {exc}") from None
 
 

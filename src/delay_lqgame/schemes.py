@@ -32,6 +32,7 @@ from .model import (
     _scheme,
     write_csv,
 )
+from .simulate import Trajectory, _rollouts
 # The design layer lives beside the recursion; synthesize_for_scheme is
 # re-exported here, where callers of the scheme functions look it up.
 from .synthesis import _designs, _named, synthesize_for_scheme
@@ -44,7 +45,7 @@ class SchemeResult:
     scheme: Scheme
     delays: tuple
     schedule: GainSchedule
-    trajectory: "simulate.Trajectory"
+    trajectory: Trajectory
     j_total: float
     j_players: tuple
 
@@ -63,12 +64,7 @@ class SweepPoint:
 def _results(config, schemes, points):
     """Every scheme at every delay point, point-major in the order given:
     one ``_designs`` batch designs every row, and one batched closed loop
-    runs each on its point's true plant.
-
-    The rollout layer is imported here, so designing alone (the
-    ``synthesize`` command) does not load it."""
-    from .simulate import _rollouts
-
+    runs each on its point's true plant."""
     schedules, plants = _designs(config, schemes, points)
     labels = [(scheme, point) for point in points for scheme in schemes]
     try:

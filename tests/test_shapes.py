@@ -169,13 +169,29 @@ def test_api_site_names_the_field(build, message):
     assert str(info.value) == message
 
 
-# Arrays of values that are not real numbers, each shaped like the
-# generic preset's field it replaces.
+def _first_leaf(leaf, cast):
+    """A builder of nested lists of a field's entries as cast, the first
+    entry replaced by leaf."""
+    def build(a):
+        nest = np.asarray(a).astype(cast).tolist()
+        row = nest
+        while isinstance(row[0], list):
+            row = row[0]
+        row[0] = leaf
+        return nest
+    return build
+
+
+# Values that are not real numbers, each shaped like the generic preset's
+# field it replaces: arrays, and lists of numbers holding one bool.
 NON_REAL = {
     "complex": lambda a: np.asarray(a) + 1j,
     "string": lambda a: np.asarray(a).astype(str),
     "bool": lambda a: np.ones(np.shape(a), dtype=bool),
     "datetime": lambda a: np.zeros(np.shape(a), dtype="datetime64[D]"),
+    "bool-in-floats": _first_leaf(True, float),
+    "bool-in-ints": _first_leaf(True, int),
+    "numpy-bool-in-floats": _first_leaf(np.True_, float),
 }
 
 VALUE_SITES = {
@@ -191,7 +207,7 @@ VALUE_SITES = {
 @pytest.mark.parametrize("kind", sorted(NON_REAL))
 def test_api_site_refuses_non_real_values(kind, site):
     build, field = VALUE_SITES[site]
-    dtype = NON_REAL[kind](EYE2).dtype
+    dtype = "bool" if "bool" in kind else NON_REAL[kind](EYE2).dtype
     with pytest.raises(DimensionError) as info:
         build(NON_REAL[kind])
     assert str(info.value) == (f"{field}: expected real numbers, got "
