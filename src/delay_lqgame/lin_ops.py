@@ -21,8 +21,8 @@ PIVOT_RTOL = 1e-12
 def as_float(a, name):
     """a as a float64 array.  Its values must be real integers or floats,
     as the file readers require: a bool, complex, string, date or object
-    array, a nest holding a bool, or one that numpy cannot build, raises
-    DimensionError."""
+    array, a nest holding a bool or a 0-d bool array, or one that numpy
+    cannot build, raises DimensionError."""
     try:
         arr = np.asarray(a)
     except (TypeError, ValueError) as exc:
@@ -32,10 +32,12 @@ def as_float(a, name):
             raise DimensionError(f"{name}: expected real numbers, got "
                                  f"{arr.dtype} values")
         arr = arr.astype(np.float64)
-    # numpy reads a bool among numbers as 1 or 0; only a nest that is not
-    # already an array can hide one.
-    if not isinstance(a, np.ndarray) and not {bool, np.bool_}.isdisjoint(
-            map(type, np.asarray(a, dtype=object).flat)):
+    # numpy reads a bool among numbers as 1 or 0, be it a bool, a numpy
+    # bool or a 0-d bool array (a cell's dtype, else its type, is bool);
+    # only a nest that is not already an array can hide one.
+    if not isinstance(a, np.ndarray) and any(
+            getattr(cell, "dtype", type(cell)) == bool
+            for cell in np.asarray(a, dtype=object).flat):
         raise DimensionError(f"{name}: expected real numbers, got bool values")
     return arr
 

@@ -111,11 +111,12 @@ def _number(value, path):
 
 
 def _integer(value, path, minimum=1):
-    """value as an int >= minimum: an int or a numpy integer, not a bool."""
+    """value as an int >= minimum (any int if minimum is None): an int or
+    a numpy integer, not a bool."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise SchemaError(path, f"expected an integer, got {type(value).__name__}")
     value = operator.index(value)
-    if value < minimum:
+    if minimum is not None and value < minimum:
         raise SchemaError(path, f"must be >= {minimum}, got {value}")
     return value
 

@@ -325,9 +325,11 @@ def write_trajectory_csv(trajectory, path, scheme=None, delays=None, seed=0):
     The final row carries x(N) with empty control cells.  Floats are
     rendered round-trip exactly, so identical trajectories produce
     byte-identical files.  A ``path`` that is its own sidecar (one ending
-    in .json) raises :class:`ValidationError` before anything is written.
+    in .json), or a ``seed`` that is not an integer, raises
+    :class:`ValidationError` before anything is written.
     """
     _instance(trajectory, Trajectory, "trajectory")
+    seed = _integer(seed, "seed", minimum=None)
     path = Path(path)
     if path.name and sidecar_path(path) == path:
         raise ValidationError(f"{path}: a trajectory CSV must not end in "
@@ -348,7 +350,7 @@ def write_trajectory_csv(trajectory, path, scheme=None, delays=None, seed=0):
         "horizon": steps,
         "scheme": str(scheme) if scheme is not None else None,
         "delays": [float(v) for v in delays] if delays is not None else None,
-        "seed": int(seed),
+        "seed": seed,
     }
     sidecar_file = sidecar_path(path)
     sidecar_file.write_text(dump_json(sidecar))

@@ -388,26 +388,18 @@ def per_trial_deviation_check(dp, schedule, weights, x0, trials, magnitude,
                               seed, tolerance):
     """Unilateral-deviation trials re-rolled one trajectory at a time.
 
-    Trial t draws (player, step, delta) from default_rng((seed, t)), adds
-    delta, scaled to the given norm, to that player's input at that step
-    and records the deviator's cost change against the undeviated loop.
+    Trial t takes (player, step, delta) from deviation_draws, adds delta
+    to that player's input at that step and records the deviator's cost
+    change against the undeviated loop.
     Returns (passed, min_delta, min_margin), the margin being the change
     plus tolerance * (1 + J_i).
     """
     _, base = quadratic_costs(*closed_loop(dp, schedule, x0), weights)
     min_delta = np.inf
     min_margin = np.inf
-    for trial in range(trials):
-        rng = np.random.default_rng((seed, trial))
-        player = int(rng.integers(dp.p))
-        step = int(rng.integers(schedule.horizon))
-        delta = rng.normal(size=dp.N)
-        norm = np.sqrt(np.einsum("i,i->", delta, delta))
-        if norm == 0.0:
-            delta = np.zeros(dp.N)
-            delta[0] = 1.0
-            norm = 1.0
-        delta = delta * (magnitude / norm)
+    for player, step, delta in deviation_draws(seed, trials, dp.p,
+                                               schedule.horizon, dp.N,
+                                               magnitude):
         states, controls = closed_loop(dp, schedule, x0,
                                        deviation=(player, step, delta))
         _, per_player = quadratic_costs(states, controls, weights)
@@ -477,18 +469,23 @@ def _dense_costs(states, controls, weights):
     return total, per_player
 
 
-def _draw_deviation(seed, trial, p, steps, N, magnitude):
-    """(player, step, delta) of one trial, from its own (seed, trial) stream."""
-    rng = np.random.default_rng((int(seed), trial))
-    player = int(rng.integers(p))
-    step = int(rng.integers(steps))
-    delta = rng.normal(size=N)
-    norm = np.sqrt(np.einsum("i,i->", delta, delta))
-    if norm == 0.0:
-        delta = np.zeros(N)
-        delta[0] = 1.0
-        norm = 1.0
-    return player, step, delta * (float(magnitude) / norm)
+def deviation_draws(seed, trials, p, steps, N, magnitude):
+    """(player, step, delta) of trials 0, 1, ..., trials - 1 in turn, one
+    scalar draw at a time: the player and the step from the stream of
+    default_rng((seed, 0)), the delta, scaled to the given norm, from that
+    of default_rng((seed, 1))."""
+    picks = np.random.default_rng((int(seed), 0))
+    directions = np.random.default_rng((int(seed), 1))
+    for _ in range(trials):
+        player = int(picks.integers(p))
+        step = int(picks.integers(steps))
+        delta = directions.standard_normal(N)
+        norm = np.sqrt(np.einsum("i,i->", delta, delta))
+        if norm == 0.0:
+            delta = np.zeros(N)
+            delta[0] = 1.0
+            norm = 1.0
+        yield player, step, delta * (float(magnitude) / norm)
 
 
 def dense_deviation_check(dp, schedule, weights, x0, trials=200,
@@ -506,12 +503,13 @@ def dense_deviation_check(dp, schedule, weights, x0, trials=200,
     rows = trials + 1
     players = np.zeros(rows, dtype=int)
     own_cost = np.empty(rows)
+    draws = deviation_draws(seed, trials, dp.p, schedule.horizon, dp.N,
+                            magnitude)
     for start in range(0, rows, DEVIATION_BLOCK):
         stop = min(start + DEVIATION_BLOCK, rows)
         offsets = np.zeros((schedule.horizon, stop - start, dp.p, dp.N))
         for row in range(max(start, 1), stop):
-            player, step, delta = _draw_deviation(
-                seed, row - 1, dp.p, schedule.horizon, dp.N, magnitude)
+            player, step, delta = next(draws)
             offsets[step, row - start, player] = delta
             players[row] = player
         _, per_player = _dense_costs(

@@ -120,6 +120,12 @@ class TestPipelines:
         assert doc["scheme"] == "proposed"
         assert doc["delays"] == [0.01, 0.01]
 
+    def test_negative_seed_is_recorded(self, tmp_path, cfg_path):
+        out = tmp_path / "traj.csv"
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(out),
+                     "--seed", "-1"]) == 0
+        assert json.loads(out.with_suffix(".json").read_text())["seed"] == -1
+
     def test_json_format_outputs(self, tmp_path, cfg_path):
         out = tmp_path / "sweep.json"
         main(["sweep", "--config", str(cfg_path), "--format", "json",

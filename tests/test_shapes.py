@@ -192,6 +192,7 @@ NON_REAL = {
     "bool-in-floats": _first_leaf(True, float),
     "bool-in-ints": _first_leaf(True, int),
     "numpy-bool-in-floats": _first_leaf(np.True_, float),
+    "0d-bool-array-in-floats": _first_leaf(np.array(True), float),
 }
 
 VALUE_SITES = {

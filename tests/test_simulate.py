@@ -252,6 +252,27 @@ class TestSerialization:
             write_trajectory_csv("x", path)
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("bad", [True, np.True_, 1.7, 2.0, "x"])
+    def test_non_integer_seed_writes_nothing(self, tmp_path, generic_dp,
+                                             generic_config,
+                                             generic_schedule, bad):
+        tr = rollout(generic_dp, generic_schedule, generic_config.x0,
+                     generic_config.weights)
+        path = tmp_path / "traj.csv"
+        with pytest.raises(SchemaError, match="^seed: expected an integer, "
+                                              "got "):
+            write_trajectory_csv(tr, path, seed=bad)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("seed", [-1, 0, np.int64(7), 2**70])
+    def test_any_integer_seed_is_recorded(self, tmp_path, generic_dp,
+                                          generic_config, generic_schedule,
+                                          seed):
+        tr = rollout(generic_dp, generic_schedule, generic_config.x0,
+                     generic_config.weights)
+        sidecar = write_trajectory_csv(tr, tmp_path / "traj.csv", seed=seed)
+        assert json.loads(sidecar.read_text())["seed"] == int(seed)
+
 
 def _delete_line(lines):
     del lines[6]
@@ -519,11 +540,13 @@ class TestNashDeviation:
             nash_deviation_check(generic_dp, generic_schedule,
                                  generic_config.weights, generic_config.x0,
                                  trials=20, magnitude=1e200, seed=3)
-        assert err.value.step is not None and err.value.row is not None
         assert str(err.value).endswith(f"at step {err.value.step}")
-        # Trial 2 is the first to deviate at step 1; no trial deviates at
-        # step 0, so it leads the step-sorted block.
-        assert err.value.row == 2
+        # The first trial of those that deviate earliest leads the
+        # step-sorted block, and its u'Ru overflows at its deviation step.
+        _, steps, _ = _draws(3, 20, generic_dp.p, generic_schedule.horizon,
+                             generic_dp.N)
+        first = int(np.argmin(steps))
+        assert (err.value.row, err.value.step) == (first, steps[first])
 
 
 def _seeded_p3_case():
@@ -608,16 +631,12 @@ class TestAgainstPerTrialOracle:
 DENSE_CASES = {**ORACLE_CASES, "p1": _seeded_p1_case}
 
 
-def _assert_draws_match(seed, trials, p, steps, N, magnitude=0.5):
-    players, at, deltas = deviation._draw_deviations(
-        seed, np.asarray(trials, dtype=np.uint64), p, steps, N, magnitude)
-    for row, t in enumerate(trials):
-        rng = np.random.default_rng((seed, int(t)))
-        assert players[row] == rng.integers(p), t
-        assert at[row] == rng.integers(steps), t
-        delta = rng.normal(size=N)
-        norm = np.sqrt(np.einsum("i,i->", delta, delta))
-        np.testing.assert_array_equal(deltas[row], delta * (magnitude / norm))
+def _draws(seed, trials, p, steps, N, magnitude=0.5, block=None):
+    """The check's (players, steps, deltas) of trials 0 .. trials - 1, its
+    blocks joined, drawn in blocks of block trials (one block if None)."""
+    blocks = list(deviation._draw_deviations(seed, trials, block or trials,
+                                             p, steps, N, magnitude))
+    return tuple(np.concatenate(column) for column in zip(*blocks))
 
 
 class TestAgainstDenseCheck:
@@ -647,28 +666,18 @@ class TestAgainstDenseCheck:
         # base row, and rows that join at the last step, after all others.
         for make in DENSE_CASES.values():
             dp, sched, _, _ = make()
-            _, steps, _ = deviation._draw_deviations(
-                4, np.arange(255), dp.p, sched.horizon, dp.N, 1.0)
+            _, steps, _ = _draws(4, 255, dp.p, sched.horizon, dp.N)
             assert steps.min() == 0
             assert steps.max() == sched.horizon - 1
 
-    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5,
-                                      2**99 + 12345])
-    def test_seed_words_match_seed_sequence(self, seed):
-        trials = [*range(300), 2**32 - 1, 2**32, 2**32 + 7, 2**63 + 3]
-        want = [np.random.SeedSequence((seed, t)).generate_state(4, np.uint64)
-                for t in trials]
-        np.testing.assert_array_equal(deviation._seed_words(seed, trials),
-                                      want)
-
     def test_draws_match_default_rng_streams(self):
-        players, steps, deltas = deviation._draw_deviations(
-            9, np.arange(50), 3, 40, 2, 0.5)
+        players, steps, deltas = _draws(9, 50, 3, 40, 2)
+        picks = np.random.default_rng((9, 0))
+        directions = np.random.default_rng((9, 1))
         for t in range(50):
-            rng = np.random.default_rng((9, t))
-            assert players[t] == rng.integers(3)
-            assert steps[t] == rng.integers(40)
-            delta = rng.normal(size=2)
+            assert players[t] == picks.integers(3)
+            assert steps[t] == picks.integers(40)
+            delta = directions.standard_normal(2)
             norm = np.sqrt(np.einsum("i,i->", delta, delta))
             np.testing.assert_array_equal(deltas[t], delta * (0.5 / norm))
 
@@ -677,27 +686,24 @@ class TestAgainstDenseCheck:
     @pytest.mark.parametrize("p", [1, 2, 3])
     def test_draws_match_default_rng_streams_at_every_size(self, p, steps,
                                                            N):
-        # A range of 1 takes no word from the stream, so with p = 1 the
-        # step takes the low half of the first word, and with p = steps = 1
-        # the normal draws start at the first word.
-        _assert_draws_match(5, range(60), p, steps, N)
-
-    def test_draws_match_default_rng_streams_when_numpy_draws_again(self):
-        # numpy rejects a step draw whose low product bits fall below
-        # (2^32 - steps) mod steps = 2^30, a quarter of all draws, and
-        # draws again; those trials take their own generator's draws.
-        steps = 3 * 2**30
-        trials = np.arange(64)
-        _assert_draws_match(9, trials, 2, steps, 2)
-        rejected = 0
-        for t in trials:
-            raw = np.random.default_rng((9, t)).bit_generator.random_raw()
-            rejected += (raw >> 32) * steps & 0xFFFFFFFF < 2**30
-        assert 8 <= rejected <= 32
-
-    def test_draws_match_default_rng_streams_past_2_32_trials(self):
-        _assert_draws_match(9, [2**32 - 1, 2**32, 2**32 + 7, 2**63 + 3,
-                                2**64 - 1], 3, 40, 2)
+        players, at, deltas = _draws(5, 300, p, steps, N)
+        # Row t of the pick stream's (player, step) draws and of the
+        # direction stream's normals; a range of 1 draws nothing.
+        picks = np.random.default_rng((5, 0)).integers(0, (p, steps),
+                                                       size=(300, 2))
+        np.testing.assert_array_equal(players, picks[:, 0])
+        np.testing.assert_array_equal(at, picks[:, 1])
+        normals = np.random.default_rng((5, 1)).standard_normal((300, N))
+        norm = np.sqrt(np.einsum("ij,ij->i", normals, normals))
+        np.testing.assert_array_equal(deltas, normals * (0.5 / norm)[:, None])
+        # Neither the block size nor the trials that follow move a draw.
+        for block in (7, 255):
+            for got, want in zip(_draws(5, 300, p, steps, N, block=block),
+                                 (players, at, deltas)):
+                np.testing.assert_array_equal(got, want)
+        for got, want in zip(_draws(5, 100, p, steps, N),
+                             (players, at, deltas)):
+            np.testing.assert_array_equal(got, want[:100])
 
     def test_negative_seed_rejected(self, generic_dp, generic_config,
                                     generic_schedule):
@@ -845,8 +851,7 @@ class TestLoopSweep:
             _assert_same_bytes(tr.states, states)
             _assert_same_bytes(tr.controls, controls)
         # Rows that join a base row at their deviation step.
-        players, steps, deltas = deviation._draw_deviations(
-            6, np.arange(40), p, sched.horizon, N, 0.5)
+        players, steps, deltas = _draws(6, 40, p, sched.horizon, N)
         assert {0, sched.horizon - 1} <= set(steps.tolist())
         order = np.argsort(steps, kind="stable")
         starts = np.append(0, steps[order])
@@ -892,8 +897,8 @@ class TestPinnedRollout:
     another order moves it (one built with wider vectors or fused
     multiply-adds in that loop, say)."""
 
-    DIGEST = ("7528a9e0ad50b852cafca37cd5a647b8"
-              "51c3bed643459c75f1138834035783b3")
+    DIGEST = ("32c8c5718f175bfa5dbb7a9273431d37"
+              "d41cb083168251e9803382dc0de74a9c")
 
     def test_digest(self):
         M, p, N, steps = 9, 2, 2, 50
