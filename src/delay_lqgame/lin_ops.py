@@ -2,7 +2,7 @@
 pivoted solves.
 
 Everything here is a pure function of its inputs; matrices are plain
-float64 ndarrays and are never mutated.
+float64 ndarrays, never mutated but for :func:`solve_into`'s ``out``.
 """
 
 import numpy as np
@@ -47,10 +47,6 @@ def check_shape(shape, expected, path):
     expected axis by axis, a None in expected matching any length.  The
     message leads with the field path, then the actual and the expected
     shape, a free axis written *: ``B[1]: shape (2, 2), expected (2, 1)``."""
-    # Equality first, then a plain loop: the recursion's solve passes this
-    # rule at every step.
-    if shape == expected:
-        return
     if len(shape) == len(expected):
         for have, want in zip(shape, expected):
             if want is not None and want != have:
@@ -179,25 +175,11 @@ def exp_and_integral(A, t):
 
 def solve(A, B):
     """Solve A @ X = B by LU with partial pivoting, for one system or a
-    stack of them.
-
-    A is (..., n, n) and B is (..., n, m) with the same leading axes; a
-    2-D pair is the stack of one.  Each system is eliminated on its own:
-    step k swaps up the first row holding the largest remaining |entry| of
-    column k, the choice LAPACK's getrf makes, and eliminates below it in
-    A and B together; back substitution on the same factorization gives
-    X, returned as one array shaped like B.
-
-    Systems run in stack order, and the first that fails raises, with its
-    index in the stack (flattened over the leading axes) as ``.row``: a
-    system with a non-finite entry raises :class:`DimensionError`, and one
-    whose smallest pivot falls below PIVOT_RTOL times the largest entry
-    of its A raises :class:`SingularMatrixError`, reporting that pivot and
-    its position on the diagonal of U (the column of A it belongs to).
-
-    The arithmetic runs on Python lists: the systems this package solves
-    have p*N rows, where per-call array overhead outweighs the flops.  So
-    the whole stack is checked and converted once, not system by system.
+    stack of them: A is (..., n, n) and B is (..., n, m) with the same
+    leading axes, and a 2-D pair is the stack of one.  The operands are
+    checked, then :func:`solve_into` solves the stack of systems [A | B],
+    its failures this function's, with ``.row`` counting the systems over
+    the flattened leading axes.  X is returned shaped like B.
     """
     A = as_float(A, "A")
     B = as_float(B, "B")
@@ -205,6 +187,22 @@ def solve(A, B):
     check_shape(A.shape, (*A.shape[:-2], n, n), "A")
     check_shape(B.shape, (*A.shape[:-1], None), "B")
     systems = np.concatenate((A, B), axis=-1).reshape(-1, n, n + B.shape[-1])
+    X = np.empty(B.shape)
+    solve_into(systems, X.reshape(len(systems), *B.shape[-2:]))
+    return X
+
+
+def solve_into(systems, out):
+    """Solve each system [A | B] of the float64 stack ``systems``, shaped
+    (stack, n, n + m), into ``out``, shaped (stack, n, m), checking only
+    finiteness.  Systems run in stack order and the first that fails
+    raises, with its index as ``.row``: :class:`DimensionError` for a
+    non-finite entry, :class:`SingularMatrixError` for a smallest pivot
+    below PIVOT_RTOL times A's largest |entry|, with that pivot and its
+    position on U's diagonal.  Each step swaps up the first row holding
+    the column's largest remaining |entry|, as LAPACK's getrf does, on
+    Python lists, which beat array calls at p*N rows."""
+    n = systems.shape[1]
     finite = np.isfinite(systems)
     bad = (None if np.count_nonzero(finite) == finite.size
            else int(np.argmin(finite.all(axis=(1, 2)))))
@@ -214,12 +212,13 @@ def solve(A, B):
             raise DimensionError(f"A or B has non-finite entries in system "
                                  f"{row}", row)
         X.append(_lu_solve(rows, n, row))
-    return np.array(X).reshape(B.shape)
+    if X:
+        out[...] = X
 
 
 def _lu_solve(rows, n, row):
     """X of the system whose rows [A | B] are the lists ``rows`` (changed
-    in place), by :func:`solve`'s elimination; ``row`` names the system
+    in place), by :func:`solve_into`'s elimination; ``row`` names the system
     in a raised :class:`SingularMatrixError`."""
     scale = max(abs(v) for r in rows for v in r[:n])
     for k in range(n):

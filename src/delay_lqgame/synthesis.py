@@ -28,12 +28,12 @@ z(k+1) = Abar z(k) + D [u_1(k); ...; u_p(k)] with
     Abar = [[Phi | Gamma1_1 ... Gamma1_p]; 0],
 
 so D_i (the N columns of D that route u_i) gives controller i's rows of
-the system as D_i^T S_i, and the value update sees the step
-C_i = Abar + sum_{j != i} D_j U_j with every other controller's law
-applied.  Every product is one array operation over all controllers, and
-over a leading batch axis of plants that share M, N, p and the weights;
-so is the LU solve, one ``lin_ops.solve`` call per step on the stack of
-every plant's system.
+the system [G | W] as D_i^T S_i [D | -Abar], plus R_i in G.  Its solution
+U holds every law, u_i = U_i z, and the value update evaluates them on
+the loop F = Abar + D U: S_i <- sym(Q_i + F^T S_i F + U_i^T R_i U_i).
+Every product is one array operation over all controllers and over a
+leading batch axis of plants that share M, N, p and the weights; so is
+the LU solve, one ``lin_ops.solve_into`` call per step.
 
 Known controllers are this recursion on a prepared plant: one controller
 gives the stacked-state delayed regulator, zero delays the delay-free game.
@@ -75,6 +75,21 @@ def _embedded(weights, dim):
     return out
 
 
+def _policy_evaluation(S, F, U, Q, R, work):
+    """S_i <- sym(Q_i + F^T S_i F + U_i^T R_i U_i) in place: the values of
+    the laws u_i = U_i z one step back on the loop z(k+1) = F z(k).  S, Q:
+    (..., p, dim, dim); F: (..., 1, dim, dim); U: (..., p, N, dim); R:
+    (p, N, N); ``work``: two buffers shaped like S, one like U."""
+    FtS, total, RU = work
+    np.matmul(F.swapaxes(-1, -2), S, out=FtS)
+    np.matmul(FtS, F, out=total)
+    total += Q
+    np.matmul(R, U, out=RU)
+    total += np.matmul(U.swapaxes(-1, -2), RU, out=FtS)
+    np.add(total, total.swapaxes(-1, -2), out=S)
+    S *= 0.5
+
+
 # An overflowing value matrix is reported by the next step's solve.
 @np.errstate(over="ignore", invalid="ignore")
 def synthesize_batch(plants, weights, return_values=False):
@@ -85,9 +100,9 @@ def synthesize_batch(plants, weights, return_values=False):
     step and plant the simultaneous equations over all coefficients
     {A_i, Bj_i} are stacked into one (p N) x (p N) system with a column per
     column of [Phi | Gamma1_1 | ... | Gamma1_p], and one stacked solve per
-    step solves every plant's system directly.  A plant's arithmetic does
-    not depend on the batch around it, so each schedule equals a
-    batch-of-1 call bit for bit.  Raises :class:`CouplingSingularityError`
+    step solves every plant's system.  A plant's arithmetic does not
+    depend on the batch around it, so each schedule equals a batch-of-1
+    call bit for bit.  Raises :class:`CouplingSingularityError`
     with the step, the controller whose block holds the smallest pivot,
     and the plant's index in the batch if a system is singular, and
     :class:`NumericalError` with the step and the plant's index if the
@@ -103,54 +118,40 @@ def synthesize_batch(plants, weights, return_values=False):
                          weights)
     M, N, p, steps = plants[0].M, plants[0].N, plants[0].p, weights.horizon
     batch, n, dim = len(plants), p * N, M + p * N
-    # Routing D = [[Gamma0_1 ... Gamma0_p]; I] and open-loop step
-    # Abar = [[Phi | Gamma1_1 ... Gamma1_p]; 0] of z = [x; u_1; ...; u_p].
-    D = np.zeros((batch, dim, n))
-    D[:, :M] = [np.hstack(dp.Gamma0) for dp in plants]
-    D[:, M:] = np.eye(n)
-    target = np.stack([np.hstack((dp.Phi,) + dp.Gamma1) for dp in plants])
-    Abar = np.zeros((batch, 1, dim, dim))
-    Abar[:, 0, :M] = target
+    # [D | -Abar] of z = [x; u_1; ...; u_p], with a controller axis to
+    # broadcast over.
+    DA = np.zeros((batch, 1, dim, n + dim))
+    DA[:, 0, :M, :n] = [np.hstack(dp.Gamma0) for dp in plants]
+    DA[:, 0, M:, :n] = np.eye(n)
+    DA[:, 0, :M, n:] = [-np.hstack((dp.Phi,) + dp.Gamma1) for dp in plants]
+    D, minus_Abar = DA[:, 0, :, :n], DA[:, 0, :, n:]
     # D_i^T for every controller i: (batch, p, N, dim).
     Dt = D.transpose(0, 2, 1).reshape(batch, p, N, dim)
-    # A controller axis, so D and target broadcast over controllers.
-    D, target = D[:, None], target[:, None]
     Q = _embedded(weights.Q, dim)
+    R_blocks = np.array(weights.R)
     R = np.zeros((n, n))
-    for i, R_i in enumerate(weights.R):
+    for i, R_i in enumerate(R_blocks):
         R[i * N:(i + 1) * N, i * N:(i + 1) * N] = R_i
-    # others[i] keeps every controller's columns of D but controller i's,
-    # so (D * others)[:, i] @ U routes every law but controller i's.  The
-    # columns are multiplied by 0.0: (d * 0.0) * u is the same zero as
-    # d * (u * 0.0), sign included, as if U's rows were zeroed instead.
-    others = np.ones((p, 1, n))
-    for i in range(p):
-        others[i, :, i * N:(i + 1) * N] = 0.0
-    D_others = D * others
-    # The step's operands live in buffers allocated once: every product
-    # writes through out=, and the views on them are built once.  S and
-    # C^T S swap buffers every step, so the history keeps copies; it is
-    # kept only when asked for, since it grows with the batch.
+    # Every product writes through out= into buffers and views built once.
+    # The history, kept only when asked for, holds copies of S.
     S = np.tile(_embedded(weights.QN, dim), (batch, 1, 1, 1))
     values = [S.copy()] if return_values else None
-    T, W4 = np.empty((2, batch, p, N, dim))
-    C, CtS = np.empty((2, batch, p, dim, dim))
-    G4, UE = np.empty((batch, p, N, n)), np.empty((batch, p, dim, N))
-    G, W, TM, Ct = (G4.reshape(batch, n, n), W4.reshape(batch, n, dim),
-                    T[..., :M], C.swapaxes(-1, -2))
-    # E_i = D_i^T S_i D_i + R_i, the diagonal blocks of G.
-    E = G4.reshape(batch, p, N, p, N).diagonal(0, 1, 3).transpose(0, 3, 1, 2)
+    T, F = np.empty((batch, p, N, dim)), np.empty((batch, dim, dim))
+    GW4 = np.empty((batch, p, N, n + dim))
+    GW = GW4.reshape(batch, n, n + dim)
+    G, F4 = GW[..., :n], F[:, None]
+    work = (np.empty(S.shape), np.empty(S.shape), np.empty(T.shape))
     U = np.empty((steps, batch, n, dim))
+    U5 = U.reshape(steps, batch, p, N, dim)
     for k in range(steps - 1, -1, -1):
+        # Controller i's rows D_i^T S_i [D | -Abar] of the stacked system
+        # [G | W], whose solution U holds every law: u_i = U_i z.
         np.matmul(Dt, S, out=T)
-        np.matmul(T, D, out=G4)
+        np.matmul(T, DA, out=GW4)
         G += R
-        np.matmul(TM, target, out=W4)
-        np.negative(W, out=W)
         try:
-            Uk = lin_ops.solve(G, W)
-        except DimensionError as exc:
-            # Only non-finite entries fail the solve's input check.
+            lin_ops.solve_into(GW, U[k])
+        except DimensionError as exc:  # a non-finite entry
             raise NumericalError(f"value recursion leaves the finite range "
                                  f"at step {k}", k, exc.row) from None
         except SingularMatrixError as exc:
@@ -161,29 +162,17 @@ def synthesize_batch(plants, weights, return_values=False):
                 f"{k} for controller {controller} (pivot {exc.pivot:.3e})",
                 exc.pivot, step=k, controller=controller,
                 plant=exc.row) from None
-        U[k] = Uk
-        Ui = Uk.reshape(batch, p, N, dim)
-        # C_i: the step controller i sees with every other law applied.
-        np.matmul(D_others, Uk[:, None], out=C)
-        C += Abar
-        # S_i <- sym(C_i^T S_i C_i + Q_i - U_i^T E_i U_i), where
-        # sym(X) = (X + X^T) / 2: the sum is formed in S's buffer, U^T E U
-        # in C's, and sym of the sum in C^T S's, which then holds S.
-        np.matmul(Ct, S, out=CtS)
-        np.matmul(CtS, C, out=S)
-        S += Q
-        np.matmul(Ui.swapaxes(-1, -2), E, out=UE)
-        S -= np.matmul(UE, Ui, out=C)
-        S, CtS = np.add(S, S.swapaxes(-1, -2), out=CtS), S
-        S *= 0.5
+        # F = Abar + D U: the loop with every law applied.
+        np.matmul(D, U[k], out=F)
+        F -= minus_Abar
+        _policy_evaluation(S, F4, U5[k], Q, R_blocks, work)
         if return_values:
             values.append(S.copy())
     # + 0.0 is exact but turns -0.0 into 0.0, so vanishing terms (the delay
     # terms of a zero-delay plant) are written as 0.0.
-    U += 0.0
-    U = U.reshape(steps, batch, p, N, dim)
-    A_coef = U[..., :M].transpose(1, 0, 2, 3, 4)
-    B_coef = U[..., M:].reshape(steps, batch, p, N, p, N)
+    U5 += 0.0
+    A_coef = U5[..., :M].transpose(1, 0, 2, 3, 4)
+    B_coef = U5[..., M:].reshape(steps, batch, p, N, p, N)
     B_coef = B_coef.transpose(1, 0, 2, 4, 3, 5)
     schedules = [GainSchedule(Scheme.PROPOSED,
                               np.ascontiguousarray(A_coef[b]),

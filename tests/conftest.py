@@ -44,10 +44,10 @@ def singular_solve(monkeypatch, row, index=0):
     """Make the recursion's stacked solve report system ``row`` of the
     stack singular at pivot position ``index``, as the real solve does.
     The first call, the last step's, is the one that fails."""
-    def singular(A, B):
+    def singular(systems, out):
         raise SingularMatrixError("forced", 0.0, index, row)
 
-    monkeypatch.setattr(lin_ops, "solve", singular)
+    monkeypatch.setattr(lin_ops, "solve_into", singular)
 
 
 @pytest.fixture(scope="session")

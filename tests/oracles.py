@@ -3,8 +3,10 @@
 Nothing here may call into delay_lqgame's numerics: the exponential is a
 scaled truncated Taylor series, the integral is adaptive Simpson over that
 series, the regulator recursion is the textbook difference-equation form,
-the game oracles iterate best responses to a fixed point or eliminate the
-two-controller coupling in closed form, and the closed loop runs one
+the game oracles iterate best responses to a fixed point, eliminate the
+two-controller coupling in closed form, or solve the stacked system with
+LAPACK and update each value with the controller's own law left out of
+its loop (``c_form_recursion``), and the closed loop runs one
 trajectory at a time, each step two dots: the controls from the last
 controls and the state, then the next state from the last controls, the
 state and the controls.  Its dots (those two, the costs' v'Wv, a
@@ -228,6 +230,65 @@ def delayed_best_response_game(Phi, Gamma0, Gamma1, Q, QN, R, steps,
             for j in range(p):
                 B_coef[k, i, j] = U[i][:, M + j * N:M + (j + 1) * N]
     return A_coef, B_coef
+
+
+def c_form_recursion(dp, weights):
+    """The stacked best-response recursion with the value update in the
+    form that leaves each controller's own law out of its loop.
+
+    On z = [x; u_1(k-1); ...; u_p(k-1)], D = [[Gamma0_1 ... Gamma0_p]; I]
+    routes the inputs and Abar = [[Phi | Gamma1_1 ... Gamma1_p]; 0] is the
+    step with no inputs.  Per step, controller i's rows of the stacked
+    system are D_i'S_i D + [0 R_i 0] on the left and -D_i'S_i Abar on the
+    right, solved by np.linalg.solve for every law u_i = U_i z.  Then, with
+    the others mask keeping every controller's columns of D but i's,
+    C_i = Abar + sum_{j != i} D_j U_j and E_i = D_i'S_i D_i + R_i,
+
+        S_i <- sym(C_i'S_i C_i + Q_i - U_i'E_i U_i).
+
+    Returns U, shaped (steps, p*N, M + p*N) with row block i holding
+    [A_i | B1_i | ... | Bp_i], and the values S_i(k), shaped
+    (steps + 1, p, M + p*N, M + p*N).
+    """
+    M, N, p, steps = dp.M, dp.N, dp.p, weights.horizon
+    n, dim = p * N, M + p * N
+    D = np.zeros((dim, n))
+    D[:M] = np.hstack(dp.Gamma0)
+    D[M:] = np.eye(n)
+    Abar = np.zeros((dim, dim))
+    Abar[:M] = np.hstack((dp.Phi,) + dp.Gamma1)
+    others = np.ones((p, 1, n))
+    for i in range(p):
+        others[i, :, i * N:(i + 1) * N] = 0.0
+
+    def embed(W):
+        out = np.zeros((dim, dim))
+        out[:M, :M] = W
+        return out
+
+    def block(i):
+        return slice(i * N, (i + 1) * N)
+
+    Q = [embed(Q_i) for Q_i in weights.Q]
+    S = [embed(QN_i) for QN_i in weights.QN]
+    values = [S]
+    U = np.zeros((steps, n, dim))
+    for k in range(steps - 1, -1, -1):
+        G = np.vstack([D[:, block(i)].T @ S[i] @ D for i in range(p)])
+        for i in range(p):
+            G[block(i), block(i)] += weights.R[i]
+        W = -np.vstack([D[:, block(i)].T @ S[i] @ Abar for i in range(p)])
+        U[k] = np.linalg.solve(G, W)
+        new = []
+        for i in range(p):
+            U_i, D_i = U[k, block(i)], D[:, block(i)]
+            C_i = Abar + (D * others[i]) @ U[k]
+            E_i = D_i.T @ S[i] @ D_i + weights.R[i]
+            S_i = C_i.T @ S[i] @ C_i + Q[i] - U_i.T @ E_i @ U_i
+            new.append(0.5 * (S_i + S_i.T))
+        S = new
+        values.append(S)
+    return U, np.array(values[::-1])
 
 
 def two_controller_game(Phi, Gamma0, Gamma1, Q, QN, R, steps):

@@ -316,6 +316,15 @@ def _each_alone(A, B):
     return np.array(X).reshape(B.shape)
 
 
+def _failing_stack(singular, non_finite):
+    """Five 3 x 3 systems: one with a zero column, one with a NaN in B."""
+    A = np.tile(np.eye(3), (5, 1, 1))
+    B = np.ones((5, 3, 2))
+    A[singular, :, 1] = 0.0
+    B[non_finite, 2, 0] = np.nan
+    return A, B
+
+
 class TestStackedSolve:
     @pytest.mark.parametrize("preset", ["generic", "lfc"])
     def test_every_preset_system_equals_its_2d_solve(self, monkeypatch,
@@ -324,15 +333,20 @@ class TestStackedSolve:
         config = generic_config if preset == "generic" else lfc_config
         stacks = []
 
-        def recording(A, B):
-            X = solve(A, B)
-            stacks.append((A.copy(), B.copy(), X))
-            return X
+        solve_into = lin_ops.solve_into
 
-        monkeypatch.setattr(lin_ops, "solve", recording)
+        def recording(systems, out):
+            solve_into(systems, out)
+            stacks.append((systems.copy(), out.copy()))
+
+        monkeypatch.setattr(lin_ops, "solve_into", recording)
         compare_schemes(config)
+        # solve runs through solve_into too, so unpatch before solving.
+        monkeypatch.undo()
         assert len(stacks) == config.weights.horizon
-        for A, B, X in stacks:
+        for systems, X in stacks:
+            n = systems.shape[-2]
+            A, B = systems[..., :n], systems[..., n:]
             assert _bits(X) == _bits(_each_alone(A, B))
 
     @pytest.mark.parametrize("n", [4, 5, 6])
@@ -349,22 +363,15 @@ class TestStackedSolve:
         B = rng.normal(size=(3, 4))
         assert _bits(solve(A, B)) == _bits(solve(A[None], B[None])[0])
 
-    def _stack(self, singular, non_finite):
-        A = np.tile(np.eye(3), (5, 1, 1))
-        B = np.ones((5, 3, 2))
-        A[singular, :, 1] = 0.0
-        B[non_finite, 2, 0] = np.nan
-        return A, B
-
     def test_singular_row_before_non_finite_row_wins(self):
         with pytest.raises(SingularMatrixError) as err:
-            solve(*self._stack(singular=1, non_finite=3))
+            solve(*_failing_stack(singular=1, non_finite=3))
         assert (err.value.row, err.value.index, err.value.pivot) == (1, 1,
                                                                      0.0)
 
     def test_non_finite_row_before_singular_row_wins(self):
         with pytest.raises(DimensionError, match="non-finite") as err:
-            solve(*self._stack(singular=3, non_finite=1))
+            solve(*_failing_stack(singular=3, non_finite=1))
         assert err.value.row == 1
 
     def test_2d_failure_is_row_0(self):
@@ -375,6 +382,54 @@ class TestStackedSolve:
     def test_leading_axes_must_match(self):
         with pytest.raises(DimensionError):
             solve(np.ones((3, 2, 2)), np.ones((2, 2, 1)))
+
+
+def _systems(A, B):
+    return np.concatenate((A, B), axis=-1)
+
+
+class TestSolveInto:
+    """The entry that solves a stack of [A | B] systems into ``out``."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("batch", [1, 33])
+    def test_equals_solve_bit_for_bit(self, n, batch):
+        rng = np.random.default_rng(200 + 10 * n + batch)
+        A = rng.normal(size=(batch, n, n))
+        # Column 0 is +-1 in every row, so the first pivot ties between all
+        # rows and the first of them is swapped up.
+        A[..., 0] = rng.choice([-1.0, 1.0], size=(batch, n))
+        B = rng.normal(size=(batch, n, n + 3))
+        out = np.full(B.shape, np.nan)
+        lin_ops.solve_into(_systems(A, B), out)
+        assert _bits(out) == _bits(solve(A, B))
+        assert _bits(out) == _bits(_each_alone(A, B))
+
+    def test_singular_row_before_non_finite_row_wins(self):
+        with pytest.raises(SingularMatrixError) as err:
+            lin_ops.solve_into(
+                _systems(*_failing_stack(singular=1, non_finite=3)),
+                np.empty((5, 3, 2)))
+        assert (err.value.row, err.value.index, err.value.pivot) == (1, 1,
+                                                                     0.0)
+
+    def test_non_finite_row_before_singular_row_wins(self):
+        with pytest.raises(DimensionError, match="non-finite") as err:
+            lin_ops.solve_into(
+                _systems(*_failing_stack(singular=3, non_finite=1)),
+                np.empty((5, 3, 2)))
+        assert err.value.row == 1
+
+    @pytest.mark.parametrize("column", [0, 1, 2, 3])
+    def test_zero_column_is_reported_at_its_position(self, column):
+        rng = np.random.default_rng(7)
+        A = rng.normal(size=(3, 4, 4))
+        A[2, :, column] = 0.0
+        with pytest.raises(SingularMatrixError) as err:
+            lin_ops.solve_into(_systems(A, np.eye(4)[None].repeat(3, 0)),
+                               np.empty((3, 4, 4)))
+        assert (err.value.row, err.value.index, err.value.pivot) == (
+            2, column, 0.0)
 
 
 def _pivot_cases():

@@ -26,6 +26,7 @@ from conftest import random_stable_plant, random_weights, singular_solve
 from oracles import (
     augmented_delay_lqr,
     best_response_game,
+    c_form_recursion,
     coefficients,
     delay_free_game,
     delayed_best_response_game,
@@ -406,20 +407,48 @@ class TestRecursionInvariants:
         rng = np.random.default_rng(31)
         dp = discretize(random_stable_plant(rng, M=3, N=N, p=3))
         w = random_weights(rng, 3, N=N, p=3, horizon=4)
-        solve = delay_lqgame.synthesis.lin_ops.solve
+        solve_into = delay_lqgame.synthesis.lin_ops.solve_into
 
-        def singular_in_block_two(A, B):
-            A = np.array(A)
-            A[..., N] = 0.0
-            return solve(A, B)
+        def singular_in_block_two(systems, out):
+            systems = np.array(systems)
+            systems[..., N] = 0.0
+            solve_into(systems, out)
 
-        monkeypatch.setattr(delay_lqgame.synthesis.lin_ops, "solve",
+        monkeypatch.setattr(delay_lqgame.synthesis.lin_ops, "solve_into",
                             singular_in_block_two)
         with pytest.raises(CouplingSingularityError,
                            match="at step 3 for controller 2") as err:
             synthesize(dp, w)
         assert err.value.step == 3
         assert err.value.controller == 2
+
+
+class TestAgainstCFormOracle:
+    """The closed-loop value update, S_i <- sym(Q_i + F'S_i F + U_i'R_i U_i)
+    with F the loop under every law, against the form that leaves
+    controller i's own law out of its loop: the two agree wherever every
+    law is its controller's best response."""
+
+    @pytest.mark.parametrize("case", ["generic", "lfc"] + [
+        f"p{p}-N{N}" for p in (1, 2, 3) for N in (1, 2)])
+    def test_gains_and_values_agree(self, case, generic_config, lfc_config):
+        if case in ("generic", "lfc"):
+            config = generic_config if case == "generic" else lfc_config
+            dp, w = discretize(config.plant), config.weights
+        else:
+            p, N = int(case[1]), int(case[-1])
+            rng = np.random.default_rng(60 + 10 * p + N)
+            dp = discretize(random_stable_plant(rng, M=3, N=N, p=p))
+            w = random_weights(rng, 3, N=N, p=p, horizon=20)
+        sched, values = synthesize(dp, w, return_values=True)
+        want_U, want_values = c_form_recursion(dp, w)
+        for k in range(w.horizon):
+            got = np.vstack([coefficients(sched, k, i) for i in range(dp.p)])
+            scale = np.abs(want_U[k]).max()
+            assert np.abs(got - want_U[k]).max() <= 1e-12 * scale, k
+        for k in range(w.horizon + 1):
+            scale = np.abs(want_values[k]).max()
+            assert np.abs(values[k] - want_values[k]).max() <= 1e-12 * scale, k
 
 
 def _grid_plants(config, grids):
