@@ -179,16 +179,19 @@ def solve(A, B):
     leading axes, and a 2-D pair is the stack of one.  The operands are
     checked, then :func:`solve_into` solves the stack of systems [A | B],
     its failures this function's, with ``.row`` counting the systems over
-    the flattened leading axes.  X is returned shaped like B.
+    the flattened leading axes.  X is returned shaped like B; for 0 x 0
+    systems it is empty.
     """
     A = as_float(A, "A")
     B = as_float(B, "B")
     n = A.shape[-1] if A.ndim else None
     check_shape(A.shape, (*A.shape[:-2], n, n), "A")
     check_shape(B.shape, (*A.shape[:-1], None), "B")
-    systems = np.concatenate((A, B), axis=-1).reshape(-1, n, n + B.shape[-1])
     X = np.empty(B.shape)
-    solve_into(systems, X.reshape(len(systems), *B.shape[-2:]))
+    if n:
+        systems = np.concatenate((A, B), axis=-1).reshape(
+            -1, n, n + B.shape[-1])
+        solve_into(systems, X.reshape(len(systems), *B.shape[-2:]))
     return X
 
 

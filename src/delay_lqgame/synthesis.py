@@ -22,18 +22,27 @@ Value matrices are symmetrized after every update to stop round-off drift
 from compounding across the horizon.
 
 The step works on stacked routing matrices built once per plant:
-z(k+1) = Abar z(k) + D [u_1(k); ...; u_p(k)] with
+z(k+1) = Abar z(k) + D u(k), u = [u_1; ...; u_p], with
 
     D    = [[Gamma0_1 ... Gamma0_p]; I_pN],
-    Abar = [[Phi | Gamma1_1 ... Gamma1_p]; 0],
+    Abar = [[Phi | Gamma1_1 ... Gamma1_p]; 0].
 
-so D_i (the N columns of D that route u_i) gives controller i's rows of
-the system [G | W] as D_i^T S_i [D | -Abar], plus R_i in G.  Its solution
-U holds every law, u_i = U_i z, and the value update evaluates them on
-the loop F = Abar + D U: S_i <- sym(Q_i + F^T S_i F + U_i^T R_i U_i).
-Every product is one array operation over all controllers and over a
-leading batch axis of plants that share M, N, p and the weights; so is
-the LU solve, one ``lin_ops.solve_into`` call per step.
+Controller i's step cost is z^T Q_i z plus the quadratic form of its
+augmented matrix SR_i = blockdiag(S_i, E_i^T R_i E_i) on [z(k+1); u(k)] =
+Abar' z(k) + K u(k), where K = [D; I_pN], Abar' = [Abar; 0] and E_i
+picks u_i out of u.  So with K_i (the N columns of K that route u_i) its
+rows of the system [G | W] are K_i^T SR_i [K | -Abar'], which is
+D_i^T S_i [D | -Abar] plus R_i in G.  The solution U holds every law,
+u_i = U_i z, and the value update evaluates them on Z = Abar' + K U =
+[F; U], F = Abar + D U being the loop:
+
+    S_i <- sym(Q_i + Z^T SR_i Z) = sym(Q_i + F^T S_i F + U_i^T R_i U_i).
+
+R_i sits in a corner of SR_i that no step writes, so it enters the system
+and the value update through the products alone.  Every product is one
+array operation over all controllers and over a leading batch axis of
+plants that share M, N, p and the weights; so is the LU solve, one
+``lin_ops.solve_into`` call per step.
 
 Known controllers are this recursion on a prepared plant: one controller
 gives the stacked-state delayed regulator, zero delays the delay-free game.
@@ -75,19 +84,37 @@ def _embedded(weights, dim):
     return out
 
 
-def _policy_evaluation(S, F, U, Q, R, work):
-    """S_i <- sym(Q_i + F^T S_i F + U_i^T R_i U_i) in place: the values of
-    the laws u_i = U_i z one step back on the loop z(k+1) = F z(k).  S, Q:
-    (..., p, dim, dim); F: (..., 1, dim, dim); U: (..., p, N, dim); R:
-    (p, N, N); ``work``: two buffers shaped like S, one like U."""
-    FtS, total, RU = work
-    np.matmul(F.swapaxes(-1, -2), S, out=FtS)
-    np.matmul(FtS, F, out=total)
+def _augmented(S, R):
+    """SR_i = blockdiag(S_i, E_i^T R_i E_i) for the value matrices S,
+    shaped (..., p, dim, dim), and the control weights R, shaped (p, N, N):
+    a new (..., p, dim + p N, dim + p N) array, E_i selecting controller
+    i's N of the p N inputs.  S_i is then the view SR[..., :dim, :dim]."""
+    p, N = R.shape[:2]
+    dim = S.shape[-1]
+    SR = np.zeros(S.shape[:-2] + (dim + p * N,) * 2)
+    SR[..., :dim, :dim] = S
+    for i, R_i in enumerate(R):
+        at = slice(dim + i * N, dim + (i + 1) * N)
+        SR[..., i, at, at] = R_i
+    return SR
+
+
+def _policy_evaluation(SR, Z, Q, work):
+    """S_i <- sym(Q_i + Z^T SR_i Z) in place, where S_i is SR_i's top-left
+    block: with Z = [F; U], the values sym(Q_i + F^T S_i F + U_i^T R_i U_i)
+    of the laws u = U z one step back on the loop z(k+1) = F z(k).  SR:
+    (..., p, dim + p N, dim + p N) from :func:`_augmented`; Z:
+    (..., 1, dim + p N, dim); Q: (..., p, dim, dim); ``work``: one buffer
+    shaped (..., p, dim, dim + p N) and one shaped like Q."""
+    ZtSR, total = work
+    dim = Z.shape[-1]
+    np.matmul(Z.swapaxes(-1, -2), SR, out=ZtSR)
+    np.matmul(ZtSR, Z, out=total)
     total += Q
-    np.matmul(R, U, out=RU)
-    total += np.matmul(U.swapaxes(-1, -2), RU, out=FtS)
-    np.add(total, total.swapaxes(-1, -2), out=S)
-    S *= 0.5
+    # Halving is exact, so halving first gives sym's bits, and the strided
+    # block of SR is written once.
+    total *= 0.5
+    np.add(total, total.swapaxes(-1, -2), out=SR[..., :dim, :dim])
 
 
 # An overflowing value matrix is reported by the next step's solve.
@@ -100,14 +127,17 @@ def synthesize_batch(plants, weights, return_values=False):
     step and plant the simultaneous equations over all coefficients
     {A_i, Bj_i} are stacked into one (p N) x (p N) system with a column per
     column of [Phi | Gamma1_1 | ... | Gamma1_p], and one stacked solve per
-    step solves every plant's system.  A plant's arithmetic does not
-    depend on the batch around it, so each schedule equals a batch-of-1
-    call bit for bit.  Raises :class:`CouplingSingularityError`
-    with the step, the controller whose block holds the smallest pivot,
-    and the plant's index in the batch if a system is singular, and
-    :class:`NumericalError` with the step and the plant's index if the
-    value recursion leaves the finite range; of a step's failing plants,
-    the first in the batch is named.
+    step solves every plant's system.  Each controller's value matrix is
+    the top-left block of its augmented matrix SR_i, built once per call,
+    so a step is two products into [G | W], the solve, the loop F and the
+    value update's two products on Z = [F; U] (module docstring).  A
+    plant's arithmetic does not depend on the batch around it, so each
+    schedule equals a batch-of-1 call bit for bit.  Raises
+    :class:`CouplingSingularityError` with the step, the controller whose
+    block holds the smallest pivot, and the plant's index in the batch if
+    a system is singular, and :class:`NumericalError` with the step and
+    the plant's index if the value recursion leaves the finite range; of
+    a step's failing plants, the first in the batch is named.
 
     With ``return_values`` the value-matrix history is returned as a second
     output: values[k, b, i] is S_i(k) of plant b, k = 0..horizon.
@@ -118,37 +148,37 @@ def synthesize_batch(plants, weights, return_values=False):
                          weights)
     M, N, p, steps = plants[0].M, plants[0].N, plants[0].p, weights.horizon
     batch, n, dim = len(plants), p * N, M + p * N
-    # [D | -Abar] of z = [x; u_1; ...; u_p], with a controller axis to
-    # broadcast over.
-    DA = np.zeros((batch, 1, dim, n + dim))
-    DA[:, 0, :M, :n] = [np.hstack(dp.Gamma0) for dp in plants]
-    DA[:, 0, M:, :n] = np.eye(n)
-    DA[:, 0, :M, n:] = [-np.hstack((dp.Phi,) + dp.Gamma1) for dp in plants]
-    D, minus_Abar = DA[:, 0, :, :n], DA[:, 0, :, n:]
-    # D_i^T for every controller i: (batch, p, N, dim).
-    Dt = D.transpose(0, 2, 1).reshape(batch, p, N, dim)
+    # [K | -Abar'], where [z(k+1); u(k)] = Abar' z(k) + K u(k) with
+    # K = [D; I] and Abar' = [Abar; 0], with a controller axis to broadcast
+    # over; z = [x; u_1; ...; u_p].
+    KA = np.zeros((batch, 1, dim + n, n + dim))
+    KA[:, 0, :M, :n] = [np.hstack(dp.Gamma0) for dp in plants]
+    KA[:, 0, M:, :n] = np.tile(np.eye(n), (2, 1))
+    KA[:, 0, :M, n:] = [-np.hstack((dp.Phi,) + dp.Gamma1) for dp in plants]
+    D, minus_Abar = KA[:, 0, :dim, :n], KA[:, 0, :dim, n:].copy()
+    # K_i^T = [D_i^T | E_i] for every controller i: (batch, p, N, dim + n).
+    Kt = KA[:, 0, :, :n].transpose(0, 2, 1).reshape(batch, p, N, dim + n)
     Q = _embedded(weights.Q, dim)
-    R_blocks = np.array(weights.R)
-    R = np.zeros((n, n))
-    for i, R_i in enumerate(R_blocks):
-        R[i * N:(i + 1) * N, i * N:(i + 1) * N] = R_i
     # Every product writes through out= into buffers and views built once.
     # The history, kept only when asked for, holds copies of S.
-    S = np.tile(_embedded(weights.QN, dim), (batch, 1, 1, 1))
+    SR = _augmented(np.tile(_embedded(weights.QN, dim), (batch, 1, 1, 1)),
+                    np.array(weights.R))
+    S = SR[..., :dim, :dim]
     values = [S.copy()] if return_values else None
-    T, F = np.empty((batch, p, N, dim)), np.empty((batch, dim, dim))
+    T = np.empty((batch, p, N, dim + n))
     GW4 = np.empty((batch, p, N, n + dim))
     GW = GW4.reshape(batch, n, n + dim)
-    G, F4 = GW[..., :n], F[:, None]
-    work = (np.empty(S.shape), np.empty(S.shape), np.empty(T.shape))
+    work = (np.empty((batch, p, dim, dim + n)), np.empty(S.shape))
+    # The step's Z = [F; U], one for every controller.
+    Z = np.empty((batch, 1, dim + n, dim))
+    F, Uz = Z[:, 0, :dim], Z[:, 0, dim:]
     U = np.empty((steps, batch, n, dim))
-    U5 = U.reshape(steps, batch, p, N, dim)
     for k in range(steps - 1, -1, -1):
-        # Controller i's rows D_i^T S_i [D | -Abar] of the stacked system
-        # [G | W], whose solution U holds every law: u_i = U_i z.
-        np.matmul(Dt, S, out=T)
-        np.matmul(T, DA, out=GW4)
-        G += R
+        # Controller i's rows K_i^T SR_i [K | -Abar'] = D_i^T S_i [D | -Abar]
+        # + [R_i E_i | 0] of the stacked system [G | W], whose solution U
+        # holds every law: u_i = U_i z.
+        np.matmul(Kt, SR, out=T)
+        np.matmul(T, KA, out=GW4)
         try:
             lin_ops.solve_into(GW, U[k])
         except DimensionError as exc:  # a non-finite entry
@@ -162,14 +192,16 @@ def synthesize_batch(plants, weights, return_values=False):
                 f"{k} for controller {controller} (pivot {exc.pivot:.3e})",
                 exc.pivot, step=k, controller=controller,
                 plant=exc.row) from None
-        # F = Abar + D U: the loop with every law applied.
-        np.matmul(D, U[k], out=F)
+        # Z = [F; U], F = Abar + D U being the loop with every law applied.
+        np.copyto(Uz, U[k])
+        np.matmul(D, Uz, out=F)
         F -= minus_Abar
-        _policy_evaluation(S, F4, U5[k], Q, R_blocks, work)
+        _policy_evaluation(SR, Z, Q, work)
         if return_values:
             values.append(S.copy())
     # + 0.0 is exact but turns -0.0 into 0.0, so vanishing terms (the delay
     # terms of a zero-delay plant) are written as 0.0.
+    U5 = U.reshape(steps, batch, p, N, dim)
     U5 += 0.0
     A_coef = U5[..., :M].transpose(1, 0, 2, 3, 4)
     B_coef = U5[..., M:].reshape(steps, batch, p, N, p, N)

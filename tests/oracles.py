@@ -6,10 +6,11 @@ series, the regulator recursion is the textbook difference-equation form,
 the game oracles iterate best responses to a fixed point, eliminate the
 two-controller coupling in closed form, or solve the stacked system with
 LAPACK and update each value with the controller's own law left out of
-its loop (``c_form_recursion``), and the closed loop runs one
-trajectory at a time, each step two dots: the controls from the last
-controls and the state, then the next state from the last controls, the
-state and the controls.  Its dots (those two, the costs' v'Wv, a
+its loop (``c_form_recursion``), the value update on given laws is
+plain 2-D products per controller (``policy_evaluation``), and the
+closed loop runs one trajectory at a time, each step two dots: the
+controls from the last controls and the state, then the next state from
+the last controls, the state and the controls.  Its dots (those two, the costs' v'Wv, a
 deviation's delta . delta) are two-operand np.einsum calls, as in the
 package: numpy's own loop sums a dot over contiguous vectors the same
 way on every BLAS kernel and at every operand offset.  The dense
@@ -289,6 +290,20 @@ def c_form_recursion(dp, weights):
         S = new
         values.append(S)
     return U, np.array(values[::-1])
+
+
+def policy_evaluation(S, F, U, Q, R):
+    """The values of the laws u_i = U_i z one step back on the loop
+    z(k+1) = F z(k): sym(Q_i + F'S_i F + U_i'R_i U_i) for each controller
+    i, from plain 2-D products.  S, Q: (p, dim, dim); U: (p*N, dim), row
+    block i holding U_i; R: the p blocks R_i, each N x N."""
+    N = R[0].shape[0]
+    values = []
+    for i, (S_i, Q_i, R_i) in enumerate(zip(S, Q, R)):
+        U_i = U[i * N:(i + 1) * N]
+        total = Q_i + F.T @ S_i @ F + U_i.T @ R_i @ U_i
+        values.append(0.5 * (total + total.T))
+    return np.array(values)
 
 
 def two_controller_game(Phi, Gamma0, Gamma1, Q, QN, R, steps):

@@ -383,6 +383,14 @@ class TestStackedSolve:
         with pytest.raises(DimensionError):
             solve(np.ones((3, 2, 2)), np.ones((2, 2, 1)))
 
+    @pytest.mark.parametrize("a_shape, b_shape", [
+        ((0, 0), (0, 1)), ((2, 0, 0), (2, 0, 3)), ((0, 2, 2), (0, 2, 1))])
+    def test_empty_systems_give_an_empty_x_shaped_like_b(self, a_shape,
+                                                         b_shape):
+        X = solve(np.zeros(a_shape), np.zeros(b_shape))
+        assert X.shape == b_shape
+        assert X.dtype == np.float64
+
 
 def _systems(A, B):
     return np.concatenate((A, B), axis=-1)

@@ -32,6 +32,7 @@ from oracles import (
     delayed_best_response_game,
     finite_horizon_lqr,
     gain,
+    policy_evaluation,
     select_controller,
     select_player,
     two_controller_game,
@@ -449,6 +450,41 @@ class TestAgainstCFormOracle:
         for k in range(w.horizon + 1):
             scale = np.abs(want_values[k]).max()
             assert np.abs(values[k] - want_values[k]).max() <= 1e-12 * scale, k
+
+
+class TestPolicyEvaluation:
+    """The value update alone, called as an equilibrium certificate would
+    call it on a schedule's laws: S, the laws U and the step, no solve."""
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("N", [1, 2])
+    def test_matches_plain_products(self, p, N):
+        rng = np.random.default_rng(300 + 10 * p + N)
+        M = 3
+        n, dim = p * N, M + p * N
+        S = rng.normal(size=(p, dim, dim))
+        S = S @ S.swapaxes(-1, -2)
+        Q = rng.normal(size=(p, dim, dim))
+        Q = Q @ Q.swapaxes(-1, -2)
+        R = rng.normal(size=(p, N, N))
+        R = R @ R.swapaxes(-1, -2) + np.eye(N)
+        U = rng.normal(size=(n, dim))
+        Abar, D = np.zeros((dim, dim)), np.zeros((dim, n))
+        Abar[:M] = rng.normal(size=(M, dim))
+        D[:M], D[M:] = rng.normal(size=(M, n)), np.eye(n)
+        F = Abar + D @ U
+        want = policy_evaluation(S, F, U, Q, R)
+        SR = delay_lqgame.synthesis._augmented(S, R)
+        work = (np.empty((p, dim, dim + n)), np.empty((p, dim, dim)))
+        delay_lqgame.synthesis._policy_evaluation(
+            SR, np.vstack((F, U))[None], Q, work)
+        got = SR[:, :dim, :dim]
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        np.testing.assert_array_equal(got, got.swapaxes(-1, -2))
+        # Every block of SR but S_i is left as it was: R_i in its corner.
+        SR[:, :dim, :dim] = 0.0
+        np.testing.assert_array_equal(
+            SR, delay_lqgame.synthesis._augmented(np.zeros_like(S), R))
 
 
 def _grid_plants(config, grids):
