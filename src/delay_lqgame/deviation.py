@@ -1,10 +1,11 @@
 """The equilibrium no-improvement check: randomized unilateral deviations
 from a synthesized schedule, drawn from two seeded numpy streams.
 
-Its trials run as rows of the batched closed loop of ``simulate``.  No CLI
-command runs the check, so only a caller of ``nash_deviation_check`` loads
-this module; ``simulate.nash_deviation_check`` and
-``delay_lqgame.nash_deviation_check`` both import it on first use.
+Its distinct deviations run as rows of the batched closed loop of
+``simulate``.  No CLI command runs the check, so only a caller of
+``nash_deviation_check`` loads this module;
+``simulate.nash_deviation_check`` and ``delay_lqgame.nash_deviation_check``
+both import it on first use.
 """
 
 from dataclasses import dataclass
@@ -78,11 +79,17 @@ def nash_deviation_check(dp, schedule, weights, x0, trials=200,
     delta, so a report is reproducible and the first k trials of any check
     with this seed are the same k deviations.
 
-    Trials run as rows of one batched closed loop, in blocks of
-    DEVIATION_BLOCK rows led by the undeviated base row.  A trial's row is
-    the base row until its deviation step, so the rows are sorted by that
-    step and each joins the loop there; only its deviator's cost is formed.
-    A diverging trial's NumericalError has its trial number as ``row``.
+    Trials run in blocks of DEVIATION_BLOCK - 1, each block as rows of one
+    batched closed loop led by the undeviated base row.  A block runs each
+    distinct deviation, its (step, player, delta bits), once, as one row
+    whose cost change goes to every trial that drew it; at N = 1 the
+    deltas are +-magnitude, so deviations repeat.  A row is the base row
+    until its deviation step, so the rows are sorted by that step, then by
+    first trial, and each joins the loop there; only its deviator's cost
+    is formed.  A row's arithmetic does not depend on the others, so the
+    report is that of every trial run as its own row.  A diverging
+    trial's NumericalError has as ``row`` the first trial of the first
+    diverging deviation in that order.
     """
     x0 = _checked_x0(dp, schedule, weights, x0)
     trials = _integer(trials, "trials", minimum=0)
@@ -96,20 +103,30 @@ def nash_deviation_check(dp, schedule, weights, x0, trials=200,
             seed, trials, max(DEVIATION_BLOCK - 1, 1), dp.p,
             schedule.horizon, dp.N, magnitude):
         stop = first + len(players)
-        order = np.argsort(steps, kind="stable")
-        players = np.append(0, players[order])
-        starts = np.append(0, steps[order])
+        # Each distinct (step, player, delta bits) runs as one row, the
+        # rows in (step, first trial) order; lexsort puts equal draws side
+        # by side in trial order.
+        key = np.column_stack((steps, players, deltas.view(np.int64)))
+        order = np.lexsort(key.T[::-1])
+        new = np.append(True, (key[order[1:]] != key[order[:-1]]).any(axis=1))
+        taken = order[new]  # each distinct deviation's first trial
+        rank = np.argsort(steps[taken] * len(steps) + taken)
+        row = np.empty_like(order)  # each trial's row, less the base row
+        row[order] = np.argsort(rank)[np.cumsum(new) - 1]
+        taken = taken[rank]
+        deviators = np.append(0, players[taken])
+        starts = np.append(0, steps[taken])
         offsets = np.zeros((len(starts), dp.p, dp.N))
-        offsets[np.arange(1, len(starts)), players[1:]] = deltas[order]
+        offsets[np.arange(1, len(starts)), deviators[1:]] = deltas[taken]
         tape = _closed_loop([dp], [schedule], x0, starts, offsets)
         try:
-            base, own = _costs(tape, weights, players, starts)
+            base, own = _costs(tape, weights, deviators, starts)
         except NumericalError as exc:
-            if exc.row:  # a trial's row in the step-sorted block
-                exc.row = first + int(order[exc.row - 1])
+            if exc.row:  # a distinct deviation's row: its first trial
+                exc.row = first + int(taken[exc.row - 1])
             raise
-        base = base[players[1:]]
-        change[first:stop] = own - base
+        base = base[players]
+        change[first:stop] = own[row] - base
         margin[first:stop] = change[first:stop] + NASH_TOLERANCE * (1.0 + base)
         first = stop
     min_margin = margin.min(initial=np.inf)

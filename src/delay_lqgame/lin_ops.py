@@ -204,8 +204,11 @@ def solve_into(systems, out):
     below PIVOT_RTOL times A's largest |entry|, with that pivot and its
     position on U's diagonal.  Each step swaps up the first row holding
     the column's largest remaining |entry|, as LAPACK's getrf does, on
-    Python lists, which beat array calls at p*N rows."""
+    Python lists, which beat array calls at p*N rows.  A stack of 0 x 0
+    systems leaves the empty ``out`` as it is."""
     n = systems.shape[1]
+    if not n:
+        return
     finite = np.isfinite(systems)
     bad = (None if np.count_nonzero(finite) == finite.size
            else int(np.argmin(finite.all(axis=(1, 2)))))

@@ -88,20 +88,26 @@ def _closed_loop(plants, schedules, x0, starts=None, offsets=None):
     joins; its entries before its start are left unset.
 
     Each row's timeline is one tape, [u(-1), x(0), u(0), x(1), ...,
-    x(horizon)] with u(-1) = 0, so [u(k-1), x(k)] and [u(k-1), x(k), u(k)]
-    are windows of the row, and a step is two dots:
+    x(horizon)] with u(-1) = 0, so the windows [u(k-1), x(k)] follow each
+    other, and a step is one dot:
 
-        u(k) = [B_coef[k] | A_coef[k]] [u(k-1), x(k)],
-        x(k+1) = [Gamma1 | Phi | Gamma0] [u(k-1), x(k), u(k)],
+        [u(k), x(k+1)] = L[k] [u(k-1), x(k)],
+        L[k] = [K[k]; [Gamma1 | Phi] + Gamma0 K[k]],
 
-    each Gamma's and B_coef's controller blocks side by side.  Both go to
-    np.einsum, never to BLAS.  Its loop sums a dot in one order when the
-    dot's axis is the one it runs innermost, as the windows and the
-    matrices' rows make it (both contiguous), wherever they sit in memory.
-    So each row's arithmetic does not depend on the batch or the BLAS
-    kernel: a row equals the same plant and schedule run alone, and a row
-    that joins late equals one run from step 0 with its offset at its
-    start step.
+    K[k] = [B_coef[k] | A_coef[k]], each Gamma's and B_coef's controller
+    blocks side by side.  A row that joins then adds [offset, Gamma0
+    offset] to its new window.  So u(k) is the dot of K[k]'s rows, and
+    x(k+1) takes Gamma0 u(k) through L[k].  One np.einsum
+    builds L for every step and row before the loop, and each step's dot
+    is one np.einsum, never BLAS.  Its loop sums a dot in one order when
+    the dot's axis is the one it runs innermost, as the windows and L's
+    rows make it (both contiguous); Gamma0 K[k] it runs along K[k]'s
+    rows, adding the terms of each entry one at a time in index order.
+    Neither order depends on where the operands sit in memory.  So each
+    row's arithmetic does not depend on the batch or the BLAS kernel: a
+    row equals the same plant and schedule run alone, and a row that
+    joins late equals one run from step 0 with its offset at its start
+    step.
 
     Returns the tapes as (rows, horizon + 1, n + M), line k of a row being
     [u(k-1), x(k)], n = p N; _timelines views them as states and controls.
@@ -110,16 +116,20 @@ def _closed_loop(plants, schedules, x0, starts=None, offsets=None):
     rows = len(schedules) if starts is None else len(starts)
     M, n = plants[0].M, p * plants[0].N
     width = n + M  # [u(k-1), x(k)]
-    # K[k] is (rows or 1, n, width) and F (rows or 1, M, width + n).
-    K = np.empty((steps, len(schedules), n, width))
+    # L[k] is (rows or 1, width, width).
+    L = np.empty((steps, len(schedules), width, width))
     for b, s in enumerate(schedules):
-        K[:, b, :, :n] = s.B_coef.transpose(0, 1, 3, 2, 4).reshape(
+        L[:, b, :n, :n] = s.B_coef.transpose(0, 1, 3, 2, 4).reshape(
             steps, n, n)
-        K[:, b, :, n:] = s.A_coef.reshape(steps, n, M)
-    F = np.stack([np.hstack((*dp.Gamma1, dp.Phi, *dp.Gamma0))
-                  for dp in plants])
+        L[:, b, :n, n:] = s.A_coef.reshape(steps, n, M)
+    Gamma0 = np.stack([np.hstack(dp.Gamma0) for dp in plants])
+    np.einsum("...mi,...ij->...mj", Gamma0, L[:, :, :n], out=L[:, :, n:])
+    L[:, :, n:] += np.stack([np.hstack((*dp.Gamma1, dp.Phi))
+                             for dp in plants])
     if offsets is not None:
         offsets = offsets.reshape(rows, n)
+        offsets = np.hstack((offsets,
+                             np.einsum("mi,bi->bm", Gamma0[0], offsets)))
     # joined[k]: the leading rows that run at step k.
     joined = ([rows] * steps if starts is None else
               np.searchsorted(starts, np.arange(steps), side="right").tolist())
@@ -132,13 +142,11 @@ def _closed_loop(plants, schedules, x0, starts=None, offsets=None):
         at = k * width
         if 0 < first < ran:
             tape[first:ran, at:at + width] = tape[0, at:at + width]
-        u = tape[:ran, at + width:at + width + n]
-        np.einsum("...ij,...j->...i", K[k], tape[:ran, at:at + width],
-                  out=u)
+        window = tape[:ran, at + width:at + 2 * width]
+        np.einsum("...ij,...j->...i", L[k], tape[:ran, at:at + width],
+                  out=window)
         if offsets is not None and first < ran:
-            u[first:ran] += offsets[first:ran]
-        np.einsum("...ij,...j->...i", F, tape[:ran, at:at + width + n],
-                  out=tape[:ran, at + width + n:at + 2 * width])
+            window[first:ran] += offsets[first:ran]
     return tape.reshape(rows, steps + 1, width)
 
 

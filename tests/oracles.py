@@ -8,15 +8,17 @@ two-controller coupling in closed form, or solve the stacked system with
 LAPACK and update each value with the controller's own law left out of
 its loop (``c_form_recursion``), the value update on given laws is
 plain 2-D products per controller (``policy_evaluation``), and the
-closed loop runs one trajectory at a time, each step two dots: the
-controls from the last controls and the state, then the next state from
-the last controls, the state and the controls.  Its dots (those two, the costs' v'Wv, a
-deviation's delta . delta) are two-operand np.einsum calls, as in the
-package: numpy's own loop sums a dot over contiguous vectors the same
-way on every BLAS kernel and at every operand offset.  The dense
-deviation check keeps the batched check's earlier layout (every trial a
-full row from step 0, every player costed) as the reference the package's
-check must equal.
+closed loop runs one trajectory at a time, each step one dot: the
+controls and the next state from the last controls and the state,
+through that step's matrix [K_k; [Gamma1 | Phi] + Gamma0 K_k], built
+anew for each step.  A deviation adds [delta, Gamma0 delta] to the
+step's result.  Its dots (the step's, Gamma0 K_k's and Gamma0 delta's,
+the costs' v'Wv, a deviation's delta . delta) are two-operand np.einsum
+calls, as in the package: numpy's own loop sums a dot over contiguous
+vectors the same way on every BLAS kernel and at every operand offset.
+The dense deviation check keeps the batched check's earlier layout (every
+trial a full row from step 0, every player costed) as the reference the
+package's check, which runs each distinct deviation once, must equal.
 
 Views of package results live here too, because only the tests use
 them: ``exp_integral`` (an interval integral as a difference of the
@@ -405,9 +407,20 @@ def _law(schedule, k):
                       schedule.A_coef[k, i]] for i in range(p)])
 
 
-def _step(dp):
-    """[Gamma1 | Phi | Gamma0], the map of [u(k-1), x(k), u(k)] to x(k+1)."""
-    return np.hstack([*dp.Gamma1, dp.Phi, *dp.Gamma0])
+def _step(dp, schedule, k):
+    """L_k = [K_k; [Gamma1 | Phi] + Gamma0 K_k], K_k = _law(schedule, k):
+    the map of [u(k-1), x(k)] to [u(k), x(k+1)] with every law in place."""
+    K = _law(schedule, k)
+    free = np.hstack([*dp.Gamma1, dp.Phi])
+    return np.vstack((K, free + np.einsum("mi,ij->mj", np.hstack(dp.Gamma0),
+                                          K)))
+
+
+def _kick(dp, offset):
+    """[offset, Gamma0 offset]: what an input offset (p N,) adds to the
+    step's [u(k), x(k+1)], every law left in place."""
+    return np.concatenate((offset, np.einsum("mi,i->m", np.hstack(dp.Gamma0),
+                                             offset)))
 
 
 def closed_loop(dp, schedule, x0, deviation=None):
@@ -417,23 +430,20 @@ def closed_loop(dp, schedule, x0, deviation=None):
     input at that single step, every law stays in place afterwards.
     Returns states (horizon + 1, M) and controls (horizon, p, N).
     """
-    steps, N = schedule.horizon, dp.N
-    F = _step(dp)
+    steps, N, n = schedule.horizon, dp.N, dp.p * dp.N
     states = np.zeros((steps + 1, dp.M))
     controls = np.zeros((steps, dp.p, N))
-    x = np.asarray(x0, dtype=float).reshape(-1)
-    states[0] = x
-    u_prev = np.zeros(dp.p * N)
+    window = np.concatenate((np.zeros(n),
+                             np.asarray(x0, dtype=float).reshape(-1)))
+    states[0] = window[n:]
     for k in range(steps):
-        u = np.einsum("ij,j->i", _law(schedule, k),
-                      np.concatenate((u_prev, x)))
+        window = np.einsum("ij,j->i", _step(dp, schedule, k), window)
         if deviation is not None and deviation[1] == k:
-            player = deviation[0]
-            u[player * N:(player + 1) * N] += deviation[2]
-        x = np.einsum("ij,j->i", F, np.concatenate((u_prev, x, u)))
-        controls[k] = u.reshape(dp.p, N)
-        states[k + 1] = x
-        u_prev = u
+            offset = np.zeros(n)
+            offset[deviation[0] * N:(deviation[0] + 1) * N] = deviation[2]
+            window = window + _kick(dp, offset)
+        controls[k] = window[:n].reshape(dp.p, N)
+        states[k + 1] = window[n:]
     return states, controls
 
 
@@ -490,38 +500,28 @@ def per_trial_deviation_check(dp, schedule, weights, x0, trials, magnitude,
 # every row costed for every player
 # ---------------------------------------------------------------------------
 
-def _row_vectors(*parts):
-    """The rows of parts side by side, each row contiguous.
-
-    np.einsum sums a dot in the order of the axis it runs innermost, the
-    one of smallest stride; np.concatenate may lay its result out column
-    by column, which would make that the row axis.
-    """
-    return np.ascontiguousarray(np.concatenate(parts, axis=1))
-
-
 def _dense_closed_loop(plants, schedules, x0, offsets=None):
     """Feedback loop of a batch of rows from x0; offsets[k, b, i] is added
-    to controller i's input at step k in row b."""
+    to controller i's input at step k in row b (one shared plant)."""
     steps, p = schedules[0].horizon, schedules[0].p
     rows = len(schedules) if offsets is None else offsets.shape[1]
-    # Step axis first, so law[k] is (rows or 1, p N, p N + M).
-    law = np.stack([[_law(s, k) for s in schedules] for k in range(steps)])
-    F = np.stack([_step(dp) for dp in plants])
+    # Step axis first, so L[k] is (rows or 1, p N + M, p N + M).
+    L = np.stack([[_step(dp, s, k) for dp, s in zip(plants, schedules)]
+                  for k in range(steps)])
     M, N = plants[0].M, plants[0].N
+    n = p * N
     states = np.empty((rows, steps + 1, M))
     controls = np.empty((rows, steps, p, N))
-    x = np.broadcast_to(x0, (rows, M))
-    states[:, 0] = x
-    u_prev = np.zeros((rows, p * N))
+    window = np.zeros((rows, n + M))
+    window[:, n:] = x0
+    states[:, 0] = window[:, n:]
     for k in range(steps):
-        u = np.einsum("...ij,...j->...i", law[k], _row_vectors(u_prev, x))
+        window = np.einsum("...ij,...j->...i", L[k], window)
         if offsets is not None:
-            u = u + offsets[k].reshape(rows, p * N)
-        x = np.einsum("...ij,...j->...i", F, _row_vectors(u_prev, x, u))
-        controls[:, k] = u.reshape(rows, p, N)
-        states[:, k + 1] = x
-        u_prev = u
+            window = window + np.stack([_kick(plants[0], offset) for offset
+                                        in offsets[k].reshape(rows, n)])
+        controls[:, k] = window[:, :n].reshape(rows, p, N)
+        states[:, k + 1] = window[:, n:]
     return states, controls
 
 

@@ -391,6 +391,12 @@ class TestStackedSolve:
         assert X.shape == b_shape
         assert X.dtype == np.float64
 
+    @pytest.mark.parametrize("shape", [(2, 0, 3), (1, 0, 0)])
+    def test_solve_into_leaves_empty_out_of_0x0_systems(self, shape):
+        out = np.empty(shape)
+        assert lin_ops.solve_into(np.zeros(shape), out) is None
+        assert out.shape == shape
+
 
 def _systems(A, B):
     return np.concatenate((A, B), axis=-1)

@@ -713,6 +713,122 @@ class TestAgainstDenseCheck:
                                  trials=1, seed=-1)
 
 
+def _short_p1_case():
+    # One controller of one input over two steps: a block draws at most
+    # four (step, sign) deviations, up to the last bit of their scaling.
+    rng = np.random.default_rng(41)
+    plant = random_stable_plant(rng, M=2, N=1, p=1)
+    weights = random_weights(rng, 2, N=1, p=1, horizon=2)
+    dp = discretize(plant)
+    return dp, synthesize(dp, weights), weights, rng.normal(size=2)
+
+
+def _distinct(players, steps, deltas):
+    """How many distinct (step, player, delta bits) the draws hold."""
+    return len(set(zip(steps.tolist(), players.tolist(),
+                       map(bytes, deltas))))
+
+
+class TestDistinctDeviations:
+    """The check runs each block's distinct deviations once and gives
+    every trial its deviation's cost change."""
+
+    @pytest.mark.parametrize("magnitude", [1e-3, 1e-2])
+    def test_duplicate_heavy_check_equals_dense(self, monkeypatch,
+                                                magnitude):
+        dp, sched, weights, x0 = _short_p1_case()
+        rows = []
+        closed_loop_ = deviation._closed_loop
+
+        def recording(plants, schedules, x0, starts, offsets):
+            rows.append(len(starts))
+            return closed_loop_(plants, schedules, x0, starts, offsets)
+
+        monkeypatch.setattr(deviation, "_closed_loop", recording)
+        got = nash_deviation_check(dp, sched, weights, x0, trials=300,
+                                   magnitude=magnitude, seed=2)
+        monkeypatch.undo()
+        assert got == dense_deviation_check(dp, sched, weights, x0,
+                                            trials=300, magnitude=magnitude,
+                                            seed=2)
+        # One base row plus one row per distinct deviation, per block.
+        block = deviation.DEVIATION_BLOCK - 1
+        players, steps, deltas = _draws(2, 300, 1, 2, 1, magnitude)
+        want = [1 + _distinct(players[t:t + block], steps[t:t + block],
+                              deltas[t:t + block])
+                for t in range(0, 300, block)]
+        assert rows == want
+        if magnitude == 1e-3:
+            assert max(want) <= 5
+
+    def test_first_failing_duplicate_is_named_by_its_first_trial(self):
+        # Offsets of 1e200 overflow u'Ru at their step.  The block's first
+        # trial at step 0 is trial 3, and two later trials draw the same
+        # deviation: they share its row, and the error names trial 3.
+        dp, sched, weights, x0 = _short_p1_case()
+        players, steps, deltas = _draws(0, 12, 1, 2, 1, 1e200)
+        first = int(np.argmin(steps))
+        same = ((steps == steps[first]) & (players == players[first])
+                & (deltas == deltas[first]).all(axis=1))
+        assert first == 3 and same.sum() == 3
+        with pytest.raises(NumericalError) as err:
+            nash_deviation_check(dp, sched, weights, x0, trials=12,
+                                 magnitude=1e200, seed=0)
+        assert (err.value.row, err.value.step) == (first, steps[first])
+
+
+def _seeded_p3_n2_case():
+    rng = np.random.default_rng(43)
+    plant = random_stable_plant(rng, M=4, N=2, p=3)
+    weights = random_weights(rng, 4, N=2, p=3, horizon=20)
+    dp = discretize(plant)
+    return dp, synthesize(dp, weights), weights, rng.normal(size=4)
+
+
+def _literal_drift(dp, lines, start=0):
+    """Largest |x(k+1) - (Phi x(k) + sum_i Gamma1_i u_i(k-1) + sum_i
+    Gamma0_i u_i(k))| over the steps k >= start of one row's lines
+    [u(k-1), x(k)], relative to the largest |entry| of those lines."""
+    n = dp.p * dp.N
+    lines = lines[start:]
+    u_prev, x, u = lines[:-1, :n], lines[:-1, n:], lines[1:, :n]
+    want = x @ dp.Phi.T
+    for i in range(dp.p):
+        block = slice(i * dp.N, (i + 1) * dp.N)
+        want = (want + u_prev[:, block] @ dp.Gamma1[i].T
+                + u[:, block] @ dp.Gamma0[i].T)
+    return np.abs(lines[1:, n:] - want).max() / np.abs(lines).max()
+
+
+class TestPlantLiteral:
+    """Every next state the loop forms is the plant's update written out,
+    Phi x(k) + sum_i Gamma1_i u_i(k-1) + sum_i Gamma0_i u_i(k), to within
+    1e-13 of the trajectory's largest |entry|: the loop takes Gamma0 u(k)
+    through its step matrix, so only round-off separates them."""
+
+    CASES = {"generic": lambda: _preset_case(preset_generic),
+             "lfc": lambda: _preset_case(preset_lfc),
+             "p3n2": _seeded_p3_n2_case}
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_rollout_and_deviated_rows(self, case):
+        dp, sched, weights, x0 = self.CASES[case]()
+        n = dp.p * dp.N
+        tr = rollout(dp, sched, x0, weights)
+        lines = np.zeros((sched.horizon + 1, n + dp.M))
+        lines[:, n:] = tr.states
+        lines[1:, :n] = tr.controls.reshape(sched.horizon, n)
+        assert _literal_drift(dp, lines) <= 1e-13
+        players, steps, deltas = _draws(8, 60, dp.p, sched.horizon, dp.N)
+        order = np.argsort(steps, kind="stable")
+        starts = np.append(0, steps[order])
+        offsets = np.zeros((61, dp.p, dp.N))
+        offsets[np.arange(1, 61), players[order]] = deltas[order]
+        tape = simulate._closed_loop([dp], [sched], x0, starts, offsets)
+        for row, start in enumerate(starts):
+            assert _literal_drift(dp, tape[row], start) <= 1e-13
+
+
 # Signed zeros, subnormals, values near overflow, and tiny values whose
 # products underflow.
 _EDGES = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, 1.7e308,
@@ -730,8 +846,8 @@ def _edge_stack(rng, shape):
 class TestOneTermProducts:
     """Stacks of signed zeros, subnormals and values near overflow, byte
     for byte: _quadratic's einsum dots against np.matmul on the shapes it
-    takes, one-term products included, and the closed loop's two dots per
-    step against the dense oracle's."""
+    takes, one-term products included, and the closed loop's step
+    matrices and its one dot per step against the dense oracle's."""
 
     @pytest.mark.parametrize("v_shape, W_shape", [
         ((40, 20, 3, 1), (3, 1, 1)),         # every player's u'Ru
@@ -892,13 +1008,14 @@ class TestPinnedRollout:
     """The rollout's bytes on every BLAS kernel: a plant, schedule and
     weights built from fixed dyadic arrays (neither discretize nor
     synthesize, which run on BLAS) give one SHA-256 over the trajectory,
-    its costs and a deviation check's report.  Every dot of the loop and
-    the costs is numpy's einsum loop, so only a numpy whose einsum sums in
-    another order moves it (one built with wider vectors or fused
+    its costs and a deviation check's report.  Every dot of the loop (its
+    step matrices [K; [Gamma1 | Phi] + Gamma0 K] and its one dot per step)
+    and of the costs is numpy's einsum loop, so only a numpy whose einsum
+    sums in another order moves it (one built with wider vectors or fused
     multiply-adds in that loop, say)."""
 
-    DIGEST = ("32c8c5718f175bfa5dbb7a9273431d37"
-              "d41cb083168251e9803382dc0de74a9c")
+    DIGEST = ("02d664f4695b2a6b39f8fe3330e4b051"
+              "c6ac96b153422db449cbd98d6b9269cf")
 
     def test_digest(self):
         M, p, N, steps = 9, 2, 2, 50
