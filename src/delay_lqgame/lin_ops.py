@@ -204,8 +204,10 @@ def solve_into(systems, out):
     below PIVOT_RTOL times A's largest |entry|, with that pivot and its
     position on U's diagonal.  Each step swaps up the first row holding
     the column's largest remaining |entry|, as LAPACK's getrf does, on
-    Python lists, which beat array calls at p*N rows.  A stack of 0 x 0
-    systems leaves the empty ``out`` as it is."""
+    Python lists.  Measured against LAPACK per system, the lists win up
+    to about 3 rows (the presets' systems have 2) and lose past them:
+    1.3x slower at 4 rows, 2.5x at 6.  A stack of 0 x 0 systems leaves
+    the empty ``out`` as it is."""
     n = systems.shape[1]
     if not n:
         return

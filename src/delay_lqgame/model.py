@@ -66,7 +66,8 @@ class Scheme(enum.Enum):
 
 
 def _readonly(arr):
-    arr = np.array(arr, dtype=float)
+    """A read-only, C-ordered float copy of arr; the caller keeps arr."""
+    arr = np.array(arr, dtype=float, order="C")
     arr.setflags(write=False)
     return arr
 
@@ -405,8 +406,8 @@ class GainSchedule:
                 raise ValidationError(f"{name}: gain schedule contains "
                                       f"non-finite entries")
         object.__setattr__(self, "scheme", _scheme(self.scheme, "scheme"))
-        object.__setattr__(self, "A_coef", A)
-        object.__setattr__(self, "B_coef", B)
+        object.__setattr__(self, "A_coef", _readonly(A))
+        object.__setattr__(self, "B_coef", _readonly(B))
 
     @property
     def horizon(self):
@@ -750,13 +751,20 @@ def preset_lfc():
     generation deviations that the two controllers integrate).  Each
     controller drives its own area's requested-generation state.  Costs
     weight the tie-line power deviation only.
+
+    The tie line follows the standard two-area model (Kundur, *Power
+    System Stability and Control*, 1994, ch. 11; Bevrani, *Robust Power
+    System Frequency Control*, 2009): dPtie = T12 * int(df1 - df2) is the
+    power that area 1 exports to area 2, so it enters area 1's frequency
+    equation as a load, -(Kp/Tp) dPtie, and area 2's as a supply,
+    +(Kp/Tp) dPtie.
     """
     Tp, Kp, Tt, Tg = 0.2, 1.0, 0.3, 0.08
     r, T12 = 0.2545, 2.4
     A = np.zeros((9, 9))
     A[0, 0] = -1.0 / Tp
     A[0, 1] = Kp / Tp
-    A[0, 6] = Kp / Tp
+    A[0, 6] = -Kp / Tp
     A[1, 1] = -1.0 / Tt
     A[1, 2] = 1.0 / Tt
     A[2, 0] = -1.0 / (r * Tg)

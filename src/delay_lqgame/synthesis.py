@@ -129,10 +129,11 @@ def synthesize_batch(plants, weights, return_values=False):
     column of [Phi | Gamma1_1 | ... | Gamma1_p], and one stacked solve per
     step solves every plant's system.  Each controller's value matrix is
     the top-left block of its augmented matrix SR_i, built once per call,
-    so a step is two products into [G | W], the solve, the loop F and the
-    value update's two products on Z = [F; U] (module docstring).  A
-    plant's arithmetic does not depend on the batch around it, so each
-    schedule equals a batch-of-1 call bit for bit.  Raises
+    so a step is two products into [G | W], the solve, Z = K U + Abar' =
+    [F; U] by one product and an add, and the value update's two products
+    on Z (module docstring).  A plant's arithmetic does not depend on the
+    batch around it, so each schedule equals a batch-of-1 call bit for
+    bit.  Schedules own read-only copies of their gains.  Raises
     :class:`CouplingSingularityError` with the step, the controller whose
     block holds the smallest pivot, and the plant's index in the batch if
     a system is singular, and :class:`NumericalError` with the step and
@@ -155,7 +156,8 @@ def synthesize_batch(plants, weights, return_values=False):
     KA[:, 0, :M, :n] = [np.hstack(dp.Gamma0) for dp in plants]
     KA[:, 0, M:, :n] = np.tile(np.eye(n), (2, 1))
     KA[:, 0, :M, n:] = [-np.hstack((dp.Phi,) + dp.Gamma1) for dp in plants]
-    D, minus_Abar = KA[:, 0, :dim, :n], KA[:, 0, :dim, n:].copy()
+    # K and Abar' (named Abar here), which form each step's Z = K U + Abar'.
+    K, Abar = KA[..., :n], -KA[..., n:]
     # K_i^T = [D_i^T | E_i] for every controller i: (batch, p, N, dim + n).
     Kt = KA[:, 0, :, :n].transpose(0, 2, 1).reshape(batch, p, N, dim + n)
     Q = _embedded(weights.Q, dim)
@@ -171,7 +173,6 @@ def synthesize_batch(plants, weights, return_values=False):
     work = (np.empty((batch, p, dim, dim + n)), np.empty(S.shape))
     # The step's Z = [F; U], one for every controller.
     Z = np.empty((batch, 1, dim + n, dim))
-    F, Uz = Z[:, 0, :dim], Z[:, 0, dim:]
     U = np.empty((steps, batch, n, dim))
     for k in range(steps - 1, -1, -1):
         # Controller i's rows K_i^T SR_i [K | -Abar'] = D_i^T S_i [D | -Abar]
@@ -192,10 +193,10 @@ def synthesize_batch(plants, weights, return_values=False):
                 f"{k} for controller {controller} (pivot {exc.pivot:.3e})",
                 exc.pivot, step=k, controller=controller,
                 plant=exc.row) from None
-        # Z = [F; U], F = Abar + D U being the loop with every law applied.
-        np.copyto(Uz, U[k])
-        np.matmul(D, Uz, out=F)
-        F -= minus_Abar
+        # Z = K U + Abar' = [F; U], F = Abar + D U being the loop with
+        # every law applied.
+        np.matmul(K, U[k][:, None], out=Z)
+        Z += Abar
         _policy_evaluation(SR, Z, Q, work)
         if return_values:
             values.append(S.copy())
@@ -206,9 +207,7 @@ def synthesize_batch(plants, weights, return_values=False):
     A_coef = U5[..., :M].transpose(1, 0, 2, 3, 4)
     B_coef = U5[..., M:].reshape(steps, batch, p, N, p, N)
     B_coef = B_coef.transpose(1, 0, 2, 4, 3, 5)
-    schedules = [GainSchedule(Scheme.PROPOSED,
-                              np.ascontiguousarray(A_coef[b]),
-                              np.ascontiguousarray(B_coef[b]))
+    schedules = [GainSchedule(Scheme.PROPOSED, A_coef[b], B_coef[b])
                  for b in range(batch)]
     return (schedules, np.stack(values[::-1])) if return_values else schedules
 

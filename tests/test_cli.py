@@ -12,6 +12,7 @@ import pytest
 import delay_lqgame.cli
 import delay_lqgame.synthesis
 from delay_lqgame import (
+    DelayGameError,
     DiscretePlant,
     SchemaError,
     Scheme,
@@ -522,6 +523,32 @@ class TestFailureModes:
         assert "at step 49 for controller 2" in err
         assert "at delays (0.0, 0.02)" in err
         assert "Traceback" not in err
+
+    def test_other_package_error_exits_1_without_a_traceback(
+            self, tmp_path, capsys, monkeypatch):
+        # A DelayGameError outside the named kinds meets main's last arm.
+        def failing(args):
+            raise DelayGameError("boom")
+
+        monkeypatch.setattr(delay_lqgame.cli, "_cmd_preset", failing)
+        assert main(["preset", "--name", "generic",
+                     "--out", str(tmp_path / "c.json")]) == 1
+        assert capsys.readouterr().err == "delay-lqgame: boom\n"
+        assert not (tmp_path / "c.json").exists()
+
+    def test_empty_out_exits_1_naming_the_directory(
+            self, tmp_path, cfg_path, capsys, monkeypatch):
+        # An empty --out has no name to hang a sidecar on; writing it fails
+        # on the current directory, which the message names.
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        assert main(["simulate", "--config", str(cfg_path),
+                     "--out", ""]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("delay-lqgame: .: ")
+        assert len(err.splitlines()) == 1
+        assert list(work.iterdir()) == []
 
     def test_missing_config_file_exits_1(self, tmp_path):
         assert main(["discretize", "--config",

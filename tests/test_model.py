@@ -2,7 +2,7 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from itertools import product
 from pathlib import Path
 
@@ -32,7 +32,7 @@ from delay_lqgame import (
 )
 
 from delay_lqgame.model import dump_json, exp_pairs, write_csv
-from delay_lqgame.synthesis import GainSchedule
+from delay_lqgame.synthesis import GainSchedule, synthesize_batch
 
 from conftest import random_stable_plant
 from oracles import (
@@ -362,6 +362,23 @@ class TestPresets:
             want[6, 6] = 1.0
             np.testing.assert_array_equal(Q, want)
 
+    def test_lfc_tie_line_slows_the_exporting_area(self, lfc_config):
+        # dPtie = T12 int(df1 - df2) is area 1's export to area 2: alone
+        # among the states, a positive dPtie slows area 1 and speeds area 2.
+        dPtie = np.zeros(9)
+        dPtie[6] = 1.0
+        rates = lfc_config.plant.A @ dPtie
+        assert rates[0] < 0.0 < rates[3]
+
+    def test_lfc_zero_eigenvalues_are_the_two_integrators(self, lfc_config):
+        A = lfc_config.plant.A
+        eigs = np.linalg.eigvals(A)
+        assert np.count_nonzero(np.abs(eigs) < 1e-9) == 2
+        # dPc1 and dPc2 integrate the inputs alone: their rows of A are
+        # zero, so each gives a zero eigenvalue.  The tie line, which
+        # the flow it carries damps, gives none.
+        np.testing.assert_array_equal(A[7:], 0.0)
+
     def test_presets_pass_all_type_invariants(self):
         # Construction itself runs the validators; also cross-check shapes.
         for config in (preset_generic(), preset_lfc()):
@@ -418,6 +435,87 @@ class TestDomainTypes:
         with pytest.raises(SchemaError, match=f"^{name}: expected a sequence, "
                                               f"got {type(bad).__name__}$"):
             DiscretePlant(**{**args, name: bad})
+
+
+def _stored_arrays(value):
+    """The arrays that a value type stores: its array fields and the
+    entries of its fields that hold a tuple of arrays."""
+    arrays = []
+    for field in fields(value):
+        stored = getattr(value, field.name)
+        arrays += [a for a in (stored if isinstance(stored, tuple)
+                               else (stored,)) if isinstance(a, np.ndarray)]
+    return arrays
+
+
+def _gains(give):
+    """The p = 2, N = 2, M = 2 coefficients of a three-step schedule,
+    each handed out by give."""
+    return (give(np.arange(24.0).reshape(3, 2, 2, 2)),
+            give(np.arange(48.0).reshape(3, 2, 2, 2, 2)))
+
+
+def _synthesized(give):
+    """A schedule that synthesize_batch returns at N = 2."""
+    rng = np.random.default_rng(4)
+    plants = [discretize(random_stable_plant(rng, M=3, N=2))
+              for _ in range(2)]
+    weights = GameWeights(Q=(np.eye(3),) * 2, QN=(np.eye(3),) * 2,
+                          R=(np.eye(2),) * 2, horizon=4)
+    return synthesize_batch(plants, weights)[1]
+
+
+# Each case builds a value type from arrays that give hands out: writable
+# and strided, as a caller's arrays may be.
+STORAGE_CASES = {
+    "ContinuousPlant": lambda give: ContinuousPlant(
+        A=give([[0.0, 1.0], [-3.0, -4.0]]),
+        B=(give([[0.0], [1.0]]), give([[1.0], [0.0]])),
+        delays=(0.0, 0.01), h=0.05),
+    "DiscretePlant": lambda give: DiscretePlant(
+        Phi=give([[1.0, 0.1], [0.0, 1.0]]),
+        Gamma0=(give([[0.0], [0.1]]),), Gamma1=(give([[0.0], [0.0]]),)),
+    "GameWeights": lambda give: GameWeights(
+        Q=(give(np.eye(2)),), QN=(give(2.0 * np.eye(2)),),
+        R=(give([[1.0]]),), horizon=3),
+    "ExperimentConfig": lambda give: replace(preset_generic(),
+                                             x0=give([1.0, -0.8])),
+    "GainSchedule": lambda give: GainSchedule(Scheme.PROPOSED,
+                                              *_gains(give)),
+    "GainSchedule-replace": lambda give: replace(
+        GainSchedule(Scheme.PROPOSED, *_gains(np.array)),
+        scheme=Scheme.SINGLE_DELAYED, **dict(zip(("A_coef", "B_coef"),
+                                                 _gains(give)))),
+    "GainSchedule-synthesized": _synthesized,
+}
+
+
+class TestStorageRule:
+    """Every model value type stores read-only, C-ordered copies of the
+    arrays it is built from."""
+
+    @pytest.mark.parametrize("build", STORAGE_CASES.values(),
+                             ids=STORAGE_CASES.keys())
+    def test_stored_arrays_are_read_only_copies(self, build):
+        passed = []
+
+        def give(value):
+            # A writable view that skips every other float.
+            arr = np.zeros(np.shape(value) + (2,))[..., 0]
+            arr[...] = value
+            passed.append(arr)
+            return arr
+
+        stored = _stored_arrays(build(give))
+        assert stored
+        kept = [arr.copy() for arr in stored]
+        for arr in stored:
+            assert not arr.flags.writeable
+            assert arr.flags.c_contiguous
+        for arr in passed:
+            arr += 1.0
+        for arr, before in zip(stored, kept):
+            np.testing.assert_array_equal(arr, before)
 
 
 def _plant(**changes):
